@@ -2,7 +2,7 @@
 """Print exact poly-Bernoulli tables with a three-route cross-check.
 
 Every value is computed independently by generating-function extraction, by
-the symbolic moment expansion, and by the Stirling closed form; the script
+the symbolic moment route, and by the Stirling closed form; the script
 aborts loudly if any pair disagrees.
 """
 import argparse

@@ -351,7 +351,8 @@ def build_parser() -> _Parser:
                         help="sech^2 axis truncation")
     common.add_argument("--expansion-cap", dest="expansion_cap", type=int,
                         default=argparse.SUPPRESS,
-                        help="monomial cap for symbolic power expansion")
+                        help="monomial cap for the sparse symbolic expansion used "
+                             "by the cube/simplex transforms and verify")
     common.add_argument("--seed-free", action="store_true", default=argparse.SUPPRESS,
                         help="no-op; documents that every algorithm here is deterministic")
 

@@ -3,11 +3,13 @@ truncated formal power series, and the combinatorial generators (Bernoulli
 numbers, Stirling numbers, binomials) everything else is built from.
 
 All values are immutable after construction and every operation is a pure
-function, so everything here is safe to share across threads.
+function; the Bernoulli and Stirling caches grow under a lock, so
+everything here is safe to share across threads.
 """
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -52,7 +54,40 @@ def binomial(n: int, m: int) -> int:
     return math.comb(n, m)
 
 
+# Shared caches.  They only ever grow, and only under _CACHE_LOCK: _grow
+# builds the new rows in a local list and appends them in one list.extend,
+# so a reader that checks the length and then indexes never sees a missing
+# or misplaced row.
+_CACHE_LOCK = threading.Lock()
 _STIRLING_ROWS: list[list[int]] = [[1]]
+_BERNOULLI: list[Fraction] = [Fraction(1)]
+
+
+def _grow(cache: list, n: int, next_row) -> None:
+    """Extend cache through index n; next_row(rows) returns row len(rows)."""
+    with _CACHE_LOCK:
+        rows = cache[:]
+        while len(rows) <= n:
+            rows.append(next_row(rows))
+        cache.extend(rows[len(cache):])
+
+
+def _next_stirling_row(rows: list[list[int]]) -> list[int]:
+    prev = rows[-1]
+    r = len(rows)
+    row = [0] * (r + 1)
+    for j in range(1, r + 1):
+        row[j] = j * (prev[j] if j < r else 0) + prev[j - 1]
+    return row
+
+
+def _next_bernoulli(vals: list[Fraction]) -> Fraction:
+    # sum_{j<n} C(n+1, j) B_j + (n+1) B_n = 0
+    n = len(vals)
+    s = Fraction(0)
+    for j in range(n):
+        s += math.comb(n + 1, j) * vals[j]
+    return -s / (n + 1)
 
 
 def stirling2(n: int, m: int) -> int:
@@ -65,35 +100,26 @@ def stirling2(n: int, m: int) -> int:
         raise ValueError("stirling2 requires n >= 0")
     if m < 0 or m > n:
         return 0
-    while len(_STIRLING_ROWS) <= n:
-        prev = _STIRLING_ROWS[-1]
-        r = len(_STIRLING_ROWS)
-        row = [0] * (r + 1)
-        for j in range(1, r + 1):
-            row[j] = j * (prev[j] if j < r else 0) + prev[j - 1]
-        _STIRLING_ROWS.append(row)
+    if n >= len(_STIRLING_ROWS):
+        _grow(_STIRLING_ROWS, n, _next_stirling_row)
     return _STIRLING_ROWS[n][m]
-
-
-_BERNOULLI: list[Fraction] = [Fraction(1)]
 
 
 def bernoulli_numbers(n_max: int) -> list[Fraction]:
     """Bernoulli numbers B_0..B_n_max from t/(e^t - 1), convention B_1 = -1/2."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    while len(_BERNOULLI) <= n_max:
-        n = len(_BERNOULLI)
-        # sum_{j<n} C(n+1, j) B_j + (n+1) B_n = 0
-        s = Fraction(0)
-        for j in range(n):
-            s += math.comb(n + 1, j) * _BERNOULLI[j]
-        _BERNOULLI.append(-s / (n + 1))
-    return list(_BERNOULLI[: n_max + 1])
+    if n_max >= len(_BERNOULLI):
+        _grow(_BERNOULLI, n_max, _next_bernoulli)
+    return _BERNOULLI[: n_max + 1]
 
 
 def bernoulli_number(n: int) -> Fraction:
-    return bernoulli_numbers(n)[n]
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n >= len(_BERNOULLI):
+        _grow(_BERNOULLI, n, _next_bernoulli)
+    return _BERNOULLI[n]
 
 
 class ZPolynomial:
@@ -196,8 +222,15 @@ class ZPolynomial:
         return acc
 
     def shift(self, a) -> "ZPolynomial":
-        """Return p(z + a)."""
-        return self(ZPolynomial([Fraction(a), Fraction(1)]))
+        """Return p(z + a), by the in-place Taylor shift (repeated synthetic
+        division by z - a) in O(degree^2) operations."""
+        a = Fraction(a)
+        c = list(self.coeffs)
+        if a:
+            for i in range(len(c) - 1):
+                for j in range(len(c) - 2, i - 1, -1):
+                    c[j] += a * c[j + 1]
+        return ZPolynomial(c)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

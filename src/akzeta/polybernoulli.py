@@ -1,8 +1,12 @@
 """Poly-Bernoulli polynomials B_n^{(k)}(z) and the companion family C_n^{(k)}(z)
 computed along three independent routes (generating-function coefficients,
-symbolic moment expansion, Stirling-number closed form), plus the exact
+symbolic moments, Stirling-number closed form), plus the exact
 integral-transform representations through Bernoulli-Barnes polynomials on
 the unit cube and on the ordered simplex.
+
+The symbolic route evaluates the nested symbol S_k = 1 + C_k through its
+moment sequences (umbral_numbers); the transforms still expand their
+integrands in the sparse symbol algebra of the umbral module.
 
 Route agreement across all of these is the central correctness invariant of
 the package.
@@ -16,6 +20,7 @@ from typing import Union
 
 from .exact import (
     ZPolynomial,
+    bernoulli_number,
     binomial,
     expm1_series,
     one_minus_exp_neg_series,
@@ -27,10 +32,7 @@ from .umbral import (
     UmbralExpression,
     Z,
     bernoulli_symbol,
-    c_symbol,
-    expect,
     expr_power,
-    poly_symbol,
     uniform_symbol,
 )
 
@@ -101,16 +103,14 @@ class PolyBernoulliTable:
         }
 
 
-def _lift_numbers(numbers: list[Fraction]) -> list[ZPolynomial]:
-    """Polynomial entries from the z = 0 numbers via the e^{zt} product:
+def _lift(numbers: list[Fraction], n: int) -> ZPolynomial:
+    """Entry n as a polynomial from the z = 0 numbers via the e^{zt} product:
     entry_n(z) = sum_m C(n,m) b_m z^{n-m}."""
-    out = []
-    for n in range(len(numbers)):
-        coeffs = [Fraction(0)] * (n + 1)
-        for m in range(n + 1):
-            coeffs[n - m] = binomial(n, m) * numbers[m]
-        out.append(ZPolynomial(coeffs))
-    return out
+    return ZPolynomial([binomial(n, n - i) * numbers[n - i] for i in range(n + 1)])
+
+
+def _lift_numbers(numbers: list[Fraction]) -> list[ZPolynomial]:
+    return [_lift(numbers, n) for n in range(len(numbers))]
 
 
 def poly_bernoulli_series(n_max: int, k: int, variant: str = "B") -> PolyBernoulliTable:
@@ -134,25 +134,48 @@ def poly_bernoulli_series(n_max: int, k: int, variant: str = "B") -> PolyBernoul
     return PolyBernoulliTable(k, variant, "series", _lift_numbers(numbers))
 
 
+def umbral_numbers(n_max: int, k: int, variant: str = "B") -> list[Fraction]:
+    """E[S_k^n] (B variant) or E[C_k^n] (C variant) for n = 0..n_max.
+
+    The companion symbol nests as C_1 = B_1, C_k = B_k + U_{k-1} C_{k-1} over
+    independent symbols, so the evaluation functional factorizes and the
+    moments follow by binomial convolution, in O(k n^2) exact operations:
+
+      E[C_k^j] = sum_i C(j,i) B_{j-i} E[C_{k-1}^i] / (i+1),
+      E[S_k^j] = E[(1 + C_k)^j] = sum_i C(j,i) E[C_k^i].
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}")
+    bern = [bernoulli_number(j) for j in range(n_max + 1)]
+    moments = bern
+    for _ in range(2, k + 1):
+        lowered = [m / (i + 1) for i, m in enumerate(moments)]
+        moments = [
+            sum(binomial(j, i) * bern[j - i] * lowered[i] for i in range(j + 1))
+            for j in range(n_max + 1)
+        ]
+    if variant == "C":
+        return moments
+    return [
+        sum(binomial(j, i) * moments[i] for i in range(j + 1)) for j in range(n_max + 1)
+    ]
+
+
 def poly_bernoulli_umbral(n: int, k: int, variant: str = "B") -> ZPolynomial:
-    """B_n^{(k)}(z) or C_n^{(k)}(z) as the expectation of (z + symbol)^n."""
+    """B_n^{(k)}(z) or C_n^{(k)}(z) as the expectation of (z + symbol)^n,
+    lifted from the symbol's moments."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    sym = poly_symbol(k) if variant == "B" else c_symbol(k)
-    base = UmbralExpression.symbol(Z) + sym
-    return expect(expr_power(base, n))
+    return _lift(umbral_numbers(n, k, variant), n)
 
 
 def poly_bernoulli_umbral_at(n: int, k: int, variant: str = "B", z: Fraction = Fraction(0)) -> Fraction:
-    """Same as poly_bernoulli_umbral but with z folded in as a constant up
-    front, which keeps the expansion one symbol smaller."""
-    sym = poly_symbol(k) if variant == "B" else c_symbol(k)
-    base = UmbralExpression.constant(z) + sym
-    return expect(expr_power(base, n)).coefficient(0)
-
-
-def umbral_numbers(n_max: int, k: int, variant: str = "B") -> list[Fraction]:
-    return [poly_bernoulli_umbral_at(n, k, variant) for n in range(n_max + 1)]
+    """poly_bernoulli_umbral evaluated at the rational z."""
+    return poly_bernoulli_umbral(n, k, variant)(Fraction(z))
 
 
 def poly_bernoulli_stirling(n: int, k: int) -> Fraction:
@@ -294,14 +317,12 @@ def barnes_transform_cube(n: int, k: int, z: Union[Fraction, None] = None):
     weight = _u_weight_monomial(k)
     if bp.denominator != weight:
         raise InternalInvariantError("cube weight does not cancel the Barnes prefactor")
-    integrand = bp.numerator  # weight/denominator == 1
+    integrated = bp.numerator.expect()  # weight/denominator == 1
     if z is None:
-        # the formal route built the argument as bare z; the transform needs z+1
-        integrand = integrand.substitute(
-            Z, UmbralExpression.symbol(Z) + UmbralExpression.constant(1)
-        )
-        return integrand.expect()
-    return integrand.expect().coefficient(0)
+        # the formal route built the argument as bare z; the transform needs
+        # z+1, and the shift commutes with integrating out the u-variables
+        return integrated.shift(1)
+    return integrated.coefficient(0)
 
 
 def simplex_transform(n: int, k: int, z: Union[Fraction, None] = None):
@@ -375,26 +396,3 @@ def simplex_table(n_max: int, k: int) -> PolyBernoulliTable:
     """B-variant table built entirely through the ordered-simplex transform."""
     entries = [simplex_transform(n, k) for n in range(n_max + 1)]
     return PolyBernoulliTable(k, "B", "barnes-simplex", entries)
-
-
-def route_numbers(n_max: int, k: int, variant: str = "B") -> dict:
-    """Numbers at z = 0 from all three primary routes, for cross-checking."""
-    series = poly_bernoulli_series(n_max, k, variant)
-    umbral = umbral_numbers(n_max, k, variant)
-    out = {
-        "series": [series.number(n) for n in range(n_max + 1)],
-        "umbral": umbral,
-    }
-    if variant == "B":
-        out["stirling"] = [poly_bernoulli_stirling(n, k) for n in range(n_max + 1)]
-    else:
-        # the Stirling closed form is for the B family; transform it
-        b = [poly_bernoulli_stirling(n, k) for n in range(n_max + 1)]
-        out["stirling"] = [
-            sum(
-                (binomial(n, l) * (-1) ** (n - l) * b[l] for l in range(n + 1)),
-                Fraction(0),
-            )
-            for n in range(n_max + 1)
-        ]
-    return out

@@ -13,8 +13,8 @@ business of the numerical layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Mapping
 
 from .exact import ZPolynomial, bernoulli_number
@@ -55,24 +55,31 @@ class ExpansionCapError(Exception):
     """Raised when a power expansion would exceed the monomial-count cap."""
 
 
-@dataclass(frozen=True, order=True)
-class Symbol:
+class Symbol(tuple):
     """A formal symbol: kind 'B' (Bernoulli), 'U' (uniform) or 'z' (formal variable).
 
-    Distinct (kind, index) pairs denote independent symbols.
+    Distinct (kind, index) pairs denote independent symbols.  A symbol is the
+    tuple (kind, index), so hashing, equality and ordering run at C speed in
+    the monomial dictionaries and sorts of the sparse algebra.
     """
 
-    kind: str
-    index: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("B", "U", "z"):
-            raise ValueError(f"unknown symbol kind {self.kind!r}")
-        if self.kind != "z" and self.index < 1:
+    def __new__(cls, kind: str, index: int = 0):
+        if kind not in ("B", "U", "z"):
+            raise ValueError(f"unknown symbol kind {kind!r}")
+        if kind != "z" and index < 1:
             raise ValueError("symbol index must be >= 1")
+        return tuple.__new__(cls, (kind, index))
+
+    kind = property(itemgetter(0))
+    index = property(itemgetter(1))
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     def __repr__(self):
-        return "z" if self.kind == "z" else f"{self.kind}{self.index}"
+        return "z" if self[0] == "z" else f"{self[0]}{self[1]}"
 
 
 def bernoulli_symbol(i: int) -> Symbol:
@@ -99,14 +106,6 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     for s, e in b:
         merged[s] = merged.get(s, 0) + e
     return tuple(sorted(merged.items()))
-
-
-def _mono_pow(m: Monomial, n: int) -> Monomial:
-    if n == 0:
-        return ()
-    if n == 1:
-        return m
-    return tuple((s, e * n) for s, e in m)
 
 
 def _mono_moment(m: Monomial) -> Fraction | None:
@@ -335,6 +334,12 @@ def expr_power(expr: UmbralExpression, n: int, cap: int | None = None) -> Umbral
     The predicted worst-case term count C(n + t - 1, t - 1) for a t-term base
     is checked against the cap before any work happens; cap=None uses the
     process-wide setting (default 5e6 monomials).
+
+    The expansion runs in integers: the base is scaled by the common
+    denominator D of its coefficients, each monomial is packed into one int
+    with a field per symbol wide enough for n times the largest exponent (so
+    fields never carry and multiplying monomials is adding ints), and each
+    output coefficient is divided by D**n once at the end.
     """
     if n < 0:
         raise ValueError("negative expression power")
@@ -342,7 +347,7 @@ def expr_power(expr: UmbralExpression, n: int, cap: int | None = None) -> Umbral
         cap = _expansion_cap
     if n == 0:
         return UmbralExpression.constant(1)
-    items = sorted(expr.terms.items())
+    items = list(expr.terms.items())
     t = len(items)
     if t == 0:
         return UmbralExpression()
@@ -350,27 +355,47 @@ def expr_power(expr: UmbralExpression, n: int, cap: int | None = None) -> Umbral
         raise ExpansionCapError(
             f"expansion of a {t}-term expression to power {n} exceeds cap {cap}"
         )
-    monos = [m for m, _ in items]
-    coeffs = [c for _, c in items]
+    syms = sorted({s for m, _ in items for s, _ in m})
+    width = (n * max((e for m, _ in items for _, e in m), default=0)).bit_length()
+    shift = {s: width * i for i, s in enumerate(syms)}
+    den = math.lcm(*(c.denominator for _, c in items))
+    # per term: packed monomial and integer coefficient raised to 0..n
+    mono_pows = []
+    coef_pows = []
+    for m, c in items:
+        packed = sum(e << shift[s] for s, e in m)
+        num = c.numerator * (den // c.denominator)
+        mono_pows.append([packed * e for e in range(n + 1)])
+        coef_pows.append([num**e for e in range(n + 1)])
+    binom = [[math.comb(r, e) for e in range(r + 1)] for r in range(n + 1)]
+    last = t - 1
     out: dict = {}
 
-    def descend(i: int, rem: int, coef: Fraction, mono: Monomial):
-        if i == t - 1:
-            c = coef * coeffs[i] ** rem
-            m = _mono_mul(mono, _mono_pow(monos[i], rem))
-            v = out.get(m, Fraction(0)) + c
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
+    def descend(i: int, rem: int, coef: int, key: int):
+        if i == last:
+            key += mono_pows[i][rem]
+            out[key] = out.get(key, 0) + coef * coef_pows[i][rem]
             return
+        mp = mono_pows[i]
+        cp = coef_pows[i]
+        row = binom[rem]
         for e in range(rem + 1):
-            c = coef * math.comb(rem, e) * coeffs[i] ** e
-            descend(i + 1, rem - e, c, _mono_mul(mono, _mono_pow(monos[i], e)))
+            descend(i + 1, rem - e, coef * row[e] * cp[e], key + mp[e])
 
-    descend(0, n, Fraction(1), ())
+    descend(0, n, 1, 0)
+    scale = den**n
+    mask = (1 << width) - 1
+    terms = {}
+    for key, c in out.items():
+        if c:
+            mono = []
+            for s in syms:
+                e = (key >> shift[s]) & mask
+                if e:
+                    mono.append((s, e))
+            terms[tuple(mono)] = Fraction(c, scale)
     r = UmbralExpression.__new__(UmbralExpression)
-    r.terms = out
+    r.terms = terms
     return r
 
 

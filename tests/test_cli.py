@@ -217,8 +217,7 @@ def test_expansion_cap_flag(capsys):
 
     try:
         code, _, err = run_cli(
-            capsys, "--expansion-cap", "10", "num", "--n", "30", "--k", "4",
-            "--method", "umbral",
+            capsys, "--expansion-cap", "10", "verify", "--suite", "umbral"
         )
         assert code == EXIT_USAGE
         assert "expansion cap" in err

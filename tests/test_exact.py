@@ -2,18 +2,22 @@
 polynomials and truncated series."""
 import itertools
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from akzeta import exact
 from akzeta.exact import (
     PowerSeries,
     ZPolynomial,
     bernoulli_gf_series,
     bernoulli_numbers,
     bernoulli_polynomial,
+    bernoulli_number,
     binomial,
     exp_series,
     expm1_series,
@@ -249,3 +253,55 @@ def test_composition_associative(fa, fb, fc):
     left = series_compose(series_compose(a, b), c)
     right = series_compose(a, series_compose(b, c))
     assert left.coeffs == right.coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_fractions, min_size=0, max_size=9), small_fractions)
+def test_shift_matches_composition(coeffs, a):
+    p = ZPolynomial(coeffs)
+    assert p.shift(a) == p(ZPolynomial([a, 1]))
+
+
+# --- shared caches under threads ---------------------------------------------------
+
+
+def test_caches_grow_consistently_under_threads(monkeypatch):
+    """Four threads fill cold Bernoulli and Stirling caches at once, with the
+    interpreter switching threads as often as it can; every value must match a
+    serial run and every cached row must sit at its own index."""
+    n_max = 60
+    serial_b = bernoulli_oracle(n_max)
+    serial_s = [[stirling2(n, m) for m in range(n + 1)] for n in range(n_max + 1)]
+    monkeypatch.setattr(exact, "_BERNOULLI", [Fraction(1)])
+    monkeypatch.setattr(exact, "_STIRLING_ROWS", [[1]])
+    results = {}
+    errors = []
+
+    def work(tid):
+        try:
+            order = range(n_max + 1) if tid % 2 else range(n_max, -1, -1)
+            results[tid] = (
+                [bernoulli_number(n) for n in order],
+                [[stirling2(n, m) for m in range(n + 1)] for n in order],
+                list(order),
+            )
+        except Exception as e:  # reported below, with the thread's id
+            errors.append((tid, repr(e)))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(tid,)) for tid in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    for bern, rows, order in results.values():
+        assert bern == [serial_b[n] for n in order]
+        assert rows == [serial_s[n] for n in order]
+    assert exact._BERNOULLI == serial_b
+    assert exact._STIRLING_ROWS == serial_s

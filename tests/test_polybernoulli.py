@@ -19,7 +19,15 @@ from akzeta.polybernoulli import (
     stirling_table,
     umbral_numbers,
 )
-from akzeta.umbral import UmbralExpression, uniform_symbol
+from akzeta.umbral import (
+    UmbralExpression,
+    Z,
+    c_symbol,
+    expect,
+    expr_power,
+    poly_symbol,
+    uniform_symbol,
+)
 
 
 def stirling_oracle(n, k):
@@ -66,6 +74,15 @@ def test_umbral_route_examples():
         for n in range(13):
             assert poly_bernoulli_umbral(n, k, "B") == ref.value(n)
             assert poly_bernoulli_umbral(n, k, "C") == refc.value(n)
+
+
+def test_umbral_moments_match_sparse_expansion():
+    zs = UmbralExpression.symbol(Z)
+    for k in range(1, 5):
+        for variant, sym in (("B", poly_symbol(k)), ("C", c_symbol(k))):
+            for n in range(13):
+                want = expect(expr_power(zs + sym, n))
+                assert poly_bernoulli_umbral(n, k, variant) == want
 
 
 def test_umbral_at_folds_constant():
@@ -227,12 +244,13 @@ def test_table_serialization():
 
 
 def test_umbral_route_respects_expansion_cap():
+    # (z + S_4)^20 in the sparse expansion that the transforms and verify use
     import akzeta.umbral as umbral
 
     umbral.set_expansion_cap(50)
     try:
         with pytest.raises(umbral.ExpansionCapError):
-            poly_bernoulli_umbral(20, 4)
+            expr_power(UmbralExpression.symbol(Z) + poly_symbol(4), 20)
     finally:
         umbral.set_expansion_cap(umbral.DEFAULT_EXPANSION_CAP)
 

@@ -1,4 +1,6 @@
 """Symbol algebra: evaluation rules, the poly-Bernoulli symbol, expansion."""
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from akzeta.exact import ZPolynomial, bernoulli_number
 from akzeta.umbral import (
     ExpansionCapError,
+    Symbol,
     UmbralExpression,
     Z,
     bernoulli_symbol,
@@ -18,6 +21,26 @@ from akzeta.umbral import (
     shift_substitute,
     uniform_symbol,
 )
+
+def test_symbol_validation_order_and_hash():
+    for bad in (("X",), ("B", 0), ("U", -1), ("z", 0, 1)):
+        with pytest.raises((ValueError, TypeError)):
+            Symbol(*bad)
+    syms = [uniform_symbol(2), Z, bernoulli_symbol(10), uniform_symbol(1), bernoulli_symbol(2)]
+    # ordered by (kind, index): 'B' < 'U' < 'z', then numerically by index
+    assert sorted(syms) == [
+        bernoulli_symbol(2), bernoulli_symbol(10), uniform_symbol(1), uniform_symbol(2), Z
+    ]
+    s = Symbol(kind="B", index=3)
+    assert (s.kind, s.index) == ("B", 3) and (Z.kind, Z.index) == ("z", 0)
+    assert repr(s) == "B3" and repr(Z) == "z" and repr(uniform_symbol(4)) == "U4"
+    assert s == bernoulli_symbol(3) and s != uniform_symbol(3)
+    assert hash(s) == hash(bernoulli_symbol(3)) == hash(("B", 3))
+    assert len({s, bernoulli_symbol(3), uniform_symbol(3), Z, Symbol("z")}) == 3
+    with pytest.raises(AttributeError):
+        s.kind = "U"
+    assert pickle.loads(pickle.dumps(s)) == s and copy.deepcopy(s) == s
+
 
 B1 = UmbralExpression.symbol(bernoulli_symbol(1))
 U1 = UmbralExpression.symbol(uniform_symbol(1))
@@ -192,3 +215,12 @@ def test_expect_linear(e1, e2, a, b):
 def test_ring_commutative(e1, e2):
     assert e1 * e2 == e2 * e1
     assert e1 + e2 == e2 + e1
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_expressions(), st.integers(min_value=0, max_value=5))
+def test_expr_power_matches_repeated_product(e, n):
+    ref = UmbralExpression.constant(1)
+    for _ in range(n):
+        ref = ref * e
+    assert expr_power(e, n) == ref
