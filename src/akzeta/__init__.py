@@ -14,7 +14,6 @@ Layers:
 """
 from .exact import (
     PowerSeries,
-    Rational,
     ZPolynomial,
     bernoulli_number,
     bernoulli_numbers,
@@ -32,7 +31,6 @@ from .umbral import (
     c_symbol,
     expect,
     expr_power,
-    get_expansion_cap,
     poly_symbol,
     set_expansion_cap,
     shift_substitute,

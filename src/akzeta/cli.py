@@ -18,11 +18,10 @@ from fractions import Fraction
 
 from .exact import rational_to_json
 from .polybernoulli import (
-    bc_convert,
     poly_bernoulli_series,
     poly_bernoulli_umbral,
+    route_disagreement,
     stirling_table,
-    umbral_numbers,
 )
 from .umbral import DEFAULT_EXPANSION_CAP, ExpansionCapError, set_expansion_cap
 from .verify import SUITES, VerifyConfig, run_all
@@ -34,6 +33,12 @@ EXIT_CROSSCHECK_FAIL = 2
 EXIT_USAGE = 64
 
 FORMATS = ("json", "csv", "plain")
+
+# Largest n and k for `num` and `table`, and largest `mzv --terms` (arrays of
+# length terms + 1): at n = 100 the series route already takes seconds per k.
+MAX_N = 100
+MAX_K = 100
+MAX_TERMS = 10**7
 
 
 @dataclass
@@ -159,6 +164,8 @@ def _cmd_num(args, cfg: CliConfig) -> int:
     n, k, variant, method = args.n, args.k, args.variant, args.method
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
+    if n > MAX_N or k > MAX_K:
+        raise ValueError(f"need n <= {MAX_N} and k <= {MAX_K}")
     z = _parse_rational(args.z) if args.z is not None else None
     if args.poly and z is not None:
         raise ValueError("--poly and --z are mutually exclusive")
@@ -169,10 +176,7 @@ def _cmd_num(args, cfg: CliConfig) -> int:
     elif method == "umbral":
         poly = poly_bernoulli_umbral(n, k, variant)
     else:  # stirling
-        table = stirling_table(n, k)
-        if variant == "C":
-            table = bc_convert(table, "B->C")
-        poly = table.value(n)
+        poly = stirling_table(n, k, variant).value(n)
 
     print(f"method={method} variant={variant} n={n} k={k}", file=sys.stderr)
     if args.poly:
@@ -201,26 +205,23 @@ def _cmd_table(args, cfg: CliConfig) -> int:
     n_max, variant = args.n_max, args.variant
     if n_max < 0 or args.k_min < 1 or args.k_max < args.k_min:
         raise ValueError("need n_max >= 0 and 1 <= k_min <= k_max")
+    if n_max > MAX_N or args.k_max > MAX_K:
+        raise ValueError(f"need n_max <= {MAX_N} and k_max <= {MAX_K}")
     tables = []
     for k in range(args.k_min, args.k_max + 1):
         table = poly_bernoulli_series(n_max, k, variant)
         # every emitted value is re-derived along the other two routes first
-        umbral = umbral_numbers(n_max, k, variant)
-        stirl = stirling_table(n_max, k)
-        if variant == "C":
-            stirl = bc_convert(stirl, "B->C")
-        for n in range(n_max + 1):
-            series_val = table.number(n)
-            if args.inject_disagreement and n == min(1, n_max):
-                series_val = series_val + 1
-            stirling_val = stirl.number(n)
-            if not (series_val == umbral[n] == stirling_val):
-                print(
-                    f"route disagreement at n={n} k={k}: series={series_val} "
-                    f"umbral={umbral[n]} stirling={stirling_val}",
-                    file=sys.stderr,
-                )
-                return EXIT_CROSSCHECK_FAIL
+        numbers = [table.number(n) for n in range(n_max + 1)]
+        if args.inject_disagreement:
+            numbers[min(1, n_max)] += 1
+        bad = route_disagreement(numbers, k, variant)
+        if bad is not None:
+            print(
+                f"route disagreement at n={bad['n']} k={k}: series={bad['series']} "
+                f"umbral={bad['umbral']} stirling={bad['stirling']}",
+                file=sys.stderr,
+            )
+            return EXIT_CROSSCHECK_FAIL
         tables.append(table)
     if cfg.format == "json":
         _emit(_json_text([t.to_json() for t in tables]))
@@ -288,6 +289,8 @@ def _cmd_mzv(args, cfg: CliConfig) -> int:
         exponents = tuple(int(s) for s in args.sig.split(","))
     except ValueError as e:
         raise ValueError(f"bad signature {args.sig!r}") from e
+    if args.terms > MAX_TERMS:
+        raise ValueError(f"need terms <= {MAX_TERMS}")
     sig = zetanum.MzSignature(exponents, args.starred)
     value, bound = zetanum.mz_truncated(sig, args.terms)
     out = {
@@ -368,8 +371,8 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     num = sub.add_parser("num", parents=[common], help="one poly-Bernoulli number or polynomial")
-    num.add_argument("--n", type=int, required=True)
-    num.add_argument("--k", type=int, required=True)
+    num.add_argument("--n", type=int, required=True, help=f"index, at most {MAX_N}")
+    num.add_argument("--k", type=int, required=True, help=f"order, at most {MAX_K}")
     num.add_argument("--variant", choices=("B", "C"), default="B")
     num.add_argument("--method", choices=("series", "umbral", "stirling"), default="series")
     num.add_argument("--poly", action="store_true", help="print polynomial coefficients, low to high")
@@ -377,9 +380,11 @@ def build_parser() -> _Parser:
     num.set_defaults(func=_cmd_num)
 
     table = sub.add_parser("table", parents=[common], help="tables of values, cross-checked along all three routes")
-    table.add_argument("--n-max", dest="n_max", type=int, required=True)
+    table.add_argument("--n-max", dest="n_max", type=int, required=True,
+                       help=f"largest index, at most {MAX_N}")
     table.add_argument("--k-min", dest="k_min", type=int, default=1)
-    table.add_argument("--k-max", dest="k_max", type=int, required=True)
+    table.add_argument("--k-max", dest="k_max", type=int, required=True,
+                       help=f"largest order, at most {MAX_K}")
     table.add_argument("--variant", choices=("B", "C"), default="B")
     table.add_argument("--inject-disagreement", action="store_true",
                        help=argparse.SUPPRESS)  # negative-control test hook
@@ -394,7 +399,8 @@ def build_parser() -> _Parser:
     mzv = sub.add_parser("mzv", parents=[common], help="truncated multiple zeta (starred) value with tail bound")
     mzv.add_argument("--sig", required=True, help="comma-separated exponents, e.g. 3,1")
     mzv.add_argument("--starred", action="store_true")
-    mzv.add_argument("--terms", type=int, default=100000, help="outer summation cutoff N")
+    mzv.add_argument("--terms", type=int, default=100000,
+                     help=f"outer summation cutoff N (at most {MAX_TERMS})")
     mzv.set_defaults(func=_cmd_mzv)
 
     verify = sub.add_parser("verify", parents=[common], help="run the identity verification suite")

@@ -13,10 +13,7 @@ import threading
 from fractions import Fraction
 from typing import Sequence, Union
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "ZPolynomial",
     "PowerSeries",
     "bernoulli_numbers",

@@ -47,6 +47,7 @@ __all__ = [
     "poly_bernoulli_stirling",
     "stirling_table",
     "umbral_numbers",
+    "route_disagreement",
     "bc_convert",
     "bernoulli_barnes",
     "barnes_transform_cube",
@@ -188,9 +189,29 @@ def poly_bernoulli_stirling(n: int, k: int) -> Fraction:
     return (-1) ** n * s
 
 
-def stirling_table(n_max: int, k: int) -> PolyBernoulliTable:
+def stirling_table(n_max: int, k: int, variant: str = "B") -> PolyBernoulliTable:
+    """The Stirling closed form for n <= n_max; the C variant through bc_convert."""
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}")
     numbers = [poly_bernoulli_stirling(n, k) for n in range(n_max + 1)]
-    return PolyBernoulliTable(k, "B", "stirling", _lift_numbers(numbers))
+    table = PolyBernoulliTable(k, "B", "stirling", _lift_numbers(numbers))
+    return bc_convert(table, "B->C") if variant == "C" else table
+
+
+def route_disagreement(numbers: list[Fraction], k: int, variant: str = "B") -> dict | None:
+    """Cross-check series numbers for n = 0..len(numbers)-1 against the
+    symbolic and Stirling routes.
+
+    Returns None when all three agree, else the first disagreement as
+    {"n", "series", "umbral", "stirling"}.
+    """
+    n_max = len(numbers) - 1
+    umbral = umbral_numbers(n_max, k, variant)
+    stirl = stirling_table(n_max, k, variant)
+    for n, series in enumerate(numbers):
+        if not (series == umbral[n] == stirl.number(n)):
+            return {"n": n, "series": series, "umbral": umbral[n], "stirling": stirl.number(n)}
+    return None
 
 
 def bc_convert(table: PolyBernoulliTable, direction: str) -> PolyBernoulliTable:

@@ -47,10 +47,6 @@ def set_expansion_cap(cap: int) -> None:
     _expansion_cap = cap
 
 
-def get_expansion_cap() -> int:
-    return _expansion_cap
-
-
 class ExpansionCapError(Exception):
     """Raised when a power expansion would exceed the monomial-count cap."""
 
@@ -152,16 +148,8 @@ class UmbralExpression:
         mono = tuple(sorted((s, e) for s, e in exponents.items() if e))
         return cls({mono: Fraction(coeff)})
 
-    @property
-    def term_count(self) -> int:
-        return len(self.terms)
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def constant_value(self) -> Fraction:
-        """The coefficient of the empty monomial."""
-        return self.terms.get((), Fraction(0))
 
     def __add__(self, other):
         other = _as_expr(other)

@@ -26,9 +26,8 @@ from .polybernoulli import (
     barnes_transform_cube,
     bc_convert,
     poly_bernoulli_series,
-    poly_bernoulli_stirling,
+    route_disagreement,
     simplex_transform,
-    umbral_numbers,
 )
 from .umbral import (
     UmbralExpression,
@@ -309,7 +308,9 @@ def check_multistep_difference(n_max: int, k_max: int, m_max: int) -> IdentityCh
     chk = IdentityCheck(
         "multistep-difference", {"n_max": n_max, "k_max": k_max, "m_max": m_max}
     )
-    # Faulhaber sub-check, z formal
+    # Faulhaber sub-check, z formal.  Its right sides are the B-variant steps
+    # of the identity above; the C-variant steps are those polynomials at z - 1.
+    step_b, step_c = {}, {}
     for p in range(n_max + 1):
         bp1 = bernoulli_polynomial(p + 1)
         for mm in range(m_max + 1):
@@ -319,6 +320,8 @@ def check_multistep_difference(n_max: int, k_max: int, m_max: int) -> IdentityCh
             rhs = (bp1.shift(mm + 1) - bp1.shift(1)) * Fraction(1, p + 1)
             if lhs != rhs:
                 return chk.fail({"sub": "faulhaber", "p": p, "m": mm}, lhs, rhs)
+            step_b[p, mm] = rhs
+            step_c[p, mm] = (bp1.shift(mm) - bp1) * Fraction(1, p + 1)
     tb = _tables(n_max, k_max, "B")
     tc = _tables(n_max, k_max, "C")
     for k in range(2, k_max + 1):
@@ -328,17 +331,13 @@ def check_multistep_difference(n_max: int, k_max: int, m_max: int) -> IdentityCh
                 lhs = tb[k - 1].value(n).shift(mm) - tb[k - 1].value(n)
                 rhs = ZPolynomial()
                 for l in range(1, n + 1):
-                    b = bernoulli_polynomial(n - l + 1)
-                    step = (b.shift(mm + 1) - b.shift(1)) * Fraction(1, n - l + 1)
-                    rhs = rhs + step * (binomial(n, l) * prev_at_m1[l - 1])
+                    rhs = rhs + step_b[n - l, mm] * (binomial(n, l) * prev_at_m1[l - 1])
                 if lhs != rhs:
                     return chk.fail({"variant": "B", "n": n, "k": k, "m": mm}, lhs, rhs)
                 lhs_c = tc[k - 1].value(n).shift(mm) - tc[k - 1].value(n)
                 rhs_c = ZPolynomial()
                 for l in range(1, n + 1):
-                    b = bernoulli_polynomial(n - l + 1)
-                    step = (b.shift(mm) - b) * Fraction(1, n - l + 1)
-                    rhs_c = rhs_c + step * (binomial(n, l) * tc[k - 2].number(l - 1))
+                    rhs_c = rhs_c + step_c[n - l, mm] * (binomial(n, l) * tc[k - 2].number(l - 1))
                 if lhs_c != rhs_c:
                     return chk.fail({"variant": "C", "n": n, "k": k, "m": mm}, lhs_c, rhs_c)
     return chk
@@ -496,15 +495,13 @@ def check_route_agreement(n_max: int, k_max: int, corrupt: bool = False) -> Iden
         numbers = [series.number(n) for n in range(n_max + 1)]
         if corrupt and k == 1:
             numbers[min(1, n_max)] += 1
-        umbral = umbral_numbers(n_max, k, "B")
-        for n in range(n_max + 1):
-            stirl = poly_bernoulli_stirling(n, k)
-            if not (numbers[n] == umbral[n] == stirl):
-                return chk.fail(
-                    {"n": n, "k": k},
-                    f"series={numbers[n]}",
-                    f"umbral={umbral[n]}, stirling={stirl}",
-                )
+        bad = route_disagreement(numbers, k, "B")
+        if bad is not None:
+            return chk.fail(
+                {"n": bad["n"], "k": k},
+                f"series={bad['series']}",
+                f"umbral={bad['umbral']}, stirling={bad['stirling']}",
+            )
     return chk
 
 

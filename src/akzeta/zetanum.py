@@ -7,7 +7,7 @@ Arakawa-Kaneko zeta function zeta_k(s), Barnes zeta cross-checks, and
 truncated multiple-zeta sums with conservative tail bounds.
 
 Quadrature scheme: each sech^2 axis is truncated to [-w_cutoff, w_cutoff]
-(the weight (pi/2) sech^2(pi w) carries mass 1 - tanh(pi W) < 2 e^{-2 pi W}
+(the weight (pi/2) sech^2(pi w) carries mass 2/(1 + e^{2 pi W}) < 2 e^{-2 pi W}
 outside, which is reported as an analytic tail bound) and integrated by
 composite Gauss-Legendre panels; refinement doubles the panel count per
 w-axis, and convergence is declared when successive refinement levels agree
@@ -54,8 +54,9 @@ _RE_GUARD = 0.1
 class QuadratureSpec:
     """Controls for the sech^2 tensor quadrature.
 
-    panels/nodes set the starting composite Gauss-Legendre rule per w-axis;
-    each refinement level doubles the panel count, up to `levels` levels.
+    panels/nodes set the starting composite Gauss-Legendre rule per w-axis
+    (per t-axis for the Mellin routes); each refinement level doubles the
+    panel count, up to `levels` levels.
     u-axes (unit interval) use a fixed `u_nodes`-point rule: their integrands
     are analytic with comfortable margins, so refining them buys nothing and
     multiplies the tensor cost.
@@ -146,8 +147,11 @@ def _sech_axis(cutoff: float, panels: int, nodes: int) -> tuple[np.ndarray, np.n
 
 
 def _sech_tail_mass(cutoff: float) -> float:
-    """Mass of the sech^2 law outside [-cutoff, cutoff]."""
-    return max(1.0 - math.tanh(math.pi * cutoff), 0.0)
+    """Mass of the sech^2 law outside [-cutoff, cutoff], 1 - tanh(pi W) =
+    2/(1 + e^{2 pi W}), written with e^{-2 pi W} so that it neither rounds
+    to 0 nor overflows for large W."""
+    e = math.exp(-2.0 * math.pi * cutoff)
+    return 2.0 * e / (1.0 + e)
 
 
 def _weighted_sum(arr: np.ndarray, weights: Sequence[np.ndarray]) -> complex:
@@ -241,7 +245,7 @@ def _moment_level(
 def _converge(level_fn, spec: QuadratureSpec):
     """Run refinement levels until successive values agree within tolerance.
 
-    level_fn(panels) -> dict of complex values; the delta is the max over keys.
+    level_fn(panels) -> dict of values; the delta is the max over keys.
     """
     prev = None
     delta = math.inf
@@ -253,6 +257,19 @@ def _converge(level_fn, spec: QuadratureSpec):
                 return cur, delta, lev + 1
         prev = cur
     raise ConvergenceError(delta, spec.levels)
+
+
+def _mellin_quad(integrand, T: float, tol: float) -> float:
+    """int_0^T integrand(t) dt on 24-node Gauss-Legendre panels, doubling from
+    max(8, T/2) panels for up to 4 levels until two agree within tol/2."""
+    spec = QuadratureSpec(panels=max(8, int(T / 2)), nodes=24, levels=4, tolerance=tol / 2)
+
+    def level(panels: int) -> dict[int, float]:
+        t, w = _panel_axis(0.0, T, panels, spec.nodes)
+        return {0: float(np.dot(w, integrand(t)))}
+
+    vals, _, _ = _converge(level, spec)
+    return vals[0]
 
 
 def _re_interval(k: int, z: float) -> tuple[float, float]:
@@ -426,80 +443,62 @@ def polygamma(m: int, x: float, tol: float = 1e-12) -> float:
     return (-1) ** (m + 1) * fact * hurwitz_zeta(m + 1, x, tol / fact)
 
 
-def polylog(k: int, x: float, tol: float = 1e-10) -> float:
-    """Polylogarithm Li_k(x) for k >= 2 and 0 <= x < 1.
+# Li_k(e^mu) below mu = -ln 2 (x <= 1/2) by the direct series, whose terms
+# shrink at least like 2^{-n}, so 53 terms reach double precision; above it by
+# the log-series, whose terms beyond n = k shrink like (ln 2 / 2 pi)^{n-k}.
+_DIRECT_TERMS = 53
+_LOG_SERIES_EXTRA_TERMS = 20
 
-    k = 2 uses the reflection Li_2(x) = pi^2/6 - ln x ln(1-x) - Li_2(1-x) for
-    x > 1/2; otherwise the direct series, truncated where either the geometric
-    bound x^{N+1}/((1-x) N^k) or the polynomial bound N^{1-k}/(k-1) drops
-    below tol.
+
+def _li_exp(k: int, mu: np.ndarray) -> np.ndarray:
+    """Li_k(e^mu) for k >= 2 on an array of mu < 0.
+
+    Taking the logarithm of the argument keeps full precision near x = 1,
+    where callers pass log1p(-y) for x = 1 - y.  For x > 1/2 it sums the
+    log-series (D. C. Wood, The Computation of Polylogarithms, 1992)
+
+      Li_k(e^mu) = mu^{k-1}/(k-1)! (H_{k-1} - ln(-mu)) + sum_{n != k-1} zeta(k-n) mu^n/n!,
+
+    with zeta(2..k) from hurwitz_zeta and zeta(-j) = (-1)^j B_{j+1}/(j+1)
+    (B_1 = -1/2) from the exact Bernoulli numbers.
     """
+    out = np.empty_like(mu)
+    lo = mu <= -math.log(2.0)
+    x = np.exp(mu[lo])
+    acc = np.zeros_like(x)
+    for n in range(_DIRECT_TERMS, 0, -1):
+        acc = (acc + float(n) ** -k) * x
+    out[lo] = acc
+
+    top = k + _LOG_SERIES_EXTRA_TERMS
+    bern = bernoulli_numbers(top - k + 1)
+    coeffs = []
+    for n in range(top + 1):
+        if n < k - 1:
+            zeta = hurwitz_zeta(k - n, 1.0, 1e-17)  # below half an ulp of zeta >= 1
+        elif n == k - 1:
+            zeta = math.fsum(1.0 / j for j in range(1, k))  # H_{k-1}
+        else:
+            j = n - k
+            zeta = (-1) ** j * float(bern[j + 1]) / (j + 1)
+        coeffs.append(zeta / math.factorial(n))
+    m = mu[~lo]
+    acc = np.zeros_like(m)
+    for c in reversed(coeffs):
+        acc = acc * m + c
+    out[~lo] = acc - m ** (k - 1) / math.factorial(k - 1) * np.log(-m)
+    return out
+
+
+def polylog(k: int, x: float) -> float:
+    """Polylogarithm Li_k(x) for k >= 2 and 0 <= x < 1, to about 1e-15 absolute."""
     if k < 2:
         raise ValueError("polylog weight must be >= 2")
     if not (0.0 <= x < 1.0):
         raise ValueError("polylog argument must lie in [0, 1)")
     if x == 0.0:
         return 0.0
-    if k == 2 and x > 0.5:
-        y = 1.0 - x
-        return math.pi**2 / 6 - math.log(x) * math.log(y) - polylog(2, y, tol)
-    n_poly = int(math.ceil((1.0 / (tol * (k - 1))) ** (1.0 / (k - 1))))
-    s = 0.0
-    xp = 1.0
-    for n in range(1, n_poly + 1):
-        xp *= x
-        s += xp / n**k
-        if xp / ((1.0 - x) * (n + 1) ** k) < tol:
-            break
-    return s
-
-
-def _polylog_one_minus(k: int, t: np.ndarray, tol: float) -> np.ndarray:
-    """Li_k(1 - e^{-t}) for an array of t >= 0, stable for large t."""
-    y = np.exp(-t)
-    x = -np.expm1(-t)
-    if k == 2:
-        out = np.empty_like(x)
-        lo = x <= 0.5
-        out[lo] = _li_series(2, x[lo], tol)
-        hi = ~lo
-        # reflection with ln(1-x) = -t and ln(x) = log1p(-y)
-        out[hi] = math.pi**2 / 6 + t[hi] * np.log1p(-y[hi]) - _li_series(2, y[hi], tol)
-        return out
-    return _li_series(k, x, tol)
-
-
-def _li_series(k: int, x: np.ndarray, tol: float) -> np.ndarray:
-    """Direct polylog series on an array; N capped by the polynomial tail bound."""
-    if x.size == 0:
-        return np.zeros_like(x)
-    n_poly = int(math.ceil((1.0 / (tol * (k - 1))) ** (1.0 / (k - 1))))
-    xmax = float(np.max(x))
-    out = np.zeros_like(x)
-    xp = np.ones_like(x)
-    gmax = 1.0
-    for n in range(1, n_poly + 1):
-        xp = xp * x
-        out += xp / float(n) ** k
-        gmax *= xmax
-        if xmax < 1.0 and gmax / ((1.0 - xmax) * (n + 1) ** k) < tol:
-            break
-    return out
-
-
-_LI_NODE_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _mellin_nodes(k: int, T: float, panels: int, nodes: int, li_tol: float):
-    """Cached (t, weights, Li_k(1-e^{-t})) on the composite rule for [0, T]."""
-    key = (k, round(T, 12), panels, nodes, li_tol)
-    if key not in _LI_NODE_CACHE:
-        t, w = _panel_axis(0.0, T, panels, nodes)
-        li = _polylog_one_minus(k, t, li_tol)
-        if len(_LI_NODE_CACHE) > 64:
-            _LI_NODE_CACHE.clear()
-        _LI_NODE_CACHE[key] = (t, w, li)
-    return _LI_NODE_CACHE[key]
+    return float(_li_exp(k, np.array([math.log(x)]))[0])
 
 
 def _gamma_upper_int(m: int, x: float) -> float:
@@ -520,6 +519,7 @@ def ak_zeta_mellin(k: int, m: int, tol: float = 1e-8) -> float:
     m zeta(m+1).  For k >= 2 the integral is cut at T with the analytic bound
     Li_k <= zeta(k) <= pi^2/6 on the discarded tail, and paneled
     Gauss-Legendre is refined until two levels agree within tol/2.
+    Li_k(1-e^{-t}) is evaluated as Li_k(e^mu) with mu = log1p(-e^{-t}).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -531,18 +531,12 @@ def ak_zeta_mellin(k: int, m: int, tol: float = 1e-8) -> float:
     T = 20.0
     while zk_bound * _gamma_upper_int(m, T) / math.factorial(m - 1) > tol / 2:
         T *= 1.5
-    li_tol = tol / (6 * max(T, 1.0))
-    prev = None
-    panels = max(8, int(T / 2))
-    for _ in range(4):
-        t, w, li = _mellin_nodes(k, T, panels, 24, li_tol)
-        integrand = t ** (m - 1) / np.expm1(t) * li
-        cur = float(np.dot(w, integrand)) / math.factorial(m - 1)
-        if prev is not None and abs(cur - prev) < tol / 2:
-            return cur
-        prev = cur
-        panels *= 2
-    raise ConvergenceError(abs(cur - prev), 4)
+    scale = 1.0 / math.factorial(m - 1)
+    return _mellin_quad(
+        lambda t: scale * t ** (m - 1) / np.expm1(t) * _li_exp(k, np.log1p(-np.exp(-t))),
+        T,
+        tol,
+    )
 
 
 def ak_zeta_moment(k: int, m: int, spec: QuadratureSpec | None = None) -> QuadratureResult:
@@ -574,19 +568,14 @@ def barnes_zeta_mellin(m: int, w: float, a: Sequence[float], tol: float = 1e-10)
         prod_bound /= -math.expm1(-ai * T)
     while prod_bound * _gamma_upper_int(m, w * T) / w**m > tol * math.factorial(m - 1) / 2:
         T *= 1.5
-    panels = max(8, int(T / 2))
-    prev = None
-    for _ in range(4):
-        t, wts = _panel_axis(0.0, T, panels, 24)
-        integrand = t ** (m - 1.0) * np.exp(-w * t)
+
+    def integrand(t: np.ndarray) -> np.ndarray:
+        out = t ** (m - 1.0) * np.exp(-w * t) / math.factorial(m - 1)
         for ai in a:
-            integrand = integrand / (-np.expm1(-ai * t))
-        cur = float(np.dot(wts, integrand)) / math.factorial(m - 1)
-        if prev is not None and abs(cur - prev) < tol / 2:
-            return cur
-        prev = cur
-        panels *= 2
-    raise ConvergenceError(abs(cur - prev), 4)
+            out = out / (-np.expm1(-ai * t))
+        return out
+
+    return _mellin_quad(integrand, T, tol)
 
 
 def barnes_zeta_sech(

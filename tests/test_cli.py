@@ -10,6 +10,9 @@ from akzeta.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY_FAIL,
+    MAX_K,
+    MAX_N,
+    MAX_TERMS,
     main,
 )
 
@@ -77,6 +80,20 @@ def test_num_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["num", "--n", "1", "--k", "2", "--method", "bogus"])
     assert exc.value.code == EXIT_USAGE
+
+
+def test_size_limits_are_usage_errors(capsys):
+    # each request is refused before any table or array is built
+    for argv in (
+        ["num", "--n", str(MAX_N + 1), "--k", "2"],
+        ["num", "--n", "1", "--k", str(MAX_K + 1)],
+        ["table", "--n-max", str(MAX_N + 1), "--k-max", "1"],
+        ["table", "--n-max", "1", "--k-max", str(MAX_K + 1)],
+        ["mzv", "--sig", "2", "--terms", str(MAX_TERMS + 1)],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE, argv
+        assert out == "" and "<=" in err
 
 
 def test_table_csv_k1_matches_bernoulli_at_one(capsys):

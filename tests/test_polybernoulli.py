@@ -15,6 +15,7 @@ from akzeta.polybernoulli import (
     poly_bernoulli_stirling,
     poly_bernoulli_umbral,
     poly_bernoulli_umbral_at,
+    route_disagreement,
     simplex_transform,
     stirling_table,
     umbral_numbers,
@@ -208,11 +209,23 @@ def test_simplex_transform():
 
 
 def test_stirling_table_lift():
-    t = stirling_table(8, 2)
-    ref = poly_bernoulli_series(8, 2, "B")
-    for n in range(9):
-        assert t.value(n) == ref.value(n)
-    assert t.route == "stirling"
+    for variant in ("B", "C"):
+        t = stirling_table(8, 2, variant)
+        ref = poly_bernoulli_series(8, 2, variant)
+        for n in range(9):
+            assert t.value(n) == ref.value(n)
+        assert t.route == "stirling" and t.variant == variant
+    with pytest.raises(ValueError):
+        stirling_table(8, 2, "D")
+
+
+def test_route_disagreement_witness():
+    numbers = [poly_bernoulli_series(6, 3, "C").number(n) for n in range(7)]
+    assert route_disagreement(numbers, 3, "C") is None
+    numbers[4] += 1
+    bad = route_disagreement(numbers, 3, "C")
+    assert bad["n"] == 4 and bad["series"] == numbers[4]
+    assert bad["umbral"] == bad["stirling"] == numbers[4] - 1
 
 
 def test_transform_route_tables():

@@ -61,12 +61,11 @@ def test_polygamma_values():
 
 def test_polylog_values():
     assert polylog(2, 0.0) == 0.0
-    # error contract is the requested tolerance, not machine epsilon
     assert abs(polylog(2, 0.5) - (ZETA2 / 2 - math.log(2) ** 2 / 2)) < 1e-10
-    assert abs(polylog(2, 0.5, 1e-14) - (ZETA2 / 2 - math.log(2) ** 2 / 2)) < 1e-13
-    # direct series cross-check of the reflection branch
+    assert abs(polylog(2, 0.5) - (ZETA2 / 2 - math.log(2) ** 2 / 2)) < 1e-13
+    # direct series cross-check of the log-series branch (x > 1/2)
     direct = math.fsum(0.75**n / n**2 for n in range(1, 400))
-    assert abs(polylog(2, 0.75, 1e-13) - direct) < 1e-12
+    assert abs(polylog(2, 0.75) - direct) < 1e-12
     assert abs(polylog(3, 1 - 1e-8) - 1.2020569) < 1e-6
     with pytest.raises(ValueError):
         polylog(1, 0.5)
@@ -74,6 +73,15 @@ def test_polylog_values():
         polylog(2, 1.0)
     with pytest.raises(ValueError):
         polylog(2, -0.1)
+
+
+def test_polylog_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    xs = [i / 200 for i in range(200)] + [1 - 10.0**-e for e in range(2, 13)]
+    with mpmath.workdps(30):
+        for k in (2, 3, 4, 6):
+            for x in xs:
+                assert abs(polylog(k, x) - float(mpmath.polylog(k, x))) <= 1e-15, (k, x)
 
 
 # --- quadrature realization ------------------------------------------------------
@@ -112,6 +120,14 @@ def test_negative_moment_polygamma_bridge():
         r = negative_moment(1, m, 0.25)
         closed = -polygamma(m, 0.75) / math.factorial(m - 1)
         assert abs(r.value - closed) < 1e-8
+
+
+def test_sech_tail_bound_is_positive():
+    # 1 - tanh(pi W) rounds to 0.0 at the k = 1 default W = 7
+    W = default_spec(1).w_cutoff
+    for m in (1, 2):
+        bound = negative_moment(1, m).tail_bound
+        assert 0.0 < bound <= 2 * math.exp(-2 * math.pi * W) * 2**m  # min |den| = 1/2
 
 
 def test_negative_moment_zeta_ladder():
@@ -176,6 +192,7 @@ def test_ak_zeta_mellin_values():
     assert abs(ak_zeta_mellin(2, 1) - 1.20206) < 5e-6
     assert abs(ak_zeta_mellin(2, 2) - 1.3529) < 5e-5
     assert abs(ak_zeta_mellin(3, 1) - ZETA4) < 1e-8
+    assert abs(ak_zeta_mellin(3, 1, 1e-10) - ZETA4) < 1e-10
     # k=1 closed reduction
     assert abs(ak_zeta_mellin(1, 2) - 2 * ZETA3) < 1e-8
     assert abs(ak_zeta_mellin(1, 1) - ZETA2) < 1e-8
