@@ -34,10 +34,13 @@ EXIT_USAGE = 64
 
 FORMATS = ("json", "csv", "plain")
 
-# Largest n and k for `num` and `table`, and largest `mzv --terms` (arrays of
-# length terms + 1): at n = 100 the series route already takes seconds per k.
+# Largest n and k for `num` and `table` (k also for `zeta`), largest
+# `zeta --m`, and largest `mzv --terms` (arrays of length terms + 1): at
+# n = 100 the series route already takes seconds per k, and the Mellin route
+# divides by (m-1)!, which overflows a double beyond m = 171.
 MAX_N = 100
 MAX_K = 100
+MAX_M = 100
 MAX_TERMS = 10**7
 
 
@@ -243,6 +246,8 @@ def _cmd_zeta(args, cfg: CliConfig) -> int:
     k, m = args.k, args.m
     if k < 1 or m < 1:
         raise ValueError("need k >= 1 and m >= 1")
+    if k > MAX_K or m > MAX_M:
+        raise ValueError(f"need k <= {MAX_K} and m <= {MAX_M}")
     spec = cfg.quadrature_spec(k)
     out: dict = {"k": k, "m": m}
     if args.route in ("mellin", "both"):
@@ -349,7 +354,8 @@ def build_parser() -> _Parser:
     common.add_argument("--levels", type=int, default=argparse.SUPPRESS,
                         help="maximum refinement levels")
     common.add_argument("--u-nodes", dest="u_nodes", type=int, default=argparse.SUPPRESS,
-                        help="nodes per unit-interval axis")
+                        help="nodes on the inner unit-interval axis of the k = 3 "
+                             "moment (the outermost one is integrated exactly)")
     common.add_argument("--w-cutoff", dest="w_cutoff", type=float, default=argparse.SUPPRESS,
                         help="sech^2 axis truncation")
     common.add_argument("--expansion-cap", dest="expansion_cap", type=int,
@@ -391,8 +397,8 @@ def build_parser() -> _Parser:
     table.set_defaults(func=_cmd_table)
 
     zeta = sub.add_parser("zeta", parents=[common], help="Arakawa-Kaneko zeta at positive integers")
-    zeta.add_argument("--k", type=int, required=True)
-    zeta.add_argument("--m", type=int, required=True)
+    zeta.add_argument("--k", type=int, required=True, help=f"order, at most {MAX_K}")
+    zeta.add_argument("--m", type=int, required=True, help=f"argument, at most {MAX_M}")
     zeta.add_argument("--route", choices=("mellin", "moment", "both"), default="both")
     zeta.set_defaults(func=_cmd_zeta)
 

@@ -11,9 +11,10 @@ Quadrature scheme: each sech^2 axis is truncated to [-w_cutoff, w_cutoff]
 outside, which is reported as an analytic tail bound) and integrated by
 composite Gauss-Legendre panels; refinement doubles the panel count per
 w-axis, and convergence is declared when successive refinement levels agree
-within the target tolerance.  Unit-interval axes use a fixed Gauss-Legendre
-rule.  Summation order is fixed (chunks ascending, compensated combination),
-so results are bit-reproducible.
+within the target tolerance.  The outermost unit-interval axis of a negative
+moment is integrated in closed form; the inner one at k = 3 uses a fixed
+Gauss-Legendre rule.  Summation order is fixed (chunks ascending, compensated
+combination), so results are bit-reproducible.
 """
 from __future__ import annotations
 
@@ -57,8 +58,10 @@ class QuadratureSpec:
     panels/nodes set the starting composite Gauss-Legendre rule per w-axis
     (per t-axis for the Mellin routes); each refinement level doubles the
     panel count, up to `levels` levels.
-    u-axes (unit interval) use a fixed `u_nodes`-point rule: their integrands
-    are analytic with comfortable margins, so refining them buys nothing and
+    u_nodes sets the fixed Gauss-Legendre rule on the inner unit-interval
+    axis of the k = 3 negative moment; the outermost u-axis is integrated in
+    closed form, so u_nodes is unused for k <= 2.  The inner u-integrand is
+    analytic with comfortable margins, so refining it buys nothing and
     multiplies the tensor cost.
     """
 
@@ -79,7 +82,7 @@ class QuadratureSpec:
 
 
 def default_spec(k: int) -> QuadratureSpec:
-    """Dimension-aware defaults: the tensor grid must shrink as 2k-1 grows."""
+    """Dimension-aware defaults: the tensor grid must shrink as its 2k-2 axes grow."""
     if k <= 1:
         return QuadratureSpec(panels=8, nodes=32, levels=3, tolerance=1e-9, w_cutoff=7.0)
     if k == 2:
@@ -167,20 +170,49 @@ def _fsum_complex(parts: Iterable[complex]) -> complex:
     return complex(math.fsum(p.real for p in parts), math.fsum(p.imag for p in parts))
 
 
-def _powers_sums(
-    den: np.ndarray, ms: Sequence[int], weights: Sequence[np.ndarray]
-) -> dict[int, complex]:
-    """Weighted sums of den^{-m} for each m (ms ascending)."""
-    r = 1.0 / den
+def _recip_powers(z: np.ndarray, ps: Sequence[int]) -> dict[int, np.ndarray]:
+    """z^{-p} for every p in ps (ascending, >= 1), by repeated multiplication."""
+    r = 1.0 / z
     out = {}
     cur = r
     last = 1
-    for m in ms:
-        for _ in range(m - last):
+    for p in ps:
+        for _ in range(p - last):
             cur = cur * r
-        last = m
-        out[m] = _weighted_sum(cur, weights)
+        last = p
+        out[p] = cur
     return out
+
+
+def _antiderivative_sums(z: np.ndarray, ms: Sequence[int], weights: np.ndarray) -> dict:
+    """Contract g_m(z) over the last axis against `weights` for every m in ms
+    (ascending), where g_m' = z^{-m}: g_m(z) = -z^{1-m}/(m-1) for m >= 2, and
+    g_1(z) = log(s z) with s the sign of Re z, which must not vanish:
+    log|z| + i arctan(Im z / Re z) is that logarithm, off its branch cut.
+
+    The products run in einsum, not BLAS: at this size multithreaded BLAS
+    gains nothing, and its spinning threads doubled the CPU time and slowed
+    the kernel on a loaded two-core host."""
+
+    def contract(a: np.ndarray):
+        return np.einsum("...a,a->...", a, weights)
+
+    out = {}
+    if ms[0] == 1:
+        x, y = z.real, z.imag
+        out[1] = 0.5 * contract(np.log(x * x + y * y)) + 1j * contract(np.arctan(y / x))
+    higher = [m for m in ms if m > 1]
+    if higher:
+        pw = _recip_powers(z, [m - 1 for m in higher])
+        for m in higher:
+            out[m] = contract(pw[m - 1]) * (-1.0 / (m - 1))
+    return out
+
+
+# Complex elements per (rows, w-nodes) temporary of the moment kernel (128 KB):
+# cache-resident, yet large enough that per-chunk Python overhead is
+# negligible; the fastest of 2^10..2^16 for the k = 3 default spec.
+_CHUNK = 1 << 13
 
 
 def _moment_level(
@@ -195,17 +227,29 @@ def _moment_level(
     every m in `powers`, where V_l = (i w_l - 1/2) + inner_shift for l < k,
     V_k = i w_k - 1/2 and p_l = prod_{j=l}^{k-1} u_j.
 
-    The tensor grid has 2k-1 axes; the k = 2 and k = 3 paths iterate over one
-    or two w-axes with scalar updates so the inner arrays stay cache-resident.
-    Iteration order is fixed and partial sums are combined with fsum, so the
+    For k >= 2 the denominator is linear in the outermost unit variable,
+    A + u_{k-1} B with A = const + V_k and B = B_{k-1}, where B_1 = V_1 and
+    B_l = V_l + u_{l-1} B_{l-1}; that axis is integrated in closed form,
+
+      int_0^1 (A + uB)^{-m} du = (g_m(A + B) - g_m(A)) / B,
+
+    with g_1(z) = log(s z), g_m(z) = -z^{1-m}/(m-1) and s = sign(const - 1/2),
+    the constant sign of Re(A + uB) (the negative_moment guard ensures it;
+    telescoping_check has Re >= 1/2).  For inner_shift 0 or 1,
+    |Re B| >= 1/2, so the division cancels nothing.  That leaves 2k-2 axes:
+    the w_k axis is contracted against its weights by one matrix-vector
+    product per chunk, and the other axes (w_1..w_{k-1}, u_1..u_{k-2}) form a
+    flat grid walked in chunks of about _CHUNK elements.  Chunks run in
+    ascending order and their partial sums are combined with fsum, so the
     result is reproducible bit for bit.
     """
     X, WX = _sech_axis(spec.w_cutoff, panels, spec.nodes)
     C = 1j * X - 0.5
+    A = const + C
     ms = sorted(powers)
     if k == 1:
-        sums = _powers_sums(const + C, ms, [WX])
-        return sums
+        pw = _recip_powers(A, ms)
+        return {m: _weighted_sum(pw[m], [WX]) for m in ms}
     if k > 3:
         raise ValueError(
             "moment quadrature is limited to k <= 3: the tensor grid has 2k-1 "
@@ -213,32 +257,23 @@ def _moment_level(
         )
 
     U, WU = _panel_axis(0.0, 1.0, 1, spec.u_nodes)
-    nw = len(X)
-    V1 = C + inner_shift
+    V = C + inner_shift
+    g_a = _antiderivative_sums(A, ms, WX)
+    shape = (len(X),) * (k - 1) + (len(U),) * (k - 2)
+    size = math.prod(shape)
+    rows = max(1, _CHUNK // len(X))
     partials: dict[int, list[complex]] = {m: [] for m in ms}
-    if k == 2:
-        # dims (w_2, u_1); w_1 scanned.  den = const + C_2 + u V_1
-        base = (const + 0j) + C[:, None] + np.zeros((1, len(U)))
-        urow = U[None, :]
-        for i1 in range(nw):
-            sums = _powers_sums(base + V1[i1] * urow, ms, [WX, WU])
-            for m in ms:
-                partials[m].append(WX[i1] * sums[m])
-        return {m: _fsum_complex(partials[m]) for m in ms}
-
-    # k == 3: dims (w_2, u_1, u_2); w_1 and w_3 scanned.
-    # den = const + C_3 + V_2 u_2 + V_1 u_1 u_2
-    nu = len(U)
-    mid = (C + inner_shift)[:, None, None] * U[None, None, :]  # V_2 u_2
-    p1 = (U[:, None] * U[None, :])[None, :, :]  # u_1 u_2
-    weights = [WX, WU, WU]
-    for i1 in range(nw):
-        block = mid + V1[i1] * p1
-        for i3 in range(nw):
-            sums = _powers_sums(block + (const + C[i3]), ms, weights)
-            wgt = WX[i1] * WX[i3]
-            for m in ms:
-                partials[m].append(wgt * sums[m])
+    for lo in range(0, size, rows):
+        idx = np.unravel_index(np.arange(lo, min(lo + rows, size)), shape)
+        B = V[idx[0]]
+        wgt = WX[idx[0]]
+        for l in range(1, k - 1):
+            u = idx[k - 2 + l]
+            B = V[idx[l]] + U[u] * B
+            wgt = wgt * WX[idx[l]] * WU[u]
+        g_ab = _antiderivative_sums(A[None, :] + B[:, None], ms, WX)
+        for m in ms:
+            partials[m].append(complex(np.dot(wgt, (g_ab[m] - g_a[m]) / B)))
     return {m: _fsum_complex(partials[m]) for m in ms}
 
 
@@ -378,7 +413,9 @@ def zeta_star_3_1_double(spec: QuadratureSpec | None = None) -> QuadratureResult
 
     Integrating the unit-interval variable of E[(B_2 + U_1 B_1)^{-2}] in
     closed form (int_0^1 (A + uB)^{-2} du = 1/(A(A+B))) collapses the triple
-    integral to two w-axes.
+    integral to two w-axes.  The moment kernel applies the same reduction, so
+    negative_moment(2, 2) is a second implementation of this integral, not an
+    independent quadrature of it.
     """
     spec = spec or default_spec(2)
 

@@ -11,6 +11,7 @@ from akzeta.cli import (
     EXIT_USAGE,
     EXIT_VERIFY_FAIL,
     MAX_K,
+    MAX_M,
     MAX_N,
     MAX_TERMS,
     main,
@@ -90,6 +91,8 @@ def test_size_limits_are_usage_errors(capsys):
         ["table", "--n-max", str(MAX_N + 1), "--k-max", "1"],
         ["table", "--n-max", "1", "--k-max", str(MAX_K + 1)],
         ["mzv", "--sig", "2", "--terms", str(MAX_TERMS + 1)],
+        ["zeta", "--k", str(MAX_K + 1), "--m", "1"],
+        ["zeta", "--k", "2", "--m", str(MAX_M + 1), "--route", "mellin"],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE, argv

@@ -1,6 +1,11 @@
 """Numerical layer: special functions, quadrature realization, zeta routes."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from akzeta.exact import bernoulli_number
@@ -23,11 +28,17 @@ from akzeta.zetanum import (
     telescoping_check,
     zeta_star_3_1_double,
 )
+from akzeta.zetanum import _moment_level, _sech_axis
+
+ROOT = Path(__file__).resolve().parents[1]
 
 ZETA2 = math.pi**2 / 6
 ZETA3 = 1.2020569031595942854
 ZETA4 = math.pi**4 / 90
 ZETA5 = 1.0369277551433699263
+ZETA6 = math.pi**6 / 945
+ZETA_STAR_4_1 = 3 * ZETA5 - ZETA2 * ZETA3  # = zeta_3(2)
+ZETA_STAR_4_1_1 = 89 / 48 * ZETA6 - ZETA3**2 / 2  # = zeta_3(3)
 
 
 # --- scalar special functions --------------------------------------------------
@@ -166,10 +177,46 @@ def test_convergence_error_carries_delta():
     assert exc.value.last_delta > 0
 
 
+def _unit_rule(nodes):
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("const, shift", [(0.0, 0.0), (2.5, 0.0), (-0.7, 0.0), (1.0, 1.0)])
+def test_moment_kernel_matches_tensor_sum(k, const, shift):
+    # brute-force tensor sum over all 2k-1 axes with the kernel's w-nodes and
+    # inner u-rule, and a 40-node Gauss-Legendre rule on the outermost u-axis
+    # that the kernel integrates in closed form
+    spec = QuadratureSpec(panels=2, nodes=6, levels=2, w_cutoff=4.0, u_nodes=10)
+    X, WX = _sech_axis(spec.w_cutoff, spec.panels, spec.nodes)
+    C = 1j * X - 0.5
+    V = C + shift
+    U, WU = _unit_rule(spec.u_nodes)
+    UL, WUL = _unit_rule(40)
+    if k == 2:  # axes (w_1, w_2, u_1): const + C_2 + u_1 V_1
+        den = const + C[None, :, None] + UL[None, None, :] * V[:, None, None]
+        subscripts, weights = "abc,a,b,c->", (WX, WX, WUL)
+    else:  # axes (w_1, w_2, w_3, u_1, u_2): const + C_3 + u_2 (V_2 + u_1 V_1)
+        b2 = V[None, :, None, None, None] + U[None, None, None, :, None] * V[:, None, None, None, None]
+        den = const + C[None, None, :, None, None] + UL[None, None, None, None, :] * b2
+        subscripts, weights = "abcde,a,b,c,d,e->", (WX, WX, WX, WU, WUL)
+    got = _moment_level(k, [1, 2, 3], spec.panels, spec, const, shift)
+    for m in (1, 2, 3):
+        ref = np.einsum(subscripts, den**-m, *weights)
+        assert abs(got[m] - ref) < 1e-12, (m, got[m], ref)
+
+
+def test_negative_moment_k3_closed_forms():
+    tol = default_spec(3).tolerance
+    res = negative_moment_batch(3, [1, 2, 3], 0.0)
+    for m, target in ((1, ZETA4), (2, ZETA_STAR_4_1), (3, ZETA_STAR_4_1_1)):
+        assert abs((-1) ** m * res[m].value - target) < tol
+        assert res[m].imag_residue < 1e-9
+
+
 def test_refinement_monotonic_delta():
     # deltas across the last two levels must not increase
-    from akzeta.zetanum import _moment_level
-
     for k, const, nodes in ((1, 1.0, 8), (2, 0.0, 8)):
         spec = QuadratureSpec(
             panels=2, nodes=nodes, levels=4, tolerance=1e-30, w_cutoff=5.0, u_nodes=12
@@ -321,3 +368,24 @@ def test_bit_reproducible():
     x = ak_zeta_mellin(2, 1)
     y = ak_zeta_mellin(2, 1)
     assert x == y
+
+
+# --- scripts --------------------------------------------------------------------------
+
+
+def test_zeta_values_script_k3():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    script = ROOT / "scripts" / "zeta_values.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--k-max", "3", "--terms", "20000"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines() if line.split()[:1] in (["2"], ["3"])]
+    assert [(r[0], r[1]) for r in rows] == [(k, m) for k in "23" for m in "123"]
+    for r in rows:
+        assert float(r[5]) < 1e-6, r  # |mom-mel|
