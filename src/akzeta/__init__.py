@@ -19,7 +19,6 @@ from .exact import (
     bernoulli_numbers,
     bernoulli_polynomial,
     binomial,
-    series_compose,
     stirling2,
 )
 from .umbral import (
@@ -29,11 +28,8 @@ from .umbral import (
     Z,
     bernoulli_symbol,
     c_symbol,
-    expect,
     expr_power,
     poly_symbol,
-    set_expansion_cap,
-    shift_substitute,
     uniform_symbol,
 )
 from .polybernoulli import (
@@ -46,7 +42,6 @@ from .polybernoulli import (
     poly_bernoulli_series,
     poly_bernoulli_stirling,
     poly_bernoulli_umbral,
-    poly_bernoulli_umbral_at,
     simplex_transform,
 )
 from .zetanum import (

@@ -6,6 +6,12 @@ Exit codes: 0 success, 1 verification failure, 2 internal cross-check or
 convergence failure, 64 usage error.  Rationals are printed as decimal-string
 num/den pairs, never floats, so exactness survives pipelines.  There is no
 randomized algorithm anywhere; --seed-free exists purely to document that.
+
+Settings (--format and the quadrature controls) are declared once, as the
+shared parser's actions; a --config file of key=value lines may set them too,
+and AKZETA_FORMAT sets the format.  Each subcommand renders its result as a
+JSON object, CSV rows and plain text, and one emitter prints the format asked
+for.
 """
 from __future__ import annotations
 
@@ -13,7 +19,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 from .exact import rational_to_json
@@ -23,7 +29,7 @@ from .polybernoulli import (
     route_disagreement,
     stirling_table,
 )
-from .umbral import DEFAULT_EXPANSION_CAP, ExpansionCapError, set_expansion_cap
+from .umbral import ExpansionCapError
 from .verify import SUITES, VerifyConfig, run_all
 from . import zetanum
 
@@ -35,71 +41,31 @@ EXIT_USAGE = 64
 FORMATS = ("json", "csv", "plain")
 
 # Largest n and k for `num` and `table` (k also for `zeta`), largest
-# `zeta --m`, and largest `mzv --terms` (arrays of length terms + 1): at
-# n = 100 the series route already takes seconds per k, and the Mellin route
-# divides by (m-1)!, which overflows a double beyond m = 171.
+# `zeta --m`, largest `mzv --terms` (arrays of length terms + 1) and the
+# largest `verify` grid: at n = 100 the series route already takes seconds
+# per k; both Mellin routes hold beyond m = 100, but for k >= 2 zeta_k(m)
+# equals its limit zeta(k) to double precision long before, and the moment
+# route's integrand grows like 2^m; the largest verify grid takes about
+# eleven times as long as the default one.
 MAX_N = 100
 MAX_K = 100
 MAX_M = 100
 MAX_TERMS = 10**7
-
-
-@dataclass
-class CliConfig:
-    """Validated runtime options; flags override config-file values, which
-    override these defaults.  AKZETA_FORMAT sets the default output format."""
-
-    tolerance: float = 1e-8
-    panels: int | None = None
-    nodes: int | None = None
-    levels: int | None = None
-    u_nodes: int | None = None
-    w_cutoff: float | None = None
-    expansion_cap: int = DEFAULT_EXPANSION_CAP
-    format: str = "json"
-
-    def validate(self) -> None:
-        if self.format not in FORMATS:
-            raise ValueError(f"format must be one of {FORMATS}")
-        if not (0 < self.tolerance < 1):
-            raise ValueError("tolerance must be in (0, 1)")
-        for name in ("panels", "nodes", "levels", "u_nodes"):
-            v = getattr(self, name)
-            if v is not None and v < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.w_cutoff is not None and self.w_cutoff <= 0:
-            raise ValueError("w_cutoff must be positive")
-        if self.expansion_cap < 1:
-            raise ValueError("expansion_cap must be >= 1")
-
-    def quadrature_spec(self, k: int) -> zetanum.QuadratureSpec:
-        spec = zetanum.default_spec(k)
-        overrides = {}
-        if self.panels is not None:
-            overrides["panels"] = self.panels
-        if self.nodes is not None:
-            overrides["nodes"] = self.nodes
-        if self.levels is not None:
-            overrides["levels"] = self.levels
-        if self.u_nodes is not None:
-            overrides["u_nodes"] = self.u_nodes
-        if self.w_cutoff is not None:
-            overrides["w_cutoff"] = self.w_cutoff
-        overrides["tolerance"] = self.tolerance
-        return replace(spec, **overrides)
+MAX_VERIFY_N = 20
+MAX_VERIFY_K = 5
+MAX_VERIFY_M = 10
 
 
 class _Parser(argparse.ArgumentParser):
     """argparse with the usage-error exit code fixed at 64."""
 
+    # dest -> (action, default) of each setting; filled by build_parser
+    settings: dict
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         sys.exit(EXIT_USAGE)
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -124,46 +90,52 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
-def _build_config(args) -> CliConfig:
-    cfg = CliConfig()
-    env_fmt = os.environ.get("AKZETA_FORMAT")
-    if env_fmt:
-        cfg.format = env_fmt
-    config_path = getattr(args, "config", None)
-    if config_path:
-        raw = _load_config_file(config_path)
-        casts = {
-            "tolerance": float,
-            "panels": int,
-            "nodes": int,
-            "levels": int,
-            "u_nodes": int,
-            "w_cutoff": float,
-            "expansion_cap": int,
-            "format": str,
-        }
-        for key, val in raw.items():
-            if key not in casts:
-                raise ValueError(f"unknown config key: {key}")
-            setattr(cfg, key, casts[key](val))
-    for name in ("tolerance", "panels", "nodes", "levels", "u_nodes", "w_cutoff",
-                 "expansion_cap", "format"):
-        v = getattr(args, name, None)
-        if v is not None:
-            setattr(cfg, name, v)
-    cfg.validate()
-    return cfg
+def _resolve_settings(args, settings: dict) -> zetanum.QuadratureSpec:
+    """Store every setting in args, taking defaults < AKZETA_FORMAT < --config
+    file < flags, and return the QuadratureSpec the numeric ones describe.
+
+    Config-file text is cast by the setting's parser action and the final
+    values are checked against its choices; the spec is built for every
+    command, so a value it rejects is a usage error everywhere.
+    """
+    raw = {}
+    if os.environ.get("AKZETA_FORMAT"):
+        raw["format"] = os.environ["AKZETA_FORMAT"]
+    if getattr(args, "config", None):
+        raw.update(_load_config_file(args.config))
+    values = {dest: default for dest, (_, default) in settings.items()}
+    for key, text in raw.items():
+        if key not in settings:
+            raise ValueError(f"unknown config key: {key}")
+        cast = settings[key][0].type
+        values[key] = cast(text) if cast else text
+    values.update((dest, v) for dest, v in vars(args).items() if dest in settings)
+    for dest, (action, _) in settings.items():
+        if action.choices and values[dest] not in action.choices:
+            raise ValueError(f"{dest} must be one of {tuple(action.choices)}")
+    vars(args).update(values)
+    spec_fields = {f.name for f in fields(zetanum.QuadratureSpec)}
+    overrides = {d: v for d, v in values.items() if d in spec_fields and v is not None}
+    return replace(zetanum.default_spec(getattr(args, "k", 1)), **overrides)
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+def _emit(fmt: str, obj, rows, text: str) -> None:
+    """Print one result: obj as JSON with sorted keys, rows as CSV (the text
+    when rows is None), or the plain text."""
+    if fmt == "json":
+        out = json.dumps(obj, sort_keys=True, indent=2)
+    elif fmt == "csv" and rows is not None:
+        out = "\n".join(",".join(map(str, row)) for row in rows)
+    else:
+        out = text
+    sys.stdout.write(out + "\n")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_num(args, cfg: CliConfig) -> int:
+def _cmd_num(args, spec) -> int:
     n, k, variant, method = args.n, args.k, args.variant, args.method
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
@@ -184,27 +156,17 @@ def _cmd_num(args, cfg: CliConfig) -> int:
     print(f"method={method} variant={variant} n={n} k={k}", file=sys.stderr)
     if args.poly:
         coeffs = [poly.coefficient(i) for i in range(n + 1)]
-        if cfg.format == "json":
-            _emit(_json_text([rational_to_json(c) for c in coeffs]))
-        elif cfg.format == "csv":
-            lines = ["degree,num,den"] + [
-                f"{i},{c.numerator},{c.denominator}" for i, c in enumerate(coeffs)
-            ]
-            _emit("\n".join(lines))
-        else:
-            _emit(str(poly))
-        return EXIT_OK
-    value = poly(z if z is not None else Fraction(0))
-    if cfg.format == "json":
-        _emit(_json_text(rational_to_json(value)))
-    elif cfg.format == "csv":
-        _emit(f"num,den\n{value.numerator},{value.denominator}")
+        rows = [(i, c.numerator, c.denominator) for i, c in enumerate(coeffs)]
+        _emit(args.format, [rational_to_json(c) for c in coeffs],
+              [("degree", "num", "den")] + rows, str(poly))
     else:
-        _emit(str(value))
+        value = poly(z if z is not None else Fraction(0))
+        _emit(args.format, rational_to_json(value),
+              [("num", "den"), (value.numerator, value.denominator)], str(value))
     return EXIT_OK
 
 
-def _cmd_table(args, cfg: CliConfig) -> int:
+def _cmd_table(args, spec) -> int:
     n_max, variant = args.n_max, args.variant
     if n_max < 0 or args.k_min < 1 or args.k_max < args.k_min:
         raise ValueError("need n_max >= 0 and 1 <= k_min <= k_max")
@@ -226,70 +188,47 @@ def _cmd_table(args, cfg: CliConfig) -> int:
             )
             return EXIT_CROSSCHECK_FAIL
         tables.append(table)
-    if cfg.format == "json":
-        _emit(_json_text([t.to_json() for t in tables]))
-    elif cfg.format == "plain":
-        lines = []
-        for t in tables:
-            for n in range(n_max + 1):
-                lines.append(f"{t.variant}({n},{t.k}) = {t.number(n)}")
-        _emit("\n".join(lines))
-    else:
-        chunks = ["n,k,variant,num,den"]
-        for t in tables:
-            chunks.extend(t.to_csv().splitlines()[1:])
-        _emit("\n".join(chunks))
+    entries = [(t, n, t.number(n)) for t in tables for n in range(n_max + 1)]
+    _emit(
+        args.format,
+        [t.to_json() for t in tables],
+        [("n", "k", "variant", "num", "den")]
+        + [(n, t.k, t.variant, q.numerator, q.denominator) for t, n, q in entries],
+        "\n".join(f"{t.variant}({n},{t.k}) = {q}" for t, n, q in entries),
+    )
     return EXIT_OK
 
 
-def _cmd_zeta(args, cfg: CliConfig) -> int:
+def _cmd_zeta(args, spec) -> int:
     k, m = args.k, args.m
     if k < 1 or m < 1:
         raise ValueError("need k >= 1 and m >= 1")
     if k > MAX_K or m > MAX_M:
         raise ValueError(f"need k <= {MAX_K} and m <= {MAX_M}")
-    spec = cfg.quadrature_spec(k)
-    out: dict = {"k": k, "m": m}
+    # the CSV row is flat and leaves out the moment tail bound
+    obj: dict = {"k": k, "m": m}
+    row = dict(obj)
+    lines = [f"zeta_{k}({m}):"]
     if args.route in ("mellin", "both"):
-        out["mellin"] = zetanum.ak_zeta_mellin(k, m, cfg.tolerance)
+        obj["mellin"] = row["mellin"] = mellin = zetanum.ak_zeta_mellin(k, m, spec.tolerance)
+        lines.append(f"  mellin route: {mellin:.12g}")
     if args.route in ("moment", "both"):
-        res = zetanum.ak_zeta_moment(k, m, spec)
-        out["moment"] = res.to_json()
+        mo = zetanum.ak_zeta_moment(k, m, spec)
+        obj["moment"] = mo.to_json()
+        for key in ("value", "imag_residue", "convergence_delta"):
+            row[f"moment_{key}"] = getattr(mo, key)
+        lines.append(
+            f"  moment route: {mo.value:.12g}  "
+            f"(imag residue {mo.imag_residue:.2e}, delta {mo.convergence_delta:.2e})"
+        )
     if args.route == "both":
-        out["discrepancy"] = abs(out["mellin"] - out["moment"]["value"])
-    if cfg.format == "json":
-        _emit(_json_text(out))
-    elif cfg.format == "csv":
-        keys = ["k", "m"]
-        vals = [str(k), str(m)]
-        if "mellin" in out:
-            keys.append("mellin")
-            vals.append(repr(out["mellin"]))
-        if "moment" in out:
-            for key in ("value", "imag_residue", "convergence_delta"):
-                keys.append(f"moment_{key}")
-                vals.append(repr(out["moment"][key]))
-        if "discrepancy" in out:
-            keys.append("discrepancy")
-            vals.append(repr(out["discrepancy"]))
-        _emit(",".join(keys) + "\n" + ",".join(vals))
-    else:
-        lines = [f"zeta_{k}({m}):"]
-        if "mellin" in out:
-            lines.append(f"  mellin route: {out['mellin']:.12g}")
-        if "moment" in out:
-            mo = out["moment"]
-            lines.append(
-                f"  moment route: {mo['value']:.12g}  "
-                f"(imag residue {mo['imag_residue']:.2e}, delta {mo['convergence_delta']:.2e})"
-            )
-        if "discrepancy" in out:
-            lines.append(f"  discrepancy:  {out['discrepancy']:.2e}")
-        _emit("\n".join(lines))
+        obj["discrepancy"] = row["discrepancy"] = gap = abs(mellin - mo.value)
+        lines.append(f"  discrepancy:  {gap:.2e}")
+    _emit(args.format, obj, [list(row), list(row.values())], "\n".join(lines))
     return EXIT_OK
 
 
-def _cmd_mzv(args, cfg: CliConfig) -> int:
+def _cmd_mzv(args, spec) -> int:
     try:
         exponents = tuple(int(s) for s in args.sig.split(","))
     except ValueError as e:
@@ -298,27 +237,31 @@ def _cmd_mzv(args, cfg: CliConfig) -> int:
         raise ValueError(f"need terms <= {MAX_TERMS}")
     sig = zetanum.MzSignature(exponents, args.starred)
     value, bound = zetanum.mz_truncated(sig, args.terms)
-    out = {
-        "signature": list(exponents),
-        "starred": args.starred,
-        "terms": args.terms,
-        "value": value,
-        "tail_bound": bound,
-    }
-    if cfg.format == "json":
-        _emit(_json_text(out))
-    elif cfg.format == "csv":
-        _emit(
-            "signature,starred,terms,value,tail_bound\n"
-            f"\"{args.sig}\",{args.starred},{args.terms},{value!r},{bound!r}"
-        )
-    else:
-        star = "*" if args.starred else ""
-        _emit(f"zeta{star}({args.sig}) = {value:.12g} +- {bound:.3g}  (N={args.terms})")
+    star = "*" if args.starred else ""
+    _emit(
+        args.format,
+        {
+            "signature": list(exponents),
+            "starred": args.starred,
+            "terms": args.terms,
+            "value": value,
+            "tail_bound": bound,
+        },
+        [
+            ("signature", "starred", "terms", "value", "tail_bound"),
+            (f'"{args.sig}"', args.starred, args.terms, value, bound),
+        ],
+        f"zeta{star}({args.sig}) = {value:.12g} +- {bound:.3g}  (N={args.terms})",
+    )
     return EXIT_OK
 
 
-def _cmd_verify(args, cfg: CliConfig) -> int:
+def _cmd_verify(args, spec) -> int:
+    if args.max_n > MAX_VERIFY_N or args.max_k > MAX_VERIFY_K or args.max_m > MAX_VERIFY_M:
+        raise ValueError(
+            f"need max_n <= {MAX_VERIFY_N}, max_k <= {MAX_VERIFY_K} "
+            f"and max_m <= {MAX_VERIFY_M}"
+        )
     vconf = VerifyConfig(
         n_max=args.max_n,
         k_max=args.max_k,
@@ -327,10 +270,8 @@ def _cmd_verify(args, cfg: CliConfig) -> int:
         corrupt=args.corrupt,
     )
     report = run_all(vconf)
-    if cfg.format == "json":
-        _emit(report.to_json_text())
-    else:
-        _emit(report.to_text())
+    # CSV has no rows of its own here: it prints the text report
+    _emit(args.format, report.to_json(), None, report.to_text())
     return EXIT_VERIFY_FAIL if report.has_failures else EXIT_OK
 
 
@@ -339,29 +280,28 @@ def _cmd_verify(args, cfg: CliConfig) -> int:
 
 def build_parser() -> _Parser:
     # shared flags accepted both before and after the subcommand; SUPPRESS
-    # defaults keep a subparser from clobbering a value parsed by the parent
+    # defaults keep a subparser from clobbering a value parsed by the parent.
+    # The settings among them are the only list of settings: their types and
+    # choices also cast and check --config files and AKZETA_FORMAT.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=FORMATS, default=argparse.SUPPRESS,
-                        help="output format (default json; env AKZETA_FORMAT)")
+    settings = {}
+
+    def setting(flag, default=None, **kw):
+        action = common.add_argument(flag, default=argparse.SUPPRESS, **kw)
+        settings[action.dest] = (action, default)
+
+    setting("--format", "json", choices=FORMATS,
+            help="output format (default json; env AKZETA_FORMAT)")
+    setting("--tolerance", 1e-8, type=float, help="target tolerance for numerical routes")
+    setting("--panels", type=int, help="starting quadrature panels per axis")
+    setting("--nodes", type=int, help="Gauss-Legendre nodes per panel")
+    setting("--levels", type=int, help="maximum refinement levels (at least 2)")
+    setting("--u-nodes", type=int,
+            help="nodes on the inner unit-interval axis of the k = 3 "
+                 "moment (the outermost one is integrated exactly)")
+    setting("--w-cutoff", type=float, help="sech^2 axis truncation")
     common.add_argument("--config", default=argparse.SUPPRESS,
-                        help="key=value config file; flags take precedence")
-    common.add_argument("--tolerance", type=float, default=argparse.SUPPRESS,
-                        help="target tolerance for numerical routes")
-    common.add_argument("--panels", type=int, default=argparse.SUPPRESS,
-                        help="starting quadrature panels per axis")
-    common.add_argument("--nodes", type=int, default=argparse.SUPPRESS,
-                        help="Gauss-Legendre nodes per panel")
-    common.add_argument("--levels", type=int, default=argparse.SUPPRESS,
-                        help="maximum refinement levels")
-    common.add_argument("--u-nodes", dest="u_nodes", type=int, default=argparse.SUPPRESS,
-                        help="nodes on the inner unit-interval axis of the k = 3 "
-                             "moment (the outermost one is integrated exactly)")
-    common.add_argument("--w-cutoff", dest="w_cutoff", type=float, default=argparse.SUPPRESS,
-                        help="sech^2 axis truncation")
-    common.add_argument("--expansion-cap", dest="expansion_cap", type=int,
-                        default=argparse.SUPPRESS,
-                        help="monomial cap for the sparse symbolic expansion used "
-                             "by the cube/simplex transforms and verify")
+                        help="key=value config file of settings; flags take precedence")
     common.add_argument("--seed-free", action="store_true", default=argparse.SUPPRESS,
                         help="no-op; documents that every algorithm here is deterministic")
 
@@ -374,6 +314,7 @@ def build_parser() -> _Parser:
             "and an identity verification suite."
         ),
     )
+    p.settings = settings
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     num = sub.add_parser("num", parents=[common], help="one poly-Bernoulli number or polynomial")
@@ -411,9 +352,12 @@ def build_parser() -> _Parser:
 
     verify = sub.add_parser("verify", parents=[common], help="run the identity verification suite")
     verify.add_argument("--suite", choices=SUITES, default="all")
-    verify.add_argument("--max-n", dest="max_n", type=int, default=15)
-    verify.add_argument("--max-k", dest="max_k", type=int, default=4)
-    verify.add_argument("--max-m", dest="max_m", type=int, default=5)
+    verify.add_argument("--max-n", dest="max_n", type=int, default=15,
+                        help=f"largest index, at most {MAX_VERIFY_N}")
+    verify.add_argument("--max-k", dest="max_k", type=int, default=4,
+                        help=f"largest order, at most {MAX_VERIFY_K}")
+    verify.add_argument("--max-m", dest="max_m", type=int, default=5,
+                        help=f"largest zeta argument, at most {MAX_VERIFY_M}")
     verify.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     verify.set_defaults(func=_cmd_verify)
     return p
@@ -423,9 +367,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _build_config(args)
-        set_expansion_cap(cfg.expansion_cap)
-        return args.func(args, cfg)
+        spec = _resolve_settings(args, parser.settings)
+        return args.func(args, spec)
     except (ValueError, OSError) as e:
         print(f"akzeta: error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -21,7 +21,6 @@ __all__ = [
     "bernoulli_polynomial",
     "binomial",
     "stirling2",
-    "series_compose",
     "exp_series",
     "expm1_series",
     "one_minus_exp_neg_series",
@@ -413,11 +412,6 @@ def _ring_is_zero(c) -> bool:
     if z is not None:
         return c.is_zero()
     return c == 0
-
-
-def series_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
-    """Truncated composition outer(inner); rejects a nonzero inner constant term."""
-    return outer.compose(inner)
 
 
 def exp_series(order: int) -> PowerSeries:

@@ -25,7 +25,6 @@ from .exact import (
     expm1_series,
     one_minus_exp_neg_series,
     polylog_series,
-    series_compose,
     stirling2,
 )
 from .umbral import (
@@ -43,7 +42,6 @@ __all__ = [
     "InternalInvariantError",
     "poly_bernoulli_series",
     "poly_bernoulli_umbral",
-    "poly_bernoulli_umbral_at",
     "poly_bernoulli_stirling",
     "stirling_table",
     "umbral_numbers",
@@ -128,7 +126,7 @@ def poly_bernoulli_series(n_max: int, k: int, variant: str = "B") -> PolyBernoul
     # one extra order so the valuation-shifted quotient still covers t^n_max
     order = n_max + 1
     w = one_minus_exp_neg_series(order)
-    num = series_compose(polylog_series(k, order), w)
+    num = polylog_series(k, order).compose(w)
     den = w if variant == "B" else expm1_series(order)
     gf = num.divide(den)
     numbers = [gf.factorial_coefficient(n) for n in range(n_max + 1)]
@@ -172,11 +170,6 @@ def poly_bernoulli_umbral(n: int, k: int, variant: str = "B") -> ZPolynomial:
     if n < 0:
         raise ValueError("n must be >= 0")
     return _lift(umbral_numbers(n, k, variant), n)
-
-
-def poly_bernoulli_umbral_at(n: int, k: int, variant: str = "B", z: Fraction = Fraction(0)) -> Fraction:
-    """poly_bernoulli_umbral evaluated at the rational z."""
-    return poly_bernoulli_umbral(n, k, variant)(Fraction(z))
 
 
 def poly_bernoulli_stirling(n: int, k: int) -> Fraction:

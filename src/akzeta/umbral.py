@@ -6,7 +6,10 @@ n-th moment of the uniform law on [0,1]), the formal variable z, and the
 linear evaluation functional sending a monomial to the product of moments of
 its independent symbols.
 
-Expressions are immutable once built; all operations are pure functions.
+Expressions are immutable once built and all operations are pure functions;
+there is no module state.  expr_power refuses an expansion whose predicted
+monomial count exceeds its cap argument (DEFAULT_EXPANSION_CAP unless given)
+with ExpansionCapError.
 Negative symbol powers are not representable here; negative moments are the
 business of the numerical layer.
 """
@@ -29,22 +32,12 @@ __all__ = [
     "DEFAULT_EXPANSION_CAP",
     "expect",
     "expr_power",
-    "shift_substitute",
     "poly_symbol",
     "c_symbol",
 ]
 
+# largest predicted monomial count expr_power expands unless given its own cap
 DEFAULT_EXPANSION_CAP = 5_000_000
-_expansion_cap = DEFAULT_EXPANSION_CAP
-
-
-def set_expansion_cap(cap: int) -> None:
-    """Set the process-wide monomial-count cap used when expr_power is called
-    without an explicit cap."""
-    global _expansion_cap
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    _expansion_cap = cap
 
 
 class ExpansionCapError(Exception):
@@ -231,7 +224,8 @@ class UmbralExpression:
         return out
 
     def expect(self) -> ZPolynomial:
-        """Apply the evaluation functional; the z symbol survives as the variable."""
+        """Apply the linear evaluation functional B_i^n -> B_n, U_j^n -> 1/(n+1);
+        the z symbol survives as the variable."""
         coeffs: dict[int, Fraction] = {}
         for m, c in self.terms.items():
             zdeg = 0
@@ -316,12 +310,12 @@ def _as_expr(x) -> UmbralExpression:
     return UmbralExpression.constant(Fraction(x))
 
 
-def expr_power(expr: UmbralExpression, n: int, cap: int | None = None) -> UmbralExpression:
+def expr_power(expr: UmbralExpression, n: int, cap: int = DEFAULT_EXPANSION_CAP) -> UmbralExpression:
     """expr**n by multinomial expansion over the sparse term list.
 
     The predicted worst-case term count C(n + t - 1, t - 1) for a t-term base
-    is checked against the cap before any work happens; cap=None uses the
-    process-wide setting (default 5e6 monomials).
+    is checked against the cap (default 5e6 monomials) before any work
+    happens.
 
     The expansion runs in integers: the base is scaled by the common
     denominator D of its coefficients, each monomial is packed into one int
@@ -331,8 +325,6 @@ def expr_power(expr: UmbralExpression, n: int, cap: int | None = None) -> Umbral
     """
     if n < 0:
         raise ValueError("negative expression power")
-    if cap is None:
-        cap = _expansion_cap
     if n == 0:
         return UmbralExpression.constant(1)
     items = list(expr.terms.items())
@@ -387,20 +379,15 @@ def expr_power(expr: UmbralExpression, n: int, cap: int | None = None) -> Umbral
     return r
 
 
-def expect(expr: UmbralExpression) -> ZPolynomial:
-    """Linear evaluation functional: B_i^n -> B_n, U_j^n -> 1/(n+1), z^n -> z^n."""
-    return expr.expect()
-
-
-def shift_substitute(expr: UmbralExpression, symbol: Symbol, replacement: UmbralExpression) -> UmbralExpression:
-    return expr.substitute(symbol, replacement)
+# the evaluation functional as a function; the acceptance criteria import it
+expect = UmbralExpression.expect
 
 
 def poly_symbol(k: int) -> UmbralExpression:
     """The order-k poly-Bernoulli symbol 1 + sum_{l=1}^{k} B_l prod_{j=l}^{k-1} U_j.
 
     Always uses symbol indices B_1..B_k and U_1..U_{k-1}; callers needing an
-    independent copy must re-index through shift_substitute.  For k = 1 the
+    independent copy must re-index through UmbralExpression.substitute.  For k = 1 the
     empty product is 1 and the result is 1 + B_1.
     """
     if k < 1:

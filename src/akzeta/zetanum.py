@@ -538,15 +538,17 @@ def polylog(k: int, x: float) -> float:
     return float(_li_exp(k, np.array([math.log(x)]))[0])
 
 
-def _gamma_upper_int(m: int, x: float) -> float:
-    """Upper incomplete gamma for integer shape: (m-1)! e^{-x} sum_{j<m} x^j/j!."""
-    s = 0.0
-    term = 1.0
-    for j in range(m):
-        if j:
-            term *= x / j
-        s += term
-    return math.factorial(m - 1) * math.exp(-x) * s
+def _gamma_q(m: int, x: float) -> float:
+    """Regularized upper incomplete gamma for integer shape m and x > 0:
+    Q(m, x) = e^{-x} sum_{j<m} x^j/j!, each term formed in log space."""
+    lx = math.log(x)
+    return math.fsum(math.exp(j * lx - x - math.lgamma(j + 1)) for j in range(m))
+
+
+def _gamma_weight(m: int, t: np.ndarray, rate: float) -> np.ndarray:
+    """t^{m-1} e^{-rate t}/(m-1)! for t > 0, formed in log space so that no
+    factor overflows at large m or t."""
+    return np.exp((m - 1) * np.log(t) - rate * t - math.lgamma(m))
 
 
 def ak_zeta_mellin(k: int, m: int, tol: float = 1e-8) -> float:
@@ -566,11 +568,10 @@ def ak_zeta_mellin(k: int, m: int, tol: float = 1e-8) -> float:
         return m * hurwitz_zeta(m + 1, 1.0, tol / (2 * m))
     zk_bound = math.pi**2 / 6
     T = 20.0
-    while zk_bound * _gamma_upper_int(m, T) / math.factorial(m - 1) > tol / 2:
+    while zk_bound * _gamma_q(m, T) > tol / 2:
         T *= 1.5
-    scale = 1.0 / math.factorial(m - 1)
     return _mellin_quad(
-        lambda t: scale * t ** (m - 1) / np.expm1(t) * _li_exp(k, np.log1p(-np.exp(-t))),
+        lambda t: _gamma_weight(m, t, 1.0) / -np.expm1(-t) * _li_exp(k, np.log1p(-np.exp(-t))),
         T,
         tol,
     )
@@ -603,11 +604,11 @@ def barnes_zeta_mellin(m: int, w: float, a: Sequence[float], tol: float = 1e-10)
     prod_bound = 1.0
     for ai in a:
         prod_bound /= -math.expm1(-ai * T)
-    while prod_bound * _gamma_upper_int(m, w * T) / w**m > tol * math.factorial(m - 1) / 2:
+    while prod_bound * _gamma_q(m, w * T) / w**m > tol / 2:
         T *= 1.5
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        out = t ** (m - 1.0) * np.exp(-w * t) / math.factorial(m - 1)
+        out = _gamma_weight(m, t, w)
         for ai in a:
             out = out / (-np.expm1(-ai * t))
         return out

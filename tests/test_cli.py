@@ -14,8 +14,12 @@ from akzeta.cli import (
     MAX_M,
     MAX_N,
     MAX_TERMS,
+    MAX_VERIFY_K,
+    MAX_VERIFY_M,
+    MAX_VERIFY_N,
     main,
 )
+from akzeta.umbral import ExpansionCapError
 
 
 def run_cli(capsys, *argv):
@@ -93,10 +97,31 @@ def test_size_limits_are_usage_errors(capsys):
         ["mzv", "--sig", "2", "--terms", str(MAX_TERMS + 1)],
         ["zeta", "--k", str(MAX_K + 1), "--m", "1"],
         ["zeta", "--k", "2", "--m", str(MAX_M + 1), "--route", "mellin"],
+        ["verify", "--max-n", str(MAX_VERIFY_N + 1)],
+        ["verify", "--max-k", str(MAX_VERIFY_K + 1)],
+        ["verify", "--max-m", str(MAX_VERIFY_M + 1)],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE, argv
         assert out == "" and "<=" in err
+
+
+def test_quadrature_settings_are_checked_for_every_command(capsys, tmp_path):
+    # the QuadratureSpec that zeta would build rejects one level, so all do
+    for argv in (
+        ["num", "--n", "1", "--k", "2"],
+        ["table", "--n-max", "1", "--k-max", "1"],
+        ["mzv", "--sig", "2", "--terms", "10"],
+        ["verify", "--max-n", "2", "--max-k", "1"],
+        ["zeta", "--k", "1", "--m", "2"],
+    ):
+        code, out, err = run_cli(capsys, *argv, "--levels", "1")
+        assert code == EXIT_USAGE, argv
+        assert out == "" and "levels" in err
+    conf = tmp_path / "akzeta.conf"
+    conf.write_text("w_cutoff=-1\n")
+    code, _, _ = run_cli(capsys, "--config", str(conf), "num", "--n", "1", "--k", "2")
+    assert code == EXIT_USAGE
 
 
 def test_table_csv_k1_matches_bernoulli_at_one(capsys):
@@ -145,6 +170,57 @@ def test_zeta_k1_closed_reduction(capsys):
     assert code == EXIT_OK
     obj = json.loads(out)
     assert abs(obj["mellin"] - 2 * 1.2020569031595942854) < 1e-8
+
+
+def test_zeta_csv_columns(capsys):
+    # the moment tail bound is reported in JSON only
+    code, out, _ = run_cli(capsys, "zeta", "--k", "2", "--m", "1", "--format", "csv")
+    assert code == EXIT_OK
+    header, row = out.splitlines()
+    assert header == (
+        "k,m,mellin,moment_value,moment_imag_residue,moment_convergence_delta,discrepancy"
+    )
+    assert row.startswith("2,1,1.202056")
+    _, out, _ = run_cli(capsys, "zeta", "--k", "2", "--m", "1")
+    assert "tail_bound" in json.loads(out)["moment"]
+
+
+def test_num_poly_csv_and_plain(capsys):
+    code, out, _ = run_cli(capsys, "num", "--n", "2", "--k", "1", "--poly", "--format", "csv")
+    assert code == EXIT_OK
+    assert out.splitlines() == ["degree,num,den", "0,1,6", "1,1,1", "2,1,1"]
+    code, out, _ = run_cli(capsys, "num", "--n", "2", "--k", "1", "--poly", "--format", "plain")
+    assert code == EXIT_OK
+    assert out == "z^2 + z + 1/6\n"
+
+
+def test_table_plain(capsys):
+    code, out, _ = run_cli(
+        capsys, "table", "--n-max", "2", "--k-max", "1", "--format", "plain"
+    )
+    assert code == EXIT_OK
+    assert out == "B(0,1) = 1\nB(1,1) = 1/2\nB(2,1) = 1/6\n"
+
+
+def test_mzv_csv_and_plain(capsys):
+    argv = ("mzv", "--sig", "3,1", "--starred", "--terms", "3000")
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == EXIT_OK
+    header, row = out.splitlines()
+    assert header == "signature,starred,terms,value,tail_bound"
+    assert row.startswith('"3,1",True,3000,1.35290353')
+    code, out, _ = run_cli(capsys, *argv, "--format", "plain")
+    assert code == EXIT_OK
+    assert out == "zeta*(3,1) = 1.35290353765 +- 5.88e-07  (N=3000)\n"
+
+
+def test_verify_csv_prints_text_report(capsys):
+    argv = ("verify", "--suite", "recurrence", "--max-n", "3", "--max-k", "2")
+    code, csv_out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == EXIT_OK
+    _, plain_out, _ = run_cli(capsys, *argv, "--format", "plain")
+    assert csv_out == plain_out
+    assert csv_out.endswith(" passed, 0 failed, 0 skipped\n")
 
 
 def test_mzv(capsys):
@@ -232,14 +308,13 @@ def test_module_entry_point():
     assert json.loads(proc.stdout) == {"num": "1", "den": "4"}
 
 
-def test_expansion_cap_flag(capsys):
-    import akzeta.umbral as umbral
+def test_expansion_cap_error_is_usage_error(capsys, monkeypatch):
+    import akzeta.cli as cli
 
-    try:
-        code, _, err = run_cli(
-            capsys, "--expansion-cap", "10", "verify", "--suite", "umbral"
-        )
-        assert code == EXIT_USAGE
-        assert "expansion cap" in err
-    finally:
-        umbral.set_expansion_cap(umbral.DEFAULT_EXPANSION_CAP)
+    def run_all(config):
+        raise ExpansionCapError("expansion of a 5-term expression to power 20 exceeds cap 50")
+
+    monkeypatch.setattr(cli, "run_all", run_all)
+    code, out, err = run_cli(capsys, "verify", "--suite", "umbral")
+    assert code == EXIT_USAGE
+    assert out == "" and "expansion cap" in err

@@ -1,6 +1,10 @@
 """Route agreement and the integral-transform representations."""
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,21 +18,22 @@ from akzeta.polybernoulli import (
     poly_bernoulli_series,
     poly_bernoulli_stirling,
     poly_bernoulli_umbral,
-    poly_bernoulli_umbral_at,
     route_disagreement,
     simplex_transform,
     stirling_table,
     umbral_numbers,
 )
 from akzeta.umbral import (
+    ExpansionCapError,
     UmbralExpression,
     Z,
     c_symbol,
-    expect,
     expr_power,
     poly_symbol,
     uniform_symbol,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def stirling_oracle(n, k):
@@ -82,19 +87,8 @@ def test_umbral_moments_match_sparse_expansion():
     for k in range(1, 5):
         for variant, sym in (("B", poly_symbol(k)), ("C", c_symbol(k))):
             for n in range(13):
-                want = expect(expr_power(zs + sym, n))
+                want = expr_power(zs + sym, n).expect()
                 assert poly_bernoulli_umbral(n, k, variant) == want
-
-
-def test_umbral_at_folds_constant():
-    for n in range(8):
-        for k in (1, 2, 3):
-            assert poly_bernoulli_umbral_at(n, k) == poly_bernoulli_umbral(n, k)(
-                Fraction(0)
-            )
-    assert poly_bernoulli_umbral_at(3, 2, "B", Fraction(1, 2)) == poly_bernoulli_umbral(
-        3, 2
-    )(Fraction(1, 2))
 
 
 def test_route_agreement_grid():
@@ -258,14 +252,8 @@ def test_table_serialization():
 
 def test_umbral_route_respects_expansion_cap():
     # (z + S_4)^20 in the sparse expansion that the transforms and verify use
-    import akzeta.umbral as umbral
-
-    umbral.set_expansion_cap(50)
-    try:
-        with pytest.raises(umbral.ExpansionCapError):
-            expr_power(UmbralExpression.symbol(Z) + poly_symbol(4), 20)
-    finally:
-        umbral.set_expansion_cap(umbral.DEFAULT_EXPANSION_CAP)
+    with pytest.raises(ExpansionCapError):
+        expr_power(UmbralExpression.symbol(Z) + poly_symbol(4), 20, cap=50)
 
 
 def test_table_validation():
@@ -277,3 +265,19 @@ def test_table_validation():
         poly_bernoulli_series(-1, 2)
     with pytest.raises(ValueError):
         poly_bernoulli_series(3, 0)
+
+
+@pytest.mark.parametrize("variant", ["B", "C"])
+def test_tables_script(variant):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "polybernoulli_tables.py"),
+         "--n-max", "8", "--k-max", "3", "--variant", variant],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("all values cross-checked")

@@ -252,6 +252,14 @@ def test_two_route_agreement_k2():
         assert abs(mellin - moment.value) < 1e-6
 
 
+def test_mellin_routes_large_m():
+    # t^{m-1} overflows a double from m ~ 132 and (m-1)! from m = 172;
+    # zeta_2(m) tends to zeta(2) and zeta(m, 1) to 1
+    for m in (140, 180):
+        assert abs(ak_zeta_mellin(2, m) - ZETA2) < 1e-8
+        assert abs(barnes_zeta_mellin(m, 1.0, [1.0]) - hurwitz_zeta(m, 1.0)) < 1e-10
+
+
 def test_barnes_mellin_values():
     assert abs(barnes_zeta_mellin(2, 1.0, [1.0]) - ZETA2) < 1e-9
     assert abs(barnes_zeta_mellin(2, 0.5, [1.0]) - math.pi**2 / 2) < 1e-9
