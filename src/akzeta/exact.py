@@ -2,6 +2,14 @@
 truncated formal power series, and the combinatorial generators (Bernoulli
 numbers, Stirling numbers, binomials) everything else is built from.
 
+Power series hand out Fraction coefficients, but composition, division and
+the reciprocal run on integers, in the layout of FLINT's fmpq_poly (integer
+numerators over one common denominator) applied to the exponential
+generating function: a series c_n t^n is held as the integers x_n with
+n! c_n = x_n / d for one d.  Products of EGFs are binomial convolutions, so
+they stay integral, and 1 - e^{-t} and e^t - 1 have numerators 0, +-1 over
+d = 1; only the outer Li_k coefficients need scaling, by lcm(1..n)^k.
+
 All values are immutable after construction and every operation is a pure
 function; the Bernoulli and Stirling caches grow under a lock, so
 everything here is safe to share across threads.
@@ -9,6 +17,7 @@ everything here is safe to share across threads.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from fractions import Fraction
 from typing import Sequence, Union
@@ -29,6 +38,7 @@ __all__ = [
     "bernoulli_gf_series",
     "rational_to_json",
     "rational_from_json",
+    "integer_numerators",
 ]
 
 
@@ -277,7 +287,8 @@ class PowerSeries:
     are rationals by default but any commutative-ring element supporting
     +, -, * works for addition and multiplication (polynomial or symbolic
     coefficients are used elsewhere in the package); composition, reciprocal
-    and division require rational coefficients.
+    and division require rational coefficients, which they convert to integer
+    EGF numerators over one denominator and back.
     """
 
     __slots__ = ("coeffs", "order", "zero")
@@ -347,36 +358,50 @@ class PowerSeries:
         return PowerSeries(out, n, self.zero)
 
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
-        """Truncated composition self(inner); inner must have zero constant term."""
+        """Truncated composition self(inner); inner must have zero constant term.
+
+        Horner's rule on EGF numerators: with inner's n! c_n = G_n / d and
+        self's c_n = P_n / L, the n!-scaled coefficients of every Horner
+        partial sum are integers over L d^j, so each step is one integer
+        binomial convolution.
+        """
         if not _ring_is_zero(inner.coeffs[0]):
             raise ValueError("composition requires inner constant term zero")
         n = min(self.order, inner.order)
-        inner_t = inner.truncate(n)
-        acc = PowerSeries([self.coeffs[n]], n, self.zero)
+        p, scale = integer_numerators(self.coeffs[: n + 1])
+        g, d = _egf_numerators(inner.coeffs[: n + 1])
+        # the n!-scaled product acc * g at t^s is sum_{i<s} C(s,i) acc_i g_{s-i}
+        weights = [[math.comb(s, i) * g[s - i] for i in range(s)] for s in range(n + 1)]
+        # acc = sum_{l>=j} a_l g^{l-j}; inner's valuation >= 1 makes every later
+        # Horner step a multiplication by t or more, so t^0..t^{n-j} suffice
+        acc = [p[n]]
+        dpow = 1
         for j in range(n - 1, -1, -1):
-            acc = acc * inner_t
-            acc.coeffs[0] = acc.coeffs[0] + self.coeffs[j]
-        return acc
+            dpow *= d
+            acc = [p[j] * dpow] + [
+                sum(map(operator.mul, weights[s], acc)) for s in range(1, n - j + 1)
+            ]
+        return PowerSeries(_from_egf(acc, scale * dpow), n, self.zero)
 
     def reciprocal(self) -> "PowerSeries":
         """Multiplicative inverse; requires a nonzero (invertible) constant term."""
-        c0 = self.coeffs[0]
-        if _ring_is_zero(c0):
+        if _ring_is_zero(self.coeffs[0]):
             raise ValueError("reciprocal requires nonzero constant term")
-        inv0 = Fraction(1) / c0
-        out = [inv0]
-        for n in range(1, self.order + 1):
-            s = self.zero
-            for j in range(1, n + 1):
-                s = s + self.coeffs[j] * out[n - j]
-            out.append(-s * inv0)
-        return PowerSeries(out, self.order, self.zero)
+        return PowerSeries([Fraction(1)], self.order, self.zero).divide(self)
 
     def divide(self, den: "PowerSeries") -> "PowerSeries":
         """Quotient self/den.
 
         When den has valuation v > 0 the numerator valuation must be >= v;
         both are shifted down by t^v and the result order drops by v.
+
+        Solves self = quotient * den on EGF numerators: with n! c_n written
+        N_n / dN for self, E_n / dE for den and F_n / M for the quotient,
+
+          F_n C(n+v, v) E_v = N_{n+v} dE M / dN - sum_{i<n} C(n+v, i) F_i E_{n+v-i},
+
+        one exact division per coefficient.  M starts at dN and grows only
+        when a division leaves a remainder, by the factor that makes it exact.
         """
         v = den.valuation()
         if v is None:
@@ -387,10 +412,23 @@ class PowerSeries:
                 raise ValueError(
                     f"numerator valuation {nv} below denominator valuation {v}"
                 )
-            num = PowerSeries(self.coeffs[v:], self.order - v, self.zero)
-            dd = PowerSeries(den.coeffs[v:], den.order - v, self.zero)
-            return num * dd.reciprocal()
-        return self * den.reciprocal()
+        top = min(self.order, den.order)
+        num, dn = _egf_numerators(self.coeffs[: top + 1])
+        e, de = _egf_numerators(den.coeffs[: top + 1])
+        growth = 1  # M / dN
+        f: list[int] = []
+        for m in range(v, top + 1):
+            x = num[m] * growth * de - sum(
+                math.comb(m, i) * fi * e[m - i] for i, fi in enumerate(f)
+            )
+            lead = math.comb(m, v) * e[v]
+            if x % lead:
+                r = abs(lead) // math.gcd(x, lead)
+                f = [fi * r for fi in f]
+                growth *= r
+                x *= r
+            f.append(x // lead)
+        return PowerSeries(_from_egf(f, dn * growth), top - v, self.zero)
 
     def __eq__(self, other):
         if not isinstance(other, PowerSeries):
@@ -412,6 +450,24 @@ def _ring_is_zero(c) -> bool:
     if z is not None:
         return c.is_zero()
     return c == 0
+
+
+def integer_numerators(values: Sequence) -> tuple[list[int], int]:
+    """Integers x_i and one positive denominator d with values[i] = x_i / d,
+    d the least common denominator of the rationals in values."""
+    qs = [Fraction(c) for c in values]
+    d = math.lcm(*(q.denominator for q in qs))
+    return [q.numerator * (d // q.denominator) for q in qs], d
+
+
+def _egf_numerators(coeffs: Sequence) -> tuple[list[int], int]:
+    """EGF numerators of a rational series: n! c_n = x_n / d over one d."""
+    return integer_numerators([Fraction(c) * math.factorial(n) for n, c in enumerate(coeffs)])
+
+
+def _from_egf(numerators: list[int], d: int) -> list[Fraction]:
+    """Ordinary coefficients x_n / (d n!) from EGF numerators over d."""
+    return [Fraction(x, d * math.factorial(n)) for n, x in enumerate(numerators)]
 
 
 def exp_series(order: int) -> PowerSeries:

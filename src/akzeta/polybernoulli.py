@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 from .exact import (
@@ -23,6 +24,7 @@ from .exact import (
     bernoulli_number,
     binomial,
     expm1_series,
+    integer_numerators,
     one_minus_exp_neg_series,
     polylog_series,
     stirling2,
@@ -62,12 +64,13 @@ class InternalInvariantError(Exception):
 
 @dataclass
 class PolyBernoulliTable:
-    """Polynomials indexed by n for one (k, variant), tagged with their route."""
+    """The z = 0 numbers for n = 0..n_max of one (k, variant), tagged with
+    their route; the polynomials are their lifts through the e^{zt} factor."""
 
     k: int
     variant: str
     route: str
-    entries: list[ZPolynomial] = field(default_factory=list)
+    numbers: list[Fraction] = field(default_factory=list)
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -77,18 +80,23 @@ class PolyBernoulliTable:
 
     @property
     def n_max(self) -> int:
-        return len(self.entries) - 1
+        return len(self.numbers) - 1
+
+    @cached_property
+    def entries(self) -> list[ZPolynomial]:
+        """The polynomials, entry_n(z) = sum_m C(n,m) b_m z^{n-m}, built once."""
+        return [_lift(self.numbers, n) for n in range(len(self.numbers))]
 
     def value(self, n: int) -> ZPolynomial:
         return self.entries[n]
 
     def number(self, n: int) -> Fraction:
         """The number at z = 0 (B_n^{(k)} for the B variant, C_n^{(k)} for C)."""
-        return self.entries[n](Fraction(0))
+        return self.numbers[n]
 
     def to_csv(self) -> str:
         lines = ["n,k,variant,num,den"]
-        for n in range(len(self.entries)):
+        for n in range(len(self.numbers)):
             q = self.number(n)
             lines.append(f"{n},{self.k},{self.variant},{q.numerator},{q.denominator}")
         return "\n".join(lines) + "\n"
@@ -108,14 +116,12 @@ def _lift(numbers: list[Fraction], n: int) -> ZPolynomial:
     return ZPolynomial([binomial(n, n - i) * numbers[n - i] for i in range(n + 1)])
 
 
-def _lift_numbers(numbers: list[Fraction]) -> list[ZPolynomial]:
-    return [_lift(numbers, n) for n in range(len(numbers))]
-
-
 def poly_bernoulli_series(n_max: int, k: int, variant: str = "B") -> PolyBernoulliTable:
     """Coefficient extraction from Li_k(1-e^{-t})/(1-e^{-t}) (B variant) or
     Li_k(1-e^{-t})/(e^t-1) (C variant); entries are n! times the t^n
-    coefficient, extended to polynomials by the e^{zt} factor.
+    coefficient, extended to polynomials by the e^{zt} factor.  The
+    composition and the division run on the exact integer EGF numerators of
+    exact.PowerSeries.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -130,7 +136,7 @@ def poly_bernoulli_series(n_max: int, k: int, variant: str = "B") -> PolyBernoul
     den = w if variant == "B" else expm1_series(order)
     gf = num.divide(den)
     numbers = [gf.factorial_coefficient(n) for n in range(n_max + 1)]
-    return PolyBernoulliTable(k, variant, "series", _lift_numbers(numbers))
+    return PolyBernoulliTable(k, variant, "series", numbers)
 
 
 def umbral_numbers(n_max: int, k: int, variant: str = "B") -> list[Fraction]:
@@ -187,7 +193,7 @@ def stirling_table(n_max: int, k: int, variant: str = "B") -> PolyBernoulliTable
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     numbers = [poly_bernoulli_stirling(n, k) for n in range(n_max + 1)]
-    table = PolyBernoulliTable(k, "B", "stirling", _lift_numbers(numbers))
+    table = PolyBernoulliTable(k, "B", "stirling", numbers)
     return bc_convert(table, "B->C") if variant == "C" else table
 
 
@@ -213,7 +219,10 @@ def bc_convert(table: PolyBernoulliTable, direction: str) -> PolyBernoulliTable:
       C_n = sum_l C(n,l) (-1)^{n-l} B_l      (direction "B->C")
       B_n = sum_l C(n,l) C_l                 (direction "C->B")
 
-    Exact, and an involution pair (B->C then C->B is the identity).
+    Exact, and an involution pair (B->C then C->B is the identity).  It is
+    the EGF product with e^{-t} or e^{t}, and the lift to polynomials is the
+    product with e^{zt}, so the two commute: the transform runs on the z = 0
+    numbers, over one common denominator, in O(n^2) integer operations.
     """
     if direction == "B->C":
         if table.variant != "B":
@@ -227,14 +236,12 @@ def bc_convert(table: PolyBernoulliTable, direction: str) -> PolyBernoulliTable:
         new_variant = "B"
     else:
         raise ValueError("direction must be 'B->C' or 'C->B'")
-    entries = []
-    for n in range(len(table.entries)):
-        acc = ZPolynomial()
-        for l in range(n + 1):
-            c = binomial(n, l) if sign > 0 else binomial(n, l) * (-1) ** (n - l)
-            acc = acc + table.entries[l] * Fraction(c)
-        entries.append(acc)
-    return PolyBernoulliTable(table.k, new_variant, table.route, entries)
+    ints, d = integer_numerators(table.numbers)
+    numbers = [
+        Fraction(sum(binomial(n, l) * sign ** (n - l) * ints[l] for l in range(n + 1)), d)
+        for n in range(len(ints))
+    ]
+    return PolyBernoulliTable(table.k, new_variant, table.route, numbers)
 
 
 @dataclass
@@ -400,13 +407,25 @@ def simplex_transform(n: int, k: int, z: Union[Fraction, None] = None):
     return poly.coefficient(0)
 
 
+def _transform_table(polys: list[ZPolynomial], k: int, route: str) -> PolyBernoulliTable:
+    """A table from a transform's formal polynomials, which must be the
+    lifts of their own constant terms."""
+    table = PolyBernoulliTable(k, "B", route, [p.coefficient(0) for p in polys])
+    for n, p in enumerate(polys):
+        if p != table.value(n):
+            raise InternalInvariantError(
+                f"{route} polynomial for n={n} is not the lift of the z = 0 numbers"
+            )
+    return table
+
+
 def cube_table(n_max: int, k: int) -> PolyBernoulliTable:
     """B-variant table built entirely through the unit-cube transform."""
-    entries = [barnes_transform_cube(n, k) for n in range(n_max + 1)]
-    return PolyBernoulliTable(k, "B", "barnes-cube", entries)
+    polys = [barnes_transform_cube(n, k) for n in range(n_max + 1)]
+    return _transform_table(polys, k, "barnes-cube")
 
 
 def simplex_table(n_max: int, k: int) -> PolyBernoulliTable:
     """B-variant table built entirely through the ordered-simplex transform."""
-    entries = [simplex_transform(n, k) for n in range(n_max + 1)]
-    return PolyBernoulliTable(k, "B", "barnes-simplex", entries)
+    polys = [simplex_transform(n, k) for n in range(n_max + 1)]
+    return _transform_table(polys, k, "barnes-simplex")

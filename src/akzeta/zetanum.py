@@ -488,7 +488,7 @@ _LOG_SERIES_EXTRA_TERMS = 20
 
 
 def _li_exp(k: int, mu: np.ndarray) -> np.ndarray:
-    """Li_k(e^mu) for k >= 2 on an array of mu < 0.
+    """Li_k(e^mu) for k >= 2 on an array of mu <= 0.
 
     Taking the logarithm of the argument keeps full precision near x = 1,
     where callers pass log1p(-y) for x = 1 - y.  For x > 1/2 it sums the
@@ -523,7 +523,9 @@ def _li_exp(k: int, mu: np.ndarray) -> np.ndarray:
     acc = np.zeros_like(m)
     for c in reversed(coeffs):
         acc = acc * m + c
-    out[~lo] = acc - m ** (k - 1) / math.factorial(k - 1) * np.log(-m)
+    # mu^{k-1} ln(-mu) -> 0 as mu -> 0, so Li_k(1) = zeta(k) is the constant term
+    log_neg = np.log(-m, out=np.zeros_like(m), where=m < 0)
+    out[~lo] = acc - m ** (k - 1) / math.factorial(k - 1) * log_neg
     return out
 
 

@@ -43,6 +43,30 @@ def series_reciprocal_oracle(coeffs, order):
     return out
 
 
+def series_mul_reference(a, b, order):
+    out = [Fraction(0)] * (order + 1)
+    for i in range(order + 1):
+        for j in range(order + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def series_compose_reference(outer, inner, order):
+    """outer(inner) by Horner's rule, term by term in Fraction arithmetic."""
+    acc = [Fraction(outer[order])] + [Fraction(0)] * order
+    for j in range(order - 1, -1, -1):
+        acc = series_mul_reference(acc, inner, order)
+        acc[0] += outer[j]
+    return acc
+
+
+def series_divide_reference(num, den, order):
+    """num/den through the reciprocal of den, both shifted by den's valuation."""
+    v = next(i for i, c in enumerate(den) if c != 0)
+    rec = series_reciprocal_oracle(den[v:], order - v)
+    return series_mul_reference(num[v:], rec, order - v)
+
+
 def bernoulli_oracle(n_max):
     """B_n as n! times the reciprocal of (e^t - 1)/t."""
     body = [Fraction(1, math.factorial(i + 1)) for i in range(n_max + 1)]
@@ -237,6 +261,43 @@ def test_series_reciprocal_roundtrip(coeffs, lead):
     s = PowerSeries(coeffs, 10)
     prod = s * s.reciprocal()
     assert prod.coeffs == [Fraction(1)] + [Fraction(0)] * 10
+
+
+def test_integer_kernels_on_non_integer_egf():
+    # inner EGF numerators 1/3, 4/5, ... need a common denominator, and the
+    # quotient's denominators exceed the numerator's, so both growth paths run
+    inner = [Fraction(0), Fraction(1, 3), Fraction(2, 5), Fraction(-1, 7)] + [Fraction(0)] * 5
+    outer = [Fraction(0)] + [Fraction(1, n + 1) for n in range(1, 9)]
+    got = PowerSeries(outer, 8).compose(PowerSeries(inner, 8))
+    assert got.coeffs == series_compose_reference(outer, inner, 8)
+    den = [Fraction(0), Fraction(3), Fraction(1, 2)] + [Fraction(0)] * 6
+    q = got.divide(PowerSeries(den, 8))
+    assert q.coeffs == series_divide_reference(got.coeffs, den, 8)
+    assert PowerSeries(den[1:], 7).reciprocal().coeffs == series_reciprocal_oracle(den[1:], 7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10),
+    st.lists(small_fractions, min_size=11, max_size=11),
+    st.lists(small_fractions, min_size=11, max_size=11),
+    st.lists(small_fractions, min_size=11, max_size=11),
+    st.integers(min_value=0, max_value=3),
+)
+def test_integer_kernels_match_fraction_reference(order, outer, inner, den, v):
+    inner = [Fraction(0)] + inner[1 : order + 1]
+    got = PowerSeries(outer, order).compose(PowerSeries(inner, order))
+    assert got.coeffs == series_compose_reference(outer, inner, order)
+    v = min(v, order)
+    den = [Fraction(0)] * v + den[v : order + 1]
+    if den[v] == 0:
+        den[v] = Fraction(1, 3)
+    num = [Fraction(0)] * v + outer[v : order + 1]
+    q = PowerSeries(num, order).divide(PowerSeries(den, order))
+    assert q.order == order - v
+    assert q.coeffs == series_divide_reference(num, den, order)
+    rec = PowerSeries(den[v:], order - v).reciprocal()
+    assert rec.coeffs == series_reciprocal_oracle(den[v:], order - v)
 
 
 @settings(max_examples=30, deadline=None)

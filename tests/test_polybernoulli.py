@@ -234,6 +234,32 @@ def test_transform_route_tables():
         assert st.value(n) == ref.value(n)
 
 
+@pytest.mark.parametrize("route", ["cube", "simplex"])
+def test_transform_tables_reject_non_lifts(monkeypatch, route):
+    """A transform polynomial whose z-coefficients do not follow from its
+    constant terms must raise, not be reduced to its constant terms."""
+    from akzeta import polybernoulli as pb
+
+    name = "barnes_transform_cube" if route == "cube" else "simplex_transform"
+    real = getattr(pb, name)
+    monkeypatch.setattr(pb, name, lambda n, k: real(n, k) + ZPolynomial([0, 1]))
+    build = pb.cube_table if route == "cube" else pb.simplex_table
+    with pytest.raises(pb.InternalInvariantError):
+        build(3, 2)
+
+
+def test_deep_routes_agree_entrywise():
+    # n = 40, k <= 6: series, Stirling and both binomial conversions, as polynomials
+    for k in range(1, 7):
+        tb = poly_bernoulli_series(40, k, "B")
+        tc = poly_bernoulli_series(40, k, "C")
+        sb = stirling_table(40, k, "B")
+        assert sb.entries == tb.entries
+        assert bc_convert(sb, "B->C").entries == tc.entries
+        assert bc_convert(tc, "C->B").entries == tb.entries
+        assert stirling_table(40, k, "C").entries == tc.entries
+
+
 def test_table_serialization():
     t = poly_bernoulli_series(3, 2, "B")
     csv = t.to_csv()

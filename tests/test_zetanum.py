@@ -28,7 +28,7 @@ from akzeta.zetanum import (
     telescoping_check,
     zeta_star_3_1_double,
 )
-from akzeta.zetanum import _moment_level, _sech_axis
+from akzeta.zetanum import _li_exp, _moment_level, _sech_axis
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -258,6 +258,16 @@ def test_mellin_routes_large_m():
     for m in (140, 180):
         assert abs(ak_zeta_mellin(2, m) - ZETA2) < 1e-8
         assert abs(barnes_zeta_mellin(m, 1.0, [1.0]) - hurwitz_zeta(m, 1.0)) < 1e-10
+
+
+def test_polylog_endpoint_is_zeta():
+    # Li_k(e^0) = zeta(k): the log-series term mu^{k-1} ln(-mu) vanishes at mu = 0
+    for k, zeta in ((2, ZETA2), (3, ZETA3), (4, ZETA4), (5, ZETA5), (6, ZETA6)):
+        got = _li_exp(k, np.array([0.0, -1e-300]))
+        assert np.all(np.abs(got - zeta) <= 1e-15)
+    # from m ~ 450 the Mellin cutoff passes t ~ 745, where log1p(-e^{-t}) is 0
+    for m in (450, 600):
+        assert abs(ak_zeta_mellin(2, m) - ZETA2) < 1e-8
 
 
 def test_barnes_mellin_values():
