@@ -1,12 +1,13 @@
-"""Exact arithmetic layer: rationals, dense polynomials over the rationals,
-truncated formal power series, and the combinatorial generators (Bernoulli
+"""Exact arithmetic layer: rationals, dense polynomials and truncated formal
+power series over the rationals, and the combinatorial generators (Bernoulli
 numbers, Stirling numbers, binomials) everything else is built from.
 
-Power series hand out Fraction coefficients, but composition, division and
-the reciprocal run on integers, in the layout of FLINT's fmpq_poly (integer
-numerators over one common denominator) applied to the exponential
-generating function: a series c_n t^n is held as the integers x_n with
-n! c_n = x_n / d for one d.  Products of EGFs are binomial convolutions, so
+Power series hold rational coefficients only (polynomial and symbolic
+coefficients belong to the umbral module's symbol algebra) and hand out
+Fractions, but composition, division and the reciprocal run on integers, in
+the layout of FLINT's fmpq_poly (integer numerators over one common
+denominator) applied to the exponential generating function: a series
+c_n t^n is held as the integers x_n with n! c_n = x_n / d for one d.  Products of EGFs are binomial convolutions, so
 they stay integral, and 1 - e^{-t} and e^t - 1 have numerators 0, +-1 over
 d = 1; only the outer Li_k coefficients need scaling, by lcm(1..n)^k.
 
@@ -280,30 +281,27 @@ def _as_poly(x) -> ZPolynomial:
 
 
 class PowerSeries:
-    """Truncated formal power series with explicit trusted order.
+    """Truncated formal power series over the rationals with explicit trusted
+    order.
 
     Coefficients of t^0..t^order are trusted; binary operations return the
-    minimum of the operand orders and never silently extend it.  Coefficients
-    are rationals by default but any commutative-ring element supporting
-    +, -, * works for addition and multiplication (polynomial or symbolic
-    coefficients are used elsewhere in the package); composition, reciprocal
-    and division require rational coefficients, which they convert to integer
-    EGF numerators over one denominator and back.
+    minimum of the operand orders and never silently extend it.  Composition,
+    reciprocal and division convert the coefficients to integer EGF
+    numerators over one denominator and back.
     """
 
-    __slots__ = ("coeffs", "order", "zero")
+    __slots__ = ("coeffs", "order")
 
-    def __init__(self, coeffs: Sequence, order: int | None = None, zero=Fraction(0)):
+    def __init__(self, coeffs: Sequence, order: int | None = None):
         cs = list(coeffs)
         if order is None:
             order = len(cs) - 1
         if order < 0:
             raise ValueError("order must be >= 0")
         if len(cs) < order + 1:
-            cs.extend([zero] * (order + 1 - len(cs)))
+            cs.extend([Fraction(0)] * (order + 1 - len(cs)))
         self.coeffs = cs[: order + 1]
         self.order = order
-        self.zero = zero
 
     def coefficient(self, i: int):
         if i > self.order:
@@ -314,48 +312,40 @@ class PowerSeries:
         """n! times the coefficient of t^n."""
         return self.coefficient(n) * math.factorial(n)
 
-    def truncate(self, order: int) -> "PowerSeries":
-        if order > self.order:
-            raise ValueError("cannot extend trusted order")
-        return PowerSeries(self.coeffs[: order + 1], order, self.zero)
-
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, None if all trusted ones vanish."""
         for i, c in enumerate(self.coeffs):
-            if not _ring_is_zero(c):
+            if c:
                 return i
         return None
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
         n = min(self.order, other.order)
         return PowerSeries(
-            [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)], n, self.zero
+            [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)], n
         )
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
         n = min(self.order, other.order)
         return PowerSeries(
-            [self.coeffs[i] - other.coeffs[i] for i in range(n + 1)], n, self.zero
+            [self.coeffs[i] - other.coeffs[i] for i in range(n + 1)], n
         )
 
     def __neg__(self) -> "PowerSeries":
-        return PowerSeries([-c for c in self.coeffs], self.order, self.zero)
-
-    def scale(self, c) -> "PowerSeries":
-        return PowerSeries([a * c for a in self.coeffs], self.order, self.zero)
+        return PowerSeries([-c for c in self.coeffs], self.order)
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         n = min(self.order, other.order)
-        out = [self.zero for _ in range(n + 1)]
+        out = [Fraction(0)] * (n + 1)
         for i in range(n + 1):
             a = self.coeffs[i]
-            if _ring_is_zero(a):
+            if not a:
                 continue
             for j in range(n + 1 - i):
                 b = other.coeffs[j]
-                if not _ring_is_zero(b):
-                    out[i + j] = out[i + j] + a * b
-        return PowerSeries(out, n, self.zero)
+                if b:
+                    out[i + j] += a * b
+        return PowerSeries(out, n)
 
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
         """Truncated composition self(inner); inner must have zero constant term.
@@ -365,7 +355,7 @@ class PowerSeries:
         partial sum are integers over L d^j, so each step is one integer
         binomial convolution.
         """
-        if not _ring_is_zero(inner.coeffs[0]):
+        if inner.coeffs[0]:
             raise ValueError("composition requires inner constant term zero")
         n = min(self.order, inner.order)
         p, scale = integer_numerators(self.coeffs[: n + 1])
@@ -381,13 +371,13 @@ class PowerSeries:
             acc = [p[j] * dpow] + [
                 sum(map(operator.mul, weights[s], acc)) for s in range(1, n - j + 1)
             ]
-        return PowerSeries(_from_egf(acc, scale * dpow), n, self.zero)
+        return PowerSeries(_from_egf(acc, scale * dpow), n)
 
     def reciprocal(self) -> "PowerSeries":
         """Multiplicative inverse; requires a nonzero (invertible) constant term."""
-        if _ring_is_zero(self.coeffs[0]):
+        if not self.coeffs[0]:
             raise ValueError("reciprocal requires nonzero constant term")
-        return PowerSeries([Fraction(1)], self.order, self.zero).divide(self)
+        return PowerSeries([Fraction(1)], self.order).divide(self)
 
     def divide(self, den: "PowerSeries") -> "PowerSeries":
         """Quotient self/den.
@@ -428,7 +418,7 @@ class PowerSeries:
                 growth *= r
                 x *= r
             f.append(x // lead)
-        return PowerSeries(_from_egf(f, dn * growth), top - v, self.zero)
+        return PowerSeries(_from_egf(f, dn * growth), top - v)
 
     def __eq__(self, other):
         if not isinstance(other, PowerSeries):
@@ -439,17 +429,6 @@ class PowerSeries:
 
     def __repr__(self):
         return f"PowerSeries({self.coeffs!r}, order={self.order})"
-
-
-def _ring_is_zero(c) -> bool:
-    if isinstance(c, Fraction):
-        return c == 0
-    if isinstance(c, ZPolynomial):
-        return c.is_zero()
-    z = getattr(c, "is_zero", None)
-    if z is not None:
-        return c.is_zero()
-    return c == 0
 
 
 def integer_numerators(values: Sequence) -> tuple[list[int], int]:

@@ -260,10 +260,10 @@ class BarnesParameters:
             raise ValueError("parameter list must be nonempty")
         for ai in self.a:
             if isinstance(ai, UmbralExpression):
-                if len(ai.terms) != 1:
+                coeff = ai.monomial_coefficient()
+                if coeff is None:
                     raise ValueError("symbolic parameters must be single monomials")
-                mono, coeff = next(iter(ai.terms.items()))
-                if coeff <= 0 or any(s.kind != "U" for s, _ in mono):
+                if coeff <= 0 or any(s.kind != "U" for s in ai.symbols()):
                     raise ValueError("symbolic parameters must be monomials in the u-variables")
             elif Fraction(ai) == 0:
                 raise ValueError("parameters must be nonzero")
@@ -368,39 +368,9 @@ def simplex_transform(n: int, k: int, z: Union[Fraction, None] = None):
         )
     expr = expr_power(base, n).expect_kind("B")  # polynomial in v's (U symbols) and z
     for j in range(1, k):
-        vj = uniform_symbol(j)
-        nxt = uniform_symbol(j + 1)
-        out: dict = {}
-        for mono, coeff in expr.terms.items():
-            e = 0
-            rest = []
-            for s, ex in mono:
-                if s == vj:
-                    e = ex
-                else:
-                    rest.append((s, ex))
-            if j >= 2:
-                e -= 1  # the 1/v_j density factor
-                if e < 0:
-                    raise InternalInvariantError(
-                        f"negative exponent for v_{j} during simplex integration"
-                    )
-            if j < k - 1:
-                # int_0^{v_{j+1}} v_j^e dv_j = v_{j+1}^{e+1}/(e+1)
-                newmono = dict(rest)
-                newmono[nxt] = newmono.get(nxt, 0) + e + 1
-                key = tuple(sorted(newmono.items()))
-            else:
-                key = tuple(rest)  # int_0^1 v^e dv = 1/(e+1)
-            c = coeff / (e + 1)
-            v = out.get(key, Fraction(0)) + c
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-        nxt_expr = UmbralExpression.__new__(UmbralExpression)
-        nxt_expr.terms = out
-        expr = nxt_expr
+        # int_0^{v_{j+1}} v_j^{e-1} dv_j, the 1/v_j density from j = 2 on; v_k = 1
+        upper = uniform_symbol(j + 1) if j < k - 1 else None
+        expr = expr.integrate(uniform_symbol(j), upper, inverse_power=int(j >= 2))
     poly = expr.expect()
     if z is None:
         return poly

@@ -6,8 +6,21 @@ n-th moment of the uniform law on [0,1]), the formal variable z, and the
 linear evaluation functional sending a monomial to the product of moments of
 its independent symbols.
 
+An expression is held in the layout of FLINT's fmpq_poly: a dict from packed
+monomials to integer numerators over one positive common denominator, kept
+canonical (no zero numerator, numerators and denominator coprime), so
+equality is a dict and an int comparison.  A monomial is one int in which
+every symbol owns a fixed 16-bit exponent field: z field 0, B_i field
+2i - 1, U_j field 2j.  Multiplying monomials is adding ints, and once B and
+U are evaluated the key is the z-degree.  Exponents are at most MAX_EXPONENT
+= 2^15 - 1, so the top bit of each field is a guard: a product can set it
+but cannot carry into the next field, and an operation whose result would
+exceed MAX_EXPONENT raises OverflowError instead.  The largest exponent the
+CLI's inputs reach is a few dozen.
+
 Expressions are immutable once built and all operations are pure functions;
-there is no module state.  expr_power refuses an expansion whose predicted
+the only module state is the memo of integer moment rows, a functools.cache,
+which is thread-safe.  expr_power refuses an expansion whose predicted
 monomial count exceeds its cap argument (DEFAULT_EXPANSION_CAP unless given)
 with ExpansionCapError.
 Negative symbol powers are not representable here; negative moments are the
@@ -15,12 +28,13 @@ business of the numerical layer.
 """
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import Mapping
 
-from .exact import ZPolynomial, bernoulli_number
+from .exact import ZPolynomial, bernoulli_numbers, integer_numerators
 
 __all__ = [
     "Symbol",
@@ -39,6 +53,12 @@ __all__ = [
 # largest predicted monomial count expr_power expands unless given its own cap
 DEFAULT_EXPANSION_CAP = 5_000_000
 
+# exponent fields of a packed monomial: 15 exponent bits and one guard bit
+MAX_EXPONENT = (1 << 15) - 1
+_WIDTH = 16
+_MASK = (1 << _WIDTH) - 1
+_GUARD = 1 << (_WIDTH - 1)
+
 
 class ExpansionCapError(Exception):
     """Raised when a power expansion would exceed the monomial-count cap."""
@@ -48,8 +68,7 @@ class Symbol(tuple):
     """A formal symbol: kind 'B' (Bernoulli), 'U' (uniform) or 'z' (formal variable).
 
     Distinct (kind, index) pairs denote independent symbols.  A symbol is the
-    tuple (kind, index), so hashing, equality and ordering run at C speed in
-    the monomial dictionaries and sorts of the sparse algebra.
+    tuple (kind, index), so hashing, equality and ordering run at C speed.
     """
 
     __slots__ = ()
@@ -81,81 +100,112 @@ def uniform_symbol(j: int) -> Symbol:
 
 Z = Symbol("z")
 
-# A monomial is a tuple of (Symbol, exponent) pairs sorted by symbol; the
-# empty tuple is the constant monomial 1.
-Monomial = tuple
+
+def _offset(s: Symbol) -> int:
+    """Lowest bit of the symbol's exponent field: z field 0, B_i 2i - 1, U_j 2j."""
+    kind, index = s
+    if kind == "z":
+        return 0
+    return _WIDTH * (2 * index - (kind == "B"))
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    merged = dict(a)
-    for s, e in b:
-        merged[s] = merged.get(s, 0) + e
-    return tuple(sorted(merged.items()))
+def _kind(field: int) -> str:
+    return "UB"[field % 2] if field else "z"
 
 
-def _mono_moment(m: Monomial) -> Fraction | None:
-    """Moment of a monomial with the z part stripped; None if it vanishes."""
-    out = Fraction(1)
-    for s, e in m:
-        if s.kind == "B":
-            b = bernoulli_number(e)
-            if b == 0:
-                return None
-            out *= b
-        elif s.kind == "U":
-            out *= Fraction(1, e + 1)
-    return out
+def _fields(key: int):
+    """(field number, exponent) of each nonzero exponent field of a packed monomial."""
+    field = 0
+    while key:
+        if key & _MASK:
+            yield field, key & _MASK
+        key >>= _WIDTH
+        field += 1
+
+
+def _decode(key: int) -> tuple:
+    """The (Symbol, exponent) pairs of a packed monomial, sorted by symbol."""
+    pairs = [(Symbol(_kind(f), (f + 1) // 2) if f else Z, e) for f, e in _fields(key)]
+    return tuple(sorted(pairs))
+
+
+def _check_exponents(keys) -> None:
+    """Raise OverflowError when an exponent field of some key has reached its
+    guard bit, i.e. holds more than MAX_EXPONENT."""
+    seen = functools.reduce(or_, keys, 0)
+    fields = seen.bit_length() // _WIDTH + 1
+    # the guard bit of every field: _GUARD times the base-2^16 repunit
+    if seen & (_GUARD * (((1 << (_WIDTH * fields)) - 1) // _MASK)):
+        raise OverflowError(f"a symbol exponent exceeds {MAX_EXPONENT}")
+
+
+@functools.cache
+def _moment_row(kind: str, top: int) -> tuple[tuple[int, ...], int]:
+    """The moments E[s^0], ..., E[s^top] of a kind-symbol s as integer
+    numerators over their least common denominator."""
+    if kind == "B":
+        moments = bernoulli_numbers(top)
+    else:
+        moments = [Fraction(1, e + 1) for e in range(top + 1)]
+    row, d = integer_numerators(moments)
+    return tuple(row), d
 
 
 class UmbralExpression:
-    """Sparse polynomial in Bernoulli/uniform symbols and z over the rationals."""
+    """Sparse polynomial in Bernoulli/uniform symbols and z over the rationals:
+    terms maps packed monomials to integer numerators over the denominator den."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den")
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        t = {}
-        if terms:
-            for m, c in terms.items():
-                if c:
-                    t[m] = Fraction(c)
-        self.terms = t
+    def __init__(self, terms: Mapping[int, int] | None = None, den: int = 1):
+        if den < 1:
+            raise ValueError("denominator must be positive")
+        terms = {m: c for m, c in terms.items() if c} if terms else {}
+        g = math.gcd(den, *terms.values())
+        if g != 1:
+            terms = {m: c // g for m, c in terms.items()}
+        self.terms = terms
+        self.den = den // g
 
     @classmethod
     def constant(cls, c) -> "UmbralExpression":
         c = Fraction(c)
-        return cls({(): c} if c else {})
+        return cls({0: c.numerator}, c.denominator)
 
     @classmethod
     def symbol(cls, s: Symbol) -> "UmbralExpression":
-        return cls({((s, 1),): Fraction(1)})
+        return cls({1 << _offset(s): 1})
 
     @classmethod
     def monomial(cls, exponents: Mapping[Symbol, int], coeff=Fraction(1)) -> "UmbralExpression":
-        for e in exponents.values():
+        key = 0
+        for s, e in exponents.items():
             if e < 0:
                 raise ValueError("negative symbol powers are not representable")
-        mono = tuple(sorted((s, e) for s, e in exponents.items() if e))
-        return cls({mono: Fraction(coeff)})
+            if e > MAX_EXPONENT:
+                raise OverflowError(f"a symbol exponent exceeds {MAX_EXPONENT}")
+            key += e << _offset(s)
+        c = Fraction(coeff)
+        return cls({key: c.numerator}, c.denominator)
 
     def is_zero(self) -> bool:
         return not self.terms
 
+    def monomial_coefficient(self) -> Fraction | None:
+        """The coefficient of a one-term expression; None for any other."""
+        if len(self.terms) != 1:
+            return None
+        (c,) = self.terms.values()
+        return Fraction(c, self.den)
+
     def __add__(self, other):
         other = _as_expr(other)
-        out = dict(self.terms)
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        out = {m: c * a for m, c in self.terms.items()}
         for m, c in other.terms.items():
-            v = out.get(m, Fraction(0)) + c
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
-        r = UmbralExpression.__new__(UmbralExpression)
-        r.terms = out
-        return r
+            out[m] = out.get(m, 0) + c * b
+        return UmbralExpression(out, den)
 
     __radd__ = __add__
 
@@ -166,32 +216,23 @@ class UmbralExpression:
         return _as_expr(other) + (-self)
 
     def __neg__(self):
-        r = UmbralExpression.__new__(UmbralExpression)
-        r.terms = {m: -c for m, c in self.terms.items()}
-        return r
+        return UmbralExpression({m: -c for m, c in self.terms.items()}, self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            if not q:
-                return UmbralExpression()
-            r = UmbralExpression.__new__(UmbralExpression)
-            r.terms = {m: c * q for m, c in self.terms.items()}
-            return r
+            return UmbralExpression(
+                {m: c * q.numerator for m, c in self.terms.items()}, self.den * q.denominator
+            )
         if not isinstance(other, UmbralExpression):
             return NotImplemented
-        out: dict = {}
+        out: dict[int, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                v = out.get(m, Fraction(0)) + c1 * c2
-                if v:
-                    out[m] = v
-                elif m in out:
-                    del out[m]
-        r = UmbralExpression.__new__(UmbralExpression)
-        r.terms = out
-        return r
+                m = m1 + m2
+                out[m] = out.get(m, 0) + c1 * c2
+        _check_exponents(out)
+        return UmbralExpression(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -203,95 +244,102 @@ class UmbralExpression:
             other = UmbralExpression.constant(other)
         if not isinstance(other, UmbralExpression):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.terms == other.terms
 
     def substitute(self, symbol: Symbol, replacement: "UmbralExpression") -> "UmbralExpression":
         """Ring substitution symbol -> replacement, exponents expanded."""
-        out = UmbralExpression()
-        powers = {0: UmbralExpression.constant(1)}
+        off = _offset(symbol)
+        by_power: dict[int, dict[int, int]] = {}
         for m, c in self.terms.items():
-            e = 0
-            rest = []
-            for s, ex in m:
-                if s == symbol:
-                    e = ex
-                else:
-                    rest.append((s, ex))
-            if e not in powers:
-                powers[e] = expr_power(replacement, e)
-            base = UmbralExpression({tuple(rest): c})
-            out = out + base * powers[e]
+            e = (m >> off) & _MASK
+            by_power.setdefault(e, {})[m - (e << off)] = c
+        out = UmbralExpression()
+        for e, rest in by_power.items():
+            out = out + UmbralExpression(rest, self.den) * expr_power(replacement, e)
         return out
+
+    def integrate(
+        self, var: Symbol, upper: Symbol | None = None, inverse_power: int = 0
+    ) -> "UmbralExpression":
+        """The integral of self / var^inverse_power over 0 <= var <= upper,
+        with upper a symbol or 1 when None: each var^e becomes
+        upper^p / p with p = e - inverse_power + 1.  Raises ValueError when the
+        integrand holds a negative power of var."""
+        off = _offset(var)
+        parts = []
+        for m, c in self.terms.items():
+            e = (m >> off) & _MASK
+            p = e - inverse_power + 1
+            if p < 1:
+                raise ValueError("negative symbol powers are not representable")
+            m -= e << off
+            if upper is not None:
+                m += p << _offset(upper)
+            parts.append((m, c, p))
+        den = math.lcm(*(p for _, _, p in parts))
+        out: dict[int, int] = {}
+        for m, c, p in parts:
+            out[m] = out.get(m, 0) + c * (den // p)
+        _check_exponents(out)
+        return UmbralExpression(out, self.den * den)
+
+    def expect_kind(self, *kinds: str) -> "UmbralExpression":
+        """Evaluate the symbols of the given kinds ('B', 'U' or both),
+        leaving the rest formal.
+
+        Valid because distinct symbols are independent, so the functional
+        factorizes over them.  Each evaluated symbol multiplies the
+        numerators by its kind's integer moment row and the denominator by
+        that row's common denominator.
+        """
+        if not kinds or not set(kinds) <= {"B", "U"}:
+            raise ValueError("kinds must be 'B', 'U' or both")
+        den = self.den
+        rows = []  # (field offset, moment numerators) per evaluated symbol
+        clear = 0  # the evaluated symbols' fields
+        # each field of the OR of all keys bounds that symbol's exponents; a
+        # row reaches 2^b - 1 for a b-bit bound, so the memo holds at most 16
+        # rows per kind
+        for field, seen in _fields(functools.reduce(or_, self.terms, 0)):
+            kind = _kind(field)
+            if kind in kinds:
+                row, d = _moment_row(kind, (1 << seen.bit_length()) - 1)
+                off = field * _WIDTH
+                rows.append((off, row))
+                clear |= _MASK << off
+                den *= d
+        out: dict[int, int] = {}
+        for m, c in self.terms.items():
+            for off, row in rows:
+                c *= row[(m >> off) & _MASK]
+                if not c:
+                    break
+            else:
+                m &= ~clear
+                out[m] = out.get(m, 0) + c
+        return UmbralExpression(out, den)
 
     def expect(self) -> ZPolynomial:
         """Apply the linear evaluation functional B_i^n -> B_n, U_j^n -> 1/(n+1);
         the z symbol survives as the variable."""
-        coeffs: dict[int, Fraction] = {}
-        for m, c in self.terms.items():
-            zdeg = 0
-            rest = []
-            for s, e in m:
-                if s.kind == "z":
-                    zdeg = e
-                else:
-                    rest.append((s, e))
-            mom = _mono_moment(tuple(rest))
-            if mom is None:
-                continue
-            coeffs[zdeg] = coeffs.get(zdeg, Fraction(0)) + c * mom
-        if not coeffs:
+        r = self.expect_kind("B", "U")  # keys are now z-degrees
+        if not r.terms:
             return ZPolynomial()
-        top = max(coeffs)
-        return ZPolynomial([coeffs.get(i, Fraction(0)) for i in range(top + 1)])
-
-    def expect_kind(self, kind: str) -> "UmbralExpression":
-        """Evaluate only symbols of one kind, leaving the rest formal.
-
-        Valid because distinct symbols are independent, so the functional
-        factorizes over them.
-        """
-        out: dict = {}
-        for m, c in self.terms.items():
-            mom = Fraction(1)
-            rest = []
-            dead = False
-            for s, e in m:
-                if s.kind != kind:
-                    rest.append((s, e))
-                elif s.kind == "B":
-                    b = bernoulli_number(e)
-                    if b == 0:
-                        dead = True
-                        break
-                    mom *= b
-                else:
-                    mom *= Fraction(1, e + 1)
-            if dead:
-                continue
-            key = tuple(rest)
-            v = out.get(key, Fraction(0)) + c * mom
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-        r = UmbralExpression.__new__(UmbralExpression)
-        r.terms = out
-        return r
+        return ZPolynomial([Fraction(r.terms.get(i, 0), r.den) for i in range(max(r.terms) + 1)])
 
     def symbols(self) -> set[Symbol]:
-        return {s for m in self.terms for s, _ in m}
+        return {s for s, _ in _decode(functools.reduce(or_, self.terms, 0))}
 
     def render(self) -> str:
         """Canonical text form: monomials sorted, exponents explicit."""
         if not self.terms:
             return "0"
         parts = []
-        for m in sorted(self.terms):
-            c = self.terms[m]
-            if not m:
+        for mono, c in sorted((_decode(m), Fraction(c, self.den)) for m, c in self.terms.items()):
+            if not mono:
                 parts.append(str(c))
                 continue
-            body = "*".join(f"{s}^{e}" for s, e in m)
+            body = "*".join(f"{s}^{e}" for s, e in mono)
             if c == 1:
                 parts.append(body)
             elif c == -1:
@@ -315,13 +363,9 @@ def expr_power(expr: UmbralExpression, n: int, cap: int = DEFAULT_EXPANSION_CAP)
 
     The predicted worst-case term count C(n + t - 1, t - 1) for a t-term base
     is checked against the cap (default 5e6 monomials) before any work
-    happens.
-
-    The expansion runs in integers: the base is scaled by the common
-    denominator D of its coefficients, each monomial is packed into one int
-    with a field per symbol wide enough for n times the largest exponent (so
-    fields never carry and multiplying monomials is adding ints), and each
-    output coefficient is divided by D**n once at the end.
+    happens, and n times the base's largest exponent against MAX_EXPONENT.
+    Multiplying packed monomials is adding ints, and the numerators of the
+    power are integers over den**n.
     """
     if n < 0:
         raise ValueError("negative expression power")
@@ -335,21 +379,14 @@ def expr_power(expr: UmbralExpression, n: int, cap: int = DEFAULT_EXPANSION_CAP)
         raise ExpansionCapError(
             f"expansion of a {t}-term expression to power {n} exceeds cap {cap}"
         )
-    syms = sorted({s for m, _ in items for s, _ in m})
-    width = (n * max((e for m, _ in items for _, e in m), default=0)).bit_length()
-    shift = {s: width * i for i, s in enumerate(syms)}
-    den = math.lcm(*(c.denominator for _, c in items))
-    # per term: packed monomial and integer coefficient raised to 0..n
-    mono_pows = []
-    coef_pows = []
-    for m, c in items:
-        packed = sum(e << shift[s] for s, e in m)
-        num = c.numerator * (den // c.denominator)
-        mono_pows.append([packed * e for e in range(n + 1)])
-        coef_pows.append([num**e for e in range(n + 1)])
+    if n * max((e for m, _ in items for _, e in _fields(m)), default=0) > MAX_EXPONENT:
+        raise OverflowError(f"a symbol exponent exceeds {MAX_EXPONENT}")
+    # per term: monomial and numerator raised to 0..n
+    mono_pows = [[m * e for e in range(n + 1)] for m, _ in items]
+    coef_pows = [[c**e for e in range(n + 1)] for _, c in items]
     binom = [[math.comb(r, e) for e in range(r + 1)] for r in range(n + 1)]
     last = t - 1
-    out: dict = {}
+    out: dict[int, int] = {}
 
     def descend(i: int, rem: int, coef: int, key: int):
         if i == last:
@@ -363,20 +400,7 @@ def expr_power(expr: UmbralExpression, n: int, cap: int = DEFAULT_EXPANSION_CAP)
             descend(i + 1, rem - e, coef * row[e] * cp[e], key + mp[e])
 
     descend(0, n, 1, 0)
-    scale = den**n
-    mask = (1 << width) - 1
-    terms = {}
-    for key, c in out.items():
-        if c:
-            mono = []
-            for s in syms:
-                e = (key >> shift[s]) & mask
-                if e:
-                    mono.append((s, e))
-            terms[tuple(mono)] = Fraction(c, scale)
-    r = UmbralExpression.__new__(UmbralExpression)
-    r.terms = terms
-    return r
+    return UmbralExpression(out, expr.den**n)
 
 
 # the evaluation functional as a function; the acceptance criteria import it

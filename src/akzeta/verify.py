@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
-    PowerSeries,
     ZPolynomial,
     bernoulli_number,
     bernoulli_polynomial,
@@ -387,32 +386,31 @@ def check_generating_product(k_max: int, order: int = 8) -> IdentityCheck:
     p_i = prod_{j=i}^{k-1} u_j, expanding  prod_{i=1}^{k} (t p_i)/(e^{t p_i}-1)
     in t with polynomial u-coefficients and integrating every u-monomial over
     the unit cube reproduces sum_n C_n^{(k)} t^n / n!, order by order.
+
+    The product runs in the symbol ring with z playing t: each factor is
+    sum_nu (B_nu / nu!) p_i^nu z^nu, and the evaluation functional integrates
+    the u-monomials.  Untruncated, the coefficients of z^n for n <= order are
+    those of the truncated series product.
     """
     chk = IdentityCheck("generating-product", {"k_max": k_max, "order": order})
     for k in range(1, min(k_max, 3) + 1):
         ordk = order if k <= 2 else min(order, 6)
         ref = poly_bernoulli_series(ordk, k, "C")
-        prod = None
+        prod = UmbralExpression.constant(1)
         for i in range(1, k + 1):
-            coeffs = []
+            factor = UmbralExpression()
             for nu in range(ordk + 1):
-                b = bernoulli_number(nu)
-                if b == 0 and nu > 0:
-                    coeffs.append(UmbralExpression())
-                    continue
                 expos = {uniform_symbol(j): nu for j in range(i, k)}
-                mono = (
-                    UmbralExpression.monomial(expos)
-                    if expos
-                    else UmbralExpression.constant(1)
+                expos[Z] = nu
+                factor = factor + UmbralExpression.monomial(
+                    expos, bernoulli_number(nu) / math.factorial(nu)
                 )
-                coeffs.append(mono * (b / math.factorial(nu)))
-            factor = PowerSeries(coeffs, ordk, zero=UmbralExpression())
-            prod = factor if prod is None else prod * factor
+            prod = prod * factor
+        integrated = prod.expect()
         for n in range(ordk + 1):
-            integrated = prod.coeffs[n].expect().coefficient(0) * math.factorial(n)
-            if integrated != ref.number(n):
-                return chk.fail({"k": k, "n": n}, integrated, ref.number(n))
+            got = integrated.coefficient(n) * math.factorial(n)
+            if got != ref.number(n):
+                return chk.fail({"k": k, "n": n}, got, ref.number(n))
     return chk
 
 
@@ -549,37 +547,32 @@ def check_monic_degree(n_max: int, k_max: int) -> IdentityCheck:
     return chk
 
 
-def check_cube_transform(n_max: int = 12, k_max: int = 4) -> IdentityCheck:
-    """Unit-cube Bernoulli-Barnes transform reproduces B_n^{(k)}(z), exactly,
-    for formal z and at z in {0, 1, -1}."""
-    chk = IdentityCheck("cube-transform", {"n_max": n_max, "k_max": k_max})
-    for k in range(1, k_max + 1):
+def _check_transform(name: str, transform, k_first: int, n_max: int, k_max: int) -> IdentityCheck:
+    """transform(n, k) against the series table, for formal z and at z in
+    {0, 1, -1}, over k_first <= k <= k_max and n <= n_max."""
+    chk = IdentityCheck(name, {"n_max": n_max, "k_max": k_max})
+    for k in range(k_first, k_max + 1):
         ref = poly_bernoulli_series(n_max, k, "B")
         for n in range(n_max + 1):
-            got = barnes_transform_cube(n, k)
+            got = transform(n, k)
             if got != ref.value(n):
                 return chk.fail({"n": n, "k": k, "z": "formal"}, got, ref.value(n))
             for z in (Fraction(0), Fraction(1), Fraction(-1)):
-                gz = barnes_transform_cube(n, k, z)
+                gz = transform(n, k, z)
                 if gz != ref.value(n)(z):
                     return chk.fail({"n": n, "k": k, "z": str(z)}, gz, ref.value(n)(z))
     return chk
+
+
+def check_cube_transform(n_max: int = 12, k_max: int = 4) -> IdentityCheck:
+    """Unit-cube Bernoulli-Barnes transform reproduces B_n^{(k)}(z), exactly,
+    for formal z and at z in {0, 1, -1}."""
+    return _check_transform("cube-transform", barnes_transform_cube, 1, n_max, k_max)
 
 
 def check_simplex_transform(n_max: int = 10, k_max: int = 4) -> IdentityCheck:
     """Ordered-simplex representation reproduces B_n^{(k)}(z), exactly."""
-    chk = IdentityCheck("simplex-transform", {"n_max": n_max, "k_max": k_max})
-    for k in range(2, k_max + 1):
-        ref = poly_bernoulli_series(n_max, k, "B")
-        for n in range(n_max + 1):
-            got = simplex_transform(n, k)
-            if got != ref.value(n):
-                return chk.fail({"n": n, "k": k, "z": "formal"}, got, ref.value(n))
-            for z in (Fraction(0), Fraction(1), Fraction(-1)):
-                gz = simplex_transform(n, k, z)
-                if gz != ref.value(n)(z):
-                    return chk.fail({"n": n, "k": k, "z": str(z)}, gz, ref.value(n)(z))
-    return chk
+    return _check_transform("simplex-transform", simplex_transform, 2, n_max, k_max)
 
 
 # ---------------------------------------------------------------------------

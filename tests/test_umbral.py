@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from akzeta.exact import ZPolynomial, bernoulli_number
 from akzeta.umbral import (
+    MAX_EXPONENT,
     ExpansionCapError,
     Symbol,
     UmbralExpression,
@@ -183,21 +184,60 @@ def test_render_canonical():
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=8)
 
 
-def small_expressions():
+def small_term_lists():
+    """Lists of (exponents by symbol, coefficient) pairs."""
     mono = st.dictionaries(
         st.sampled_from(
-            [bernoulli_symbol(1), bernoulli_symbol(2), uniform_symbol(1), Z]
+            [bernoulli_symbol(1), bernoulli_symbol(2), uniform_symbol(1), uniform_symbol(2), Z]
         ),
         st.integers(min_value=0, max_value=3),
         max_size=3,
     )
     term = st.tuples(mono, small_fractions)
-    return st.lists(term, min_size=0, max_size=4).map(
-        lambda ts: sum(
-            (UmbralExpression.monomial(m, c) for m, c in ts if c),
-            UmbralExpression(),
-        )
-    )
+    return st.lists(term, min_size=0, max_size=4)
+
+
+def from_terms(terms) -> UmbralExpression:
+    return sum((UmbralExpression.monomial(m, c) for m, c in terms if c), UmbralExpression())
+
+
+def small_expressions():
+    return small_term_lists().map(from_terms)
+
+
+# The per-term Fraction evaluation that the packed integer layout replaced,
+# kept as the reference: each monomial's moment is a product of Fractions.
+
+
+def _moment_reference(s: Symbol, e: int) -> Fraction:
+    return bernoulli_number(e) if s.kind == "B" else Fraction(1, e + 1)
+
+
+def expect_reference(terms) -> ZPolynomial:
+    coeffs: dict[int, Fraction] = {}
+    for mono, c in terms:
+        mom = Fraction(c)
+        for s, e in mono.items():
+            if s.kind != "z":
+                mom *= _moment_reference(s, e)
+        zdeg = mono.get(Z, 0)
+        coeffs[zdeg] = coeffs.get(zdeg, Fraction(0)) + mom
+    top = max(coeffs, default=-1)
+    return ZPolynomial([coeffs.get(i, Fraction(0)) for i in range(top + 1)])
+
+
+def expect_kind_reference(terms, kind: str) -> UmbralExpression:
+    out = UmbralExpression()
+    for mono, c in terms:
+        mom = Fraction(c)
+        rest = {}
+        for s, e in mono.items():
+            if s.kind == kind:
+                mom *= _moment_reference(s, e)
+            else:
+                rest[s] = e
+        out = out + UmbralExpression.monomial(rest, mom)
+    return out
 
 
 @settings(max_examples=80, deadline=None)
@@ -222,3 +262,64 @@ def test_expr_power_matches_repeated_product(e, n):
     for _ in range(n):
         ref = ref * e
     assert expr_power(e, n) == ref
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_term_lists())
+def test_expect_matches_fraction_reference(terms):
+    e = from_terms(terms)
+    assert e.expect() == expect_reference(terms)
+    assert e.expect_kind("B") == expect_kind_reference(terms, "B")
+    assert e.expect_kind("U") == expect_kind_reference(terms, "U")
+    assert e.expect_kind("B", "U").expect() == e.expect()
+
+
+def test_canonical_form():
+    half = B1 * Fraction(2, 4)
+    assert (half.terms, half.den) == ({1 << 16: 1}, 2)
+    assert (half + half).den == 1 and (half + half) == B1
+    zero = B1 - B1
+    assert zero.is_zero() and zero.den == 1 and zero == UmbralExpression()
+    assert UmbralExpression.constant(Fraction(-3, 6)) == Fraction(-1, 2)
+    # z is field 0: once B and U are evaluated, the key is the z-degree
+    e = expr_power(ZS + B1 + U1, 3).expect_kind("B", "U")
+    assert set(e.terms) <= {0, 1, 2, 3}
+    with pytest.raises(ValueError):
+        e.expect_kind("z")
+
+
+def test_exponent_overflow_raises_instead_of_carrying():
+    # B1 sits in the field just below U1's: a carry would turn B1^(2^15) into U1
+    b, u = bernoulli_symbol(1), uniform_symbol(1)
+    full = UmbralExpression.monomial({b: MAX_EXPONENT})
+    assert UmbralExpression.monomial({b: MAX_EXPONENT - 1}) * B1 == full
+    assert expr_power(UmbralExpression.monomial({b: MAX_EXPONENT // 2}), 2) * B1 == full
+    with pytest.raises(OverflowError):
+        full * B1
+    with pytest.raises(OverflowError):
+        (full + U1) * (B1 + 1)
+    with pytest.raises(OverflowError):
+        expr_power(B1 + U1, MAX_EXPONENT + 1)
+    with pytest.raises(OverflowError):
+        expr_power(UmbralExpression.monomial({b: 2}) + 1, MAX_EXPONENT // 2 + 1)
+    with pytest.raises(OverflowError):
+        UmbralExpression.monomial({Z: MAX_EXPONENT + 1})
+    with pytest.raises(OverflowError):
+        UmbralExpression.monomial({u: MAX_EXPONENT, uniform_symbol(2): MAX_EXPONENT}).integrate(
+            u, uniform_symbol(2)
+        )
+
+
+def test_integrate():
+    u1, u2 = uniform_symbol(1), uniform_symbol(2)
+    e = UmbralExpression.monomial({u1: 3, bernoulli_symbol(1): 1})
+    # int_0^{u2} u1^3 du1 = u2^4/4, and int_0^1 gives 1/4
+    assert e.integrate(u1, u2) == UmbralExpression.monomial({u2: 4, bernoulli_symbol(1): 1}, Fraction(1, 4))
+    assert e.integrate(u1) == B1 * Fraction(1, 4)
+    assert e.integrate(u1, u2, inverse_power=1) == UmbralExpression.monomial(
+        {u2: 3, bernoulli_symbol(1): 1}, Fraction(1, 3)
+    )
+    assert B1.integrate(u1) == B1
+    with pytest.raises(ValueError):
+        B1.integrate(u1, inverse_power=1)
+    assert e.monomial_coefficient() == 1 and (e + 1).monomial_coefficient() is None
