@@ -1,6 +1,11 @@
-"""Exact arithmetic layer: rationals, dense polynomials and truncated formal
-power series over the rationals, and the combinatorial generators (Bernoulli
+"""Exact arithmetic layer: rationals, polynomials and truncated formal power
+series over the rationals, and the combinatorial generators (Bernoulli
 numbers, Stirling numbers, binomials) everything else is built from.
+
+Polynomials in z and the umbral module's symbol expressions share one
+layout, the _Numerators base class defined here: a dict from int keys
+(z-degrees, or packed monomials) to integer numerators over one positive
+denominator, kept canonical, with the ring operations implemented once.
 
 Power series hold rational coefficients only (polynomial and symbolic
 coefficients belong to the umbral module's symbol algebra) and hand out
@@ -21,7 +26,7 @@ import math
 import operator
 import threading
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Mapping, Sequence
 
 __all__ = [
     "ZPolynomial",
@@ -129,137 +134,174 @@ def bernoulli_number(n: int) -> Fraction:
     return _BERNOULLI[n]
 
 
-class ZPolynomial:
-    """Dense univariate polynomial in the formal variable z over the rationals.
-
-    Coefficients are stored low degree to high with trailing zeros trimmed;
-    evaluation at a rational point is exact.
+class _Numerators:
+    """Integer numerators over one positive denominator, the layout shared by
+    ZPolynomial (keys are z-degrees) and umbral.UmbralExpression (keys are
+    packed monomials): terms maps each key to its numerator, and the form is
+    canonical (no zero numerator, numerators and den coprime), so equality
+    is a dict and an int comparison.  Key 0 is the constant term, and keys
+    add under multiplication.  Operands of another class are NotImplemented.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("terms", "den")
 
-    def __init__(self, coeffs: Sequence[Union[Fraction, int]] = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+    def __init__(self, terms: Mapping[int, int] | None = None, den: int = 1):
+        if den < 1:
+            raise ValueError("denominator must be positive")
+        terms = {m: c for m, c in terms.items() if c} if terms else {}
+        g = math.gcd(den, *terms.values())
+        if g != 1:
+            terms = {m: c // g for m, c in terms.items()}
+        self.terms = terms
+        self.den = den // g
 
     @classmethod
-    def constant(cls, c) -> "ZPolynomial":
-        return cls([Fraction(c)])
+    def constant(cls, c):
+        c = Fraction(c)
+        return cls({0: c.numerator}, c.denominator)
 
-    @classmethod
-    def variable(cls) -> "ZPolynomial":
-        return cls([0, 1])
-
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial, -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+    def _coerce(self, other):
+        """other in self's ring: a constant for an int or Fraction, None for
+        anything that is not of self's class."""
+        if isinstance(other, (int, Fraction)):
+            return self.constant(other)
+        return other if type(other) is type(self) else None
 
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
-
-    def leading_coefficient(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return not self.terms
 
     def __add__(self, other):
-        other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ZPolynomial(
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)]
-        )
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        out = {m: c * a for m, c in self.terms.items()}
+        for m, c in other.terms.items():
+            out[m] = out.get(m, 0) + c * b
+        return type(self)(out, den)
 
     __radd__ = __add__
 
+    def __neg__(self):
+        return type(self)({m: -c for m, c in self.terms.items()}, self.den)
+
     def __sub__(self, other):
-        other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ZPolynomial(
-            [self.coefficient(i) - other.coefficient(i) for i in range(n)]
-        )
+        other = self._coerce(other)
+        return NotImplemented if other is None else self + -other
 
     def __rsub__(self, other):
-        return _as_poly(other) - self
-
-    def __neg__(self):
-        return ZPolynomial([-c for c in self.coeffs])
+        other = self._coerce(other)
+        return NotImplemented if other is None else other + -self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return ZPolynomial([c * q for c in self.coeffs])
-        if not isinstance(other, ZPolynomial):
+            return type(self)(
+                {m: c * q.numerator for m, c in self.terms.items()}, self.den * q.denominator
+            )
+        if type(other) is not type(self):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return ZPolynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return ZPolynomial(out)
+        out: dict[int, int] = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = m1 + m2
+                out[m] = out.get(m, 0) + c1 * c2
+        return type(self)(out, self.den * other.den)
 
     __rmul__ = __mul__
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.den == other.den and self.terms == other.terms
+
+
+class ZPolynomial(_Numerators):
+    """Univariate polynomial in the formal variable z over the rationals:
+    terms maps z-degrees to integer numerators over den.
+
+    ZPolynomial(coeffs) takes the rationals coeffs[i] of z^i, low degree to
+    high; ZPolynomial(terms, den) takes a dict of numerators.  Evaluation at
+    a rational point is exact.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, coeffs: Sequence | Mapping[int, int] = (), den: int = 1):
+        if not isinstance(coeffs, dict):
+            nums, d = integer_numerators(coeffs)
+            coeffs, den = dict(enumerate(nums)), den * d
+        super().__init__(coeffs, den)
+
+    @classmethod
+    def variable(cls) -> "ZPolynomial":
+        return cls({1: 1})
+
+    @property
+    def degree(self) -> int:
+        """Degree of the polynomial, -1 for the zero polynomial."""
+        return max(self.terms, default=-1)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients low degree to high, through the degree."""
+        return tuple(self.coefficient(i) for i in range(self.degree + 1))
+
+    def coefficient(self, i: int) -> Fraction:
+        return Fraction(self.terms.get(i, 0), self.den)
+
+    def leading_coefficient(self) -> Fraction:
+        return self.coefficient(self.degree)
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
-        out = ZPolynomial.constant(1)
-        for _ in range(n):
-            out = out * self
-        return out
+        return math.prod([self] * n, start=ZPolynomial.constant(1))
 
     def __call__(self, x):
-        """Evaluate by Horner; x may be a Fraction, int, or another polynomial."""
+        """Evaluate by Horner on the numerators; x is a rational or another
+        polynomial."""
+        top = self.degree
         if isinstance(x, ZPolynomial):
             acc = ZPolynomial()
-            for c in reversed(self.coeffs):
-                acc = acc * x + ZPolynomial.constant(c)
-            return acc
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            for i in range(top, -1, -1):
+                acc = acc * x + self.terms.get(i, 0)
+            return acc * Fraction(1, self.den)
+        # sum_i c_i p^i q^(top-i) over den q^top, for x = p/q
+        x = Fraction(x)
+        p, q = x.numerator, x.denominator
+        acc, qpow = 0, 1
+        for i in range(top, -1, -1):
+            acc = acc * p + self.terms.get(i, 0) * qpow
+            qpow *= q
+        return Fraction(acc * q, self.den * qpow)
 
     def shift(self, a) -> "ZPolynomial":
-        """Return p(z + a), by the in-place Taylor shift (repeated synthetic
-        division by z - a) in O(degree^2) operations."""
+        """Return p(z + a), for a = r/s, by the integer Taylor shift (repeated
+        synthetic division by w - r) of s^degree p(w/s), then w = s z; O(degree^2)
+        integer operations."""
         a = Fraction(a)
-        c = list(self.coeffs)
-        if a:
-            for i in range(len(c) - 1):
-                for j in range(len(c) - 2, i - 1, -1):
-                    c[j] += a * c[j + 1]
-        return ZPolynomial(c)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ZPolynomial.constant(other)
-        if not isinstance(other, ZPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
+        r, s = a.numerator, a.denominator
+        top = self.degree
+        c = [self.terms.get(i, 0) * s ** (top - i) for i in range(top + 1)]
+        if r:
+            for i in range(top):
+                for j in range(top - 1, i - 1, -1):
+                    c[j] += r * c[j + 1]
+        return ZPolynomial({j: cj * s**j for j, cj in enumerate(c)}, self.den * s ** max(top, 0))
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.den, frozenset(self.terms.items())))
 
     def to_json(self) -> list:
         return [rational_to_json(c) for c in self.coeffs]
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
         parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
+        for i in sorted(self.terms, reverse=True):
+            c = Fraction(self.terms[i], self.den)
             mag = abs(c)
             if i == 0:
                 term = str(mag)
@@ -271,13 +313,7 @@ class ZPolynomial:
                 parts.append(term if c > 0 else f"-{term}")
             else:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
-
-
-def _as_poly(x) -> ZPolynomial:
-    if isinstance(x, ZPolynomial):
-        return x
-    return ZPolynomial.constant(Fraction(x))
+        return " ".join(parts) or "0"
 
 
 class PowerSeries:
@@ -505,9 +541,6 @@ def bernoulli_polynomial(n: int) -> ZPolynomial:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    B = bernoulli_numbers(n)
-    coeffs = [Fraction(0)] * (n + 1)
-    for j in range(n + 1):
-        # coefficient of z^{n-j} is C(n,j) B_j
-        coeffs[n - j] = math.comb(n, j) * B[j]
-    return ZPolynomial(coeffs)
+    nums, d = integer_numerators(bernoulli_numbers(n))
+    # coefficient of z^{n-j} is C(n,j) B_j
+    return ZPolynomial({n - j: math.comb(n, j) * x for j, x in enumerate(nums)}, d)

@@ -85,10 +85,11 @@ class PolyBernoulliTable:
     @cached_property
     def entries(self) -> list[ZPolynomial]:
         """The polynomials, entry_n(z) = sum_m C(n,m) b_m z^{n-m}, built once."""
-        return [_lift(self.numbers, n) for n in range(len(self.numbers))]
+        return [self.value(n) for n in range(len(self.numbers))]
 
     def value(self, n: int) -> ZPolynomial:
-        return self.entries[n]
+        """Entry n alone, lifted from the numbers."""
+        return _lift(self.numbers, n)
 
     def number(self, n: int) -> Fraction:
         """The number at z = 0 (B_n^{(k)} for the B variant, C_n^{(k)} for C)."""
@@ -112,8 +113,9 @@ class PolyBernoulliTable:
 
 def _lift(numbers: list[Fraction], n: int) -> ZPolynomial:
     """Entry n as a polynomial from the z = 0 numbers via the e^{zt} product:
-    entry_n(z) = sum_m C(n,m) b_m z^{n-m}."""
-    return ZPolynomial([binomial(n, n - i) * numbers[n - i] for i in range(n + 1)])
+    entry_n(z) = sum_m C(n,m) b_m z^{n-m}, on the numerators of b_0..b_n."""
+    nums, d = integer_numerators(numbers[: n + 1])
+    return ZPolynomial({n - m: binomial(n, m) * x for m, x in enumerate(nums)}, d)
 
 
 def poly_bernoulli_series(n_max: int, k: int, variant: str = "B") -> PolyBernoulliTable:
@@ -382,7 +384,7 @@ def _transform_table(polys: list[ZPolynomial], k: int, route: str) -> PolyBernou
     lifts of their own constant terms."""
     table = PolyBernoulliTable(k, "B", route, [p.coefficient(0) for p in polys])
     for n, p in enumerate(polys):
-        if p != table.value(n):
+        if p != table.entries[n]:
             raise InternalInvariantError(
                 f"{route} polynomial for n={n} is not the lift of the z = 0 numbers"
             )

@@ -6,10 +6,12 @@ n-th moment of the uniform law on [0,1]), the formal variable z, and the
 linear evaluation functional sending a monomial to the product of moments of
 its independent symbols.
 
-An expression is held in the layout of FLINT's fmpq_poly: a dict from packed
-monomials to integer numerators over one positive common denominator, kept
-canonical (no zero numerator, numerators and denominator coprime), so
-equality is a dict and an int comparison.  A monomial is one int in which
+An expression is held in the one exact layout, defined and given its ring
+operations in the exact module and shared with ZPolynomial: a dict from
+packed monomials to integer numerators over one positive common
+denominator, kept canonical.  This module adds what is specific to symbols:
+packing, the exponent guard on products, powers, substitution, integration,
+evaluation and rendering.  A monomial is one int in which
 every symbol owns a fixed 16-bit exponent field: z field 0, B_i field
 2i - 1, U_j field 2j.  Multiplying monomials is adding ints, and once B and
 U are evaluated the key is the z-degree.  Exponents are at most MAX_EXPONENT
@@ -34,7 +36,7 @@ from fractions import Fraction
 from operator import itemgetter, or_
 from typing import Mapping
 
-from .exact import ZPolynomial, bernoulli_numbers, integer_numerators
+from .exact import ZPolynomial, _Numerators, bernoulli_numbers, integer_numerators
 
 __all__ = [
     "Symbol",
@@ -151,26 +153,11 @@ def _moment_row(kind: str, top: int) -> tuple[tuple[int, ...], int]:
     return tuple(row), d
 
 
-class UmbralExpression:
+class UmbralExpression(_Numerators):
     """Sparse polynomial in Bernoulli/uniform symbols and z over the rationals:
     terms maps packed monomials to integer numerators over the denominator den."""
 
-    __slots__ = ("terms", "den")
-
-    def __init__(self, terms: Mapping[int, int] | None = None, den: int = 1):
-        if den < 1:
-            raise ValueError("denominator must be positive")
-        terms = {m: c for m, c in terms.items() if c} if terms else {}
-        g = math.gcd(den, *terms.values())
-        if g != 1:
-            terms = {m: c // g for m, c in terms.items()}
-        self.terms = terms
-        self.den = den // g
-
-    @classmethod
-    def constant(cls, c) -> "UmbralExpression":
-        c = Fraction(c)
-        return cls({0: c.numerator}, c.denominator)
+    __slots__ = ()
 
     @classmethod
     def symbol(cls, s: Symbol) -> "UmbralExpression":
@@ -188,9 +175,6 @@ class UmbralExpression:
         c = Fraction(coeff)
         return cls({key: c.numerator}, c.denominator)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def monomial_coefficient(self) -> Fraction | None:
         """The coefficient of a one-term expression; None for any other."""
         if len(self.terms) != 1:
@@ -198,53 +182,16 @@ class UmbralExpression:
         (c,) = self.terms.values()
         return Fraction(c, self.den)
 
-    def __add__(self, other):
-        other = _as_expr(other)
-        den = math.lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den
-        out = {m: c * a for m, c in self.terms.items()}
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c * b
-        return UmbralExpression(out, den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-_as_expr(other))
-
-    def __rsub__(self, other):
-        return _as_expr(other) + (-self)
-
-    def __neg__(self):
-        return UmbralExpression({m: -c for m, c in self.terms.items()}, self.den)
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return UmbralExpression(
-                {m: c * q.numerator for m, c in self.terms.items()}, self.den * q.denominator
-            )
-        if not isinstance(other, UmbralExpression):
-            return NotImplemented
-        out: dict[int, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 + m2
-                out[m] = out.get(m, 0) + c1 * c2
-        _check_exponents(out)
-        return UmbralExpression(out, self.den * other.den)
+        out = super().__mul__(other)
+        if out is not NotImplemented:
+            _check_exponents(out.terms)
+        return out
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         return expr_power(self, n)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UmbralExpression.constant(other)
-        if not isinstance(other, UmbralExpression):
-            return NotImplemented
-        return self.den == other.den and self.terms == other.terms
 
     def substitute(self, symbol: Symbol, replacement: "UmbralExpression") -> "UmbralExpression":
         """Ring substitution symbol -> replacement, exponents expanded."""
@@ -323,9 +270,7 @@ class UmbralExpression:
         """Apply the linear evaluation functional B_i^n -> B_n, U_j^n -> 1/(n+1);
         the z symbol survives as the variable."""
         r = self.expect_kind("B", "U")  # keys are now z-degrees
-        if not r.terms:
-            return ZPolynomial()
-        return ZPolynomial([Fraction(r.terms.get(i, 0), r.den) for i in range(max(r.terms) + 1)])
+        return ZPolynomial(r.terms, r.den)
 
     def symbols(self) -> set[Symbol]:
         return {s for s, _ in _decode(functools.reduce(or_, self.terms, 0))}
@@ -350,12 +295,6 @@ class UmbralExpression:
 
     def __repr__(self):
         return self.render()
-
-
-def _as_expr(x) -> UmbralExpression:
-    if isinstance(x, UmbralExpression):
-        return x
-    return UmbralExpression.constant(Fraction(x))
 
 
 def expr_power(expr: UmbralExpression, n: int, cap: int = DEFAULT_EXPANSION_CAP) -> UmbralExpression:
@@ -384,7 +323,7 @@ def expr_power(expr: UmbralExpression, n: int, cap: int = DEFAULT_EXPANSION_CAP)
     # per term: monomial and numerator raised to 0..n
     mono_pows = [[m * e for e in range(n + 1)] for m, _ in items]
     coef_pows = [[c**e for e in range(n + 1)] for _, c in items]
-    binom = [[math.comb(r, e) for e in range(r + 1)] for r in range(n + 1)]
+    rows: dict[int, list[int]] = {}  # binomial rows, built as the descent reaches them
     last = t - 1
     out: dict[int, int] = {}
 
@@ -395,7 +334,9 @@ def expr_power(expr: UmbralExpression, n: int, cap: int = DEFAULT_EXPANSION_CAP)
             return
         mp = mono_pows[i]
         cp = coef_pows[i]
-        row = binom[rem]
+        row = rows.get(rem)
+        if row is None:
+            row = rows[rem] = [math.comb(rem, e) for e in range(rem + 1)]
         for e in range(rem + 1):
             descend(i + 1, rem - e, coef * row[e] * cp[e], key + mp[e])
 

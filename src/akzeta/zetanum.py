@@ -19,7 +19,7 @@ combination), so results are bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -402,10 +402,7 @@ def telescoping_check(
     tail = k * _sech_tail_mass(spec.w_cutoff) * 2.0  # |den| >= 1/2 on the shifted kernel
     first = QuadratureResult(v.real, abs(v.imag), delta, levels, tail_bound=tail)
     base = negative_moment(k, 1, 0.0, spec)
-    second = QuadratureResult(
-        -base.value, base.imag_residue, base.convergence_delta, base.levels_used, base.tail_bound
-    )
-    return first, second
+    return first, replace(base, value=-base.value)
 
 
 def zeta_star_3_1_double(spec: QuadratureSpec | None = None) -> QuadratureResult:
@@ -582,14 +579,7 @@ def ak_zeta_mellin(k: int, m: int, tol: float = 1e-8) -> float:
 def ak_zeta_moment(k: int, m: int, spec: QuadratureSpec | None = None) -> QuadratureResult:
     """zeta_k(m) through the symbolic route: (-1)^m E[(C^{(k)})^{-m}]."""
     base = negative_moment(k, m, 0.0, spec)
-    sign = (-1) ** m
-    return QuadratureResult(
-        sign * base.value,
-        base.imag_residue,
-        base.convergence_delta,
-        base.levels_used,
-        base.tail_bound,
-    )
+    return replace(base, value=(-1) ** m * base.value)
 
 
 def barnes_zeta_mellin(m: int, w: float, a: Sequence[float], tol: float = 1e-10) -> float:

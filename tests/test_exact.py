@@ -2,6 +2,7 @@
 polynomials and truncated series."""
 import itertools
 import math
+import operator
 import sys
 import threading
 from fractions import Fraction
@@ -28,6 +29,7 @@ from akzeta.exact import (
     rational_to_json,
     stirling2,
 )
+from akzeta.umbral import UmbralExpression, Z
 
 # --- independent oracles -----------------------------------------------------
 
@@ -82,6 +84,96 @@ def bernoulli_polynomial_oracle(n):
         c = bern[n - j] / math.factorial(n - j) / math.factorial(j)
         coeffs.append(c * math.factorial(n))
     return ZPolynomial(coeffs)
+
+
+class DensePolynomial:
+    """The dense Fraction-per-coefficient polynomial that ZPolynomial's
+    integer-numerator layout replaced, kept as the reference: coefficients
+    low degree to high, trailing zeros trimmed."""
+
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    def coefficient(self, i):
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+
+    def _zip(self, other, op):
+        other = other if isinstance(other, DensePolynomial) else DensePolynomial([other])
+        n = max(len(self.coeffs), len(other.coeffs))
+        return DensePolynomial([op(self.coefficient(i), other.coefficient(i)) for i in range(n)])
+
+    def __add__(self, other):
+        return self._zip(other, operator.add)
+
+    def __sub__(self, other):
+        return self._zip(other, operator.sub)
+
+    def __rsub__(self, other):
+        return DensePolynomial([other]) - self
+
+    def __mul__(self, other):
+        if not isinstance(other, DensePolynomial):
+            return DensePolynomial([c * other for c in self.coeffs])
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return DensePolynomial(out)
+
+    def __pow__(self, n):
+        out = DensePolynomial([1])
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __call__(self, x):
+        acc = DensePolynomial() if isinstance(x, DensePolynomial) else Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def shift(self, a):
+        """p(z + a) by the Taylor shift in Fractions."""
+        c = list(self.coeffs)
+        for i in range(len(c) - 1):
+            for j in range(len(c) - 2, i - 1, -1):
+                c[j] += a * c[j + 1]
+        return DensePolynomial(c)
+
+    def __eq__(self, other):
+        other = other if isinstance(other, DensePolynomial) else DensePolynomial([other])
+        return self.coeffs == other.coeffs
+
+    def to_json(self):
+        return [rational_to_json(c) for c in self.coeffs]
+
+    def __repr__(self):
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for i in range(len(self.coeffs) - 1, -1, -1):
+            c = self.coeffs[i]
+            if c == 0:
+                continue
+            mag = abs(c)
+            if i == 0:
+                term = str(mag)
+            elif i == 1:
+                term = "z" if mag == 1 else f"{mag}*z"
+            else:
+                term = f"z^{i}" if mag == 1 else f"{mag}*z^{i}"
+            if not parts:
+                parts.append(term if c > 0 else f"-{term}")
+            else:
+                parts.append(f"+ {term}" if c > 0 else f"- {term}")
+        return " ".join(parts)
 
 
 def partitions_into_blocks(n, m):
@@ -176,6 +268,37 @@ def test_zpolynomial_basics():
     assert ZPolynomial([1, 0, 0]).degree == 0
     assert ZPolynomial().is_zero()
     assert (p - p).is_zero()
+    assert hash(p) == hash(ZPolynomial([Fraction(2, 2), 2, 1]))
+    assert p.leading_coefficient() == 1 and ZPolynomial().leading_coefficient() == 0
+
+
+def test_zpolynomial_canonical_form():
+    half = ZPolynomial([Fraction(2, 4), 0, Fraction(-3, 2)])
+    assert (half.terms, half.den) == ({0: 1, 2: -3}, 2)
+    assert (half * 2).den == 1 and half * 2 == ZPolynomial([1, 0, -3])
+    assert ZPolynomial({0: 6, 3: 4, 5: 0}, 10) == ZPolynomial([Fraction(3, 5), 0, 0, Fraction(2, 5)])
+    zero = half - half
+    assert zero.den == 1 and zero.terms == {} and zero.degree == -1 and repr(zero) == "0"
+    # equal numerators over different denominators are different polynomials
+    assert ZPolynomial([1, 2]) != ZPolynomial([Fraction(1, 3), Fraction(2, 3)])
+    assert ZPolynomial([1]) == 1 and 1 == ZPolynomial([1]) and ZPolynomial([Fraction(1, 2)]) != 1
+    with pytest.raises(ValueError):
+        ZPolynomial({0: 1}, 0)
+
+
+def test_zpolynomial_and_symbol_expressions_never_mix():
+    z_expr, z_poly = UmbralExpression.symbol(Z), ZPolynomial.variable()
+    assert z_expr.expect() == z_poly
+    # the same numerators under the same keys, but different rings
+    assert (z_expr.terms, z_expr.den) == (z_poly.terms, z_poly.den)
+    assert z_expr != z_poly and z_poly != z_expr
+    assert not UmbralExpression.constant(3) == ZPolynomial.constant(3)
+    assert z_poly.__eq__(z_expr) is NotImplemented and z_expr.__eq__(z_poly) is NotImplemented
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(z_poly, z_expr)
+        with pytest.raises(TypeError):
+            op(z_expr, z_poly)
 
 
 def test_zpolynomial_degree_multiplicative():
@@ -190,6 +313,48 @@ def test_zpolynomial_json_roundtrip():
     p = ZPolynomial([Fraction(1, 6), -1, 1])
     assert [rational_from_json(c) for c in p.to_json()] == list(p.coeffs)
     assert rational_to_json(Fraction(-3, 7)) == {"num": "-3", "den": "7"}
+
+
+poly_coeffs = st.lists(
+    st.fractions(min_value=-4, max_value=4, max_denominator=12), min_size=0, max_size=6
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    poly_coeffs,
+    poly_coeffs,
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+    st.integers(min_value=0, max_value=4),
+)
+def test_zpolynomial_matches_dense_fraction_reference(a, b, q, n):
+    p, r = ZPolynomial(a), ZPolynomial(b)
+    pd, rd = DensePolynomial(a), DensePolynomial(b)
+
+    def same(got, ref):
+        assert isinstance(got, ZPolynomial)
+        assert got.coeffs == ref.coeffs and got.degree == ref.degree
+        assert repr(got) == repr(ref) and got.to_json() == ref.to_json()
+        assert got == ZPolynomial(ref.coeffs)
+
+    same(p, pd)
+    same(p + r, pd + rd)
+    same(p - r, pd - rd)
+    same(p + q, pd + q)
+    same(q + p, pd + q)
+    same(q - p, q - pd)
+    same(p * r, pd * rd)
+    same(p * q, pd * q)
+    same(q * p, pd * q)
+    same(p * int(q), pd * int(q))
+    same(-p, pd * -1)
+    same(p**n, pd**n)
+    same(p(r), pd(rd))
+    same(p.shift(q), pd.shift(q))
+    assert p(q) == pd(q) and p(int(q)) == pd(int(q))
+    assert (p == r) == (pd == rd) and (p == q) == (pd == q)
+    # p / 2 keeps p's numerators when one is odd; only den tells them apart
+    assert (p * Fraction(1, 2) == p) == p.is_zero()
 
 
 # --- power series --------------------------------------------------------------

@@ -108,6 +108,13 @@ def test_monic_degree():
                 assert t.value(n).leading_coefficient() == 1
 
 
+def test_value_lifts_one_entry():
+    t = poly_bernoulli_series(10, 3, "C")
+    p = t.value(5)
+    assert "entries" not in vars(t)
+    assert p == t.entries[5] and len(t.entries) == 11
+
+
 def test_bc_convert():
     tb = poly_bernoulli_series(12, 3, "B")
     tc = bc_convert(tb, "B->C")

@@ -294,6 +294,7 @@ def test_exponent_overflow_raises_instead_of_carrying():
     full = UmbralExpression.monomial({b: MAX_EXPONENT})
     assert UmbralExpression.monomial({b: MAX_EXPONENT - 1}) * B1 == full
     assert expr_power(UmbralExpression.monomial({b: MAX_EXPONENT // 2}), 2) * B1 == full
+    assert expr_power(B1, MAX_EXPONENT) == full
     with pytest.raises(OverflowError):
         full * B1
     with pytest.raises(OverflowError):
