@@ -2,8 +2,8 @@
 calculus, with numerical evaluation of the Arakawa-Kaneko zeta function.
 
 Layers:
-  exact          rationals, polynomials, truncated power series, Bernoulli /
-                 Stirling / binomial generators
+  exact          rationals, polynomials, integer EGF composition and
+                 division, Bernoulli / Stirling / binomial generators
   umbral         sparse symbol algebra and the moment-evaluation functional
   polybernoulli  three independent routes to B_n^{(k)}(z) and C_n^{(k)}(z),
                  Bernoulli-Barnes transforms on the cube and the simplex
@@ -13,7 +13,6 @@ Layers:
   cli            `akzeta` command-line interface
 """
 from .exact import (
-    PowerSeries,
     ZPolynomial,
     bernoulli_number,
     bernoulli_numbers,

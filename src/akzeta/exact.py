@@ -1,20 +1,20 @@
-"""Exact arithmetic layer: rationals, polynomials and truncated formal power
-series over the rationals, and the combinatorial generators (Bernoulli
-numbers, Stirling numbers, binomials) everything else is built from.
+"""Exact arithmetic layer: rationals, polynomials, the two integer kernels of
+the series route, and the combinatorial generators (Bernoulli numbers,
+Stirling numbers, binomials) everything else is built from.
 
 Polynomials in z and the umbral module's symbol expressions share one
 layout, the _Numerators base class defined here: a dict from int keys
 (z-degrees, or packed monomials) to integer numerators over one positive
 denominator, kept canonical, with the ring operations implemented once.
 
-Power series hold rational coefficients only (polynomial and symbolic
-coefficients belong to the umbral module's symbol algebra) and hand out
-Fractions, but composition, division and the reciprocal run on integers, in
-the layout of FLINT's fmpq_poly (integer numerators over one common
-denominator) applied to the exponential generating function: a series
-c_n t^n is held as the integers x_n with n! c_n = x_n / d for one d.  Products of EGFs are binomial convolutions, so
-they stay integral, and 1 - e^{-t} and e^t - 1 have numerators 0, +-1 over
-d = 1; only the outer Li_k coefficients need scaling, by lcm(1..n)^k.
+Power series are held the same way, in the layout of FLINT's fmpq_poly
+(integer numerators over one common denominator) applied to the
+exponential generating function: a series sum c_n t^n is the integers x_n
+with n! c_n = x_n / d for one d > 0, passed around as the pair (x, d).
+Products of EGFs are binomial convolutions, so they stay integral, and
+1 - e^{-t} and e^t - 1 have numerators 0, +-1 over d = 1; only the outer
+Li_k coefficients of a composition need scaling, by lcm(1..n)^k.
+egf_compose and egf_divide are the two operations the series route needs.
 
 All values are immutable after construction and every operation is a pure
 function; the Bernoulli and Stirling caches grow under a lock, so
@@ -30,20 +30,15 @@ from typing import Mapping, Sequence
 
 __all__ = [
     "ZPolynomial",
-    "PowerSeries",
     "bernoulli_numbers",
     "bernoulli_number",
     "bernoulli_polynomial",
+    "appell_polynomial",
     "binomial",
     "stirling2",
-    "exp_series",
-    "expm1_series",
-    "one_minus_exp_neg_series",
-    "log1p_series",
-    "polylog_series",
-    "bernoulli_gf_series",
+    "egf_compose",
+    "egf_divide",
     "rational_to_json",
-    "rational_from_json",
     "integer_numerators",
 ]
 
@@ -51,10 +46,6 @@ __all__ = [
 def rational_to_json(q: Fraction) -> dict:
     """Serialize a rational as decimal strings, {"num": ..., "den": ...}."""
     return {"num": str(q.numerator), "den": str(q.denominator)}
-
-
-def rational_from_json(obj: dict) -> Fraction:
-    return Fraction(int(obj["num"]), int(obj["den"]))
 
 
 def binomial(n: int, m: int) -> int:
@@ -316,157 +307,6 @@ class ZPolynomial(_Numerators):
         return " ".join(parts) or "0"
 
 
-class PowerSeries:
-    """Truncated formal power series over the rationals with explicit trusted
-    order.
-
-    Coefficients of t^0..t^order are trusted; binary operations return the
-    minimum of the operand orders and never silently extend it.  Composition,
-    reciprocal and division convert the coefficients to integer EGF
-    numerators over one denominator and back.
-    """
-
-    __slots__ = ("coeffs", "order")
-
-    def __init__(self, coeffs: Sequence, order: int | None = None):
-        cs = list(coeffs)
-        if order is None:
-            order = len(cs) - 1
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        if len(cs) < order + 1:
-            cs.extend([Fraction(0)] * (order + 1 - len(cs)))
-        self.coeffs = cs[: order + 1]
-        self.order = order
-
-    def coefficient(self, i: int):
-        if i > self.order:
-            raise IndexError(f"coefficient {i} beyond trusted order {self.order}")
-        return self.coeffs[i]
-
-    def factorial_coefficient(self, n: int):
-        """n! times the coefficient of t^n."""
-        return self.coefficient(n) * math.factorial(n)
-
-    def valuation(self) -> int | None:
-        """Index of the first nonzero coefficient, None if all trusted ones vanish."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return None
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        return PowerSeries(
-            [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)], n
-        )
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        return PowerSeries(
-            [self.coeffs[i] - other.coeffs[i] for i in range(n + 1)], n
-        )
-
-    def __neg__(self) -> "PowerSeries":
-        return PowerSeries([-c for c in self.coeffs], self.order)
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i in range(n + 1):
-            a = self.coeffs[i]
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return PowerSeries(out, n)
-
-    def compose(self, inner: "PowerSeries") -> "PowerSeries":
-        """Truncated composition self(inner); inner must have zero constant term.
-
-        Horner's rule on EGF numerators: with inner's n! c_n = G_n / d and
-        self's c_n = P_n / L, the n!-scaled coefficients of every Horner
-        partial sum are integers over L d^j, so each step is one integer
-        binomial convolution.
-        """
-        if inner.coeffs[0]:
-            raise ValueError("composition requires inner constant term zero")
-        n = min(self.order, inner.order)
-        p, scale = integer_numerators(self.coeffs[: n + 1])
-        g, d = _egf_numerators(inner.coeffs[: n + 1])
-        # the n!-scaled product acc * g at t^s is sum_{i<s} C(s,i) acc_i g_{s-i}
-        weights = [[math.comb(s, i) * g[s - i] for i in range(s)] for s in range(n + 1)]
-        # acc = sum_{l>=j} a_l g^{l-j}; inner's valuation >= 1 makes every later
-        # Horner step a multiplication by t or more, so t^0..t^{n-j} suffice
-        acc = [p[n]]
-        dpow = 1
-        for j in range(n - 1, -1, -1):
-            dpow *= d
-            acc = [p[j] * dpow] + [
-                sum(map(operator.mul, weights[s], acc)) for s in range(1, n - j + 1)
-            ]
-        return PowerSeries(_from_egf(acc, scale * dpow), n)
-
-    def reciprocal(self) -> "PowerSeries":
-        """Multiplicative inverse; requires a nonzero (invertible) constant term."""
-        if not self.coeffs[0]:
-            raise ValueError("reciprocal requires nonzero constant term")
-        return PowerSeries([Fraction(1)], self.order).divide(self)
-
-    def divide(self, den: "PowerSeries") -> "PowerSeries":
-        """Quotient self/den.
-
-        When den has valuation v > 0 the numerator valuation must be >= v;
-        both are shifted down by t^v and the result order drops by v.
-
-        Solves self = quotient * den on EGF numerators: with n! c_n written
-        N_n / dN for self, E_n / dE for den and F_n / M for the quotient,
-
-          F_n C(n+v, v) E_v = N_{n+v} dE M / dN - sum_{i<n} C(n+v, i) F_i E_{n+v-i},
-
-        one exact division per coefficient.  M starts at dN and grows only
-        when a division leaves a remainder, by the factor that makes it exact.
-        """
-        v = den.valuation()
-        if v is None:
-            raise ZeroDivisionError("division by zero series")
-        if v > 0:
-            nv = self.valuation()
-            if nv is not None and nv < v:
-                raise ValueError(
-                    f"numerator valuation {nv} below denominator valuation {v}"
-                )
-        top = min(self.order, den.order)
-        num, dn = _egf_numerators(self.coeffs[: top + 1])
-        e, de = _egf_numerators(den.coeffs[: top + 1])
-        growth = 1  # M / dN
-        f: list[int] = []
-        for m in range(v, top + 1):
-            x = num[m] * growth * de - sum(
-                math.comb(m, i) * fi * e[m - i] for i, fi in enumerate(f)
-            )
-            lead = math.comb(m, v) * e[v]
-            if x % lead:
-                r = abs(lead) // math.gcd(x, lead)
-                f = [fi * r for fi in f]
-                growth *= r
-                x *= r
-            f.append(x // lead)
-        return PowerSeries(_from_egf(f, dn * growth), top - v)
-
-    def __eq__(self, other):
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return self.order == other.order and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
-
-    def __repr__(self):
-        return f"PowerSeries({self.coeffs!r}, order={self.order})"
-
-
 def integer_numerators(values: Sequence) -> tuple[list[int], int]:
     """Integers x_i and one positive denominator d with values[i] = x_i / d,
     d the least common denominator of the rationals in values."""
@@ -475,63 +315,81 @@ def integer_numerators(values: Sequence) -> tuple[list[int], int]:
     return [q.numerator * (d // q.denominator) for q in qs], d
 
 
-def _egf_numerators(coeffs: Sequence) -> tuple[list[int], int]:
-    """EGF numerators of a rational series: n! c_n = x_n / d over one d."""
-    return integer_numerators([Fraction(c) * math.factorial(n) for n, c in enumerate(coeffs)])
+def egf_compose(outer: Sequence, inner: tuple[Sequence[int], int]) -> tuple[list[int], int]:
+    """The truncated composition outer(inner) as EGF numerators (x, D), D > 0.
+
+    outer holds rationals, the ordinary coefficients of t^0, t^1, ...; inner
+    is (g, d), its EGF numerators n! [t^n] inner = g_n / d over d > 0, and
+    needs g_0 = 0.  The result runs through t^n for n + 1 the shorter length.
+
+    Horner's rule: with outer's c_n = P_n / L, the n!-scaled coefficients of
+    every Horner partial sum are integers over L d^j, so each step is one
+    integer binomial convolution.
+    """
+    g, d = inner
+    if g[0]:
+        raise ValueError("composition requires inner constant term zero")
+    n = min(len(outer), len(g)) - 1
+    p, scale = integer_numerators(outer[: n + 1])
+    # the n!-scaled product acc * g at t^s is sum_{i<s} C(s,i) acc_i g_{s-i}
+    weights = [[math.comb(s, i) * g[s - i] for i in range(s)] for s in range(n + 1)]
+    # acc = sum_{l>=j} a_l g^{l-j}; inner's valuation >= 1 makes every later
+    # Horner step a multiplication by t or more, so t^0..t^{n-j} suffice
+    acc = [p[n]]
+    dpow = 1
+    for j in range(n - 1, -1, -1):
+        dpow *= d
+        acc = [p[j] * dpow] + [
+            sum(map(operator.mul, weights[s], acc)) for s in range(1, n - j + 1)
+        ]
+    return acc, scale * dpow
 
 
-def _from_egf(numerators: list[int], d: int) -> list[Fraction]:
-    """Ordinary coefficients x_n / (d n!) from EGF numerators over d."""
-    return [Fraction(x, d * math.factorial(n)) for n, x in enumerate(numerators)]
+def egf_divide(
+    num: tuple[Sequence[int], int], den: tuple[Sequence[int], int]
+) -> tuple[list[int], int]:
+    """The quotient num/den as EGF numerators (f, M), M > 0.
+
+    num = (x, dN) and den = (e, dE) are EGF numerators over positive
+    denominators, read through t^top for top + 1 the shorter length.  When
+    den has valuation v > 0, num's valuation must be >= v; both are shifted
+    down by t^v and the quotient runs through t^(top - v).
+
+    Solves num = quotient * den: with the quotient's n! c_n written F_n / M,
+
+      F_n C(n+v, v) e_v = x_{n+v} dE M / dN - sum_{i<n} C(n+v, i) F_i e_{n+v-i},
+
+    one exact division per coefficient.  M starts at dN and grows only when a
+    division leaves a remainder, by the factor that makes it exact.
+    """
+    x, dn = num
+    e, de = den
+    top = min(len(x), len(e)) - 1
+    v = next((i for i in range(top + 1) if e[i]), None)
+    if v is None:
+        raise ZeroDivisionError("division by zero series")
+    if any(x[:v]):
+        raise ValueError(f"numerator valuation below denominator valuation {v}")
+    growth = 1  # M / dN
+    f: list[int] = []
+    for m in range(v, top + 1):
+        y = x[m] * growth * de - sum(math.comb(m, i) * fi * e[m - i] for i, fi in enumerate(f))
+        lead = math.comb(m, v) * e[v]
+        if y % lead:
+            r = abs(lead) // math.gcd(y, lead)
+            f = [fi * r for fi in f]
+            growth *= r
+            y *= r
+        f.append(y // lead)
+    return f, dn * growth
 
 
-def exp_series(order: int) -> PowerSeries:
-    """e^t to the given order."""
-    return PowerSeries(
-        [Fraction(1, math.factorial(n)) for n in range(order + 1)], order
-    )
-
-
-def expm1_series(order: int) -> PowerSeries:
-    """e^t - 1."""
-    s = exp_series(order)
-    s.coeffs[0] = Fraction(0)
-    return s
-
-
-def one_minus_exp_neg_series(order: int) -> PowerSeries:
-    """1 - e^{-t}."""
-    return PowerSeries(
-        [Fraction(0)]
-        + [Fraction((-1) ** (n + 1), math.factorial(n)) for n in range(1, order + 1)],
-        order,
-    )
-
-
-def log1p_series(order: int) -> PowerSeries:
-    """log(1 + t)."""
-    return PowerSeries(
-        [Fraction(0)] + [Fraction((-1) ** (n + 1), n) for n in range(1, order + 1)],
-        order,
-    )
-
-
-def polylog_series(k: int, order: int) -> PowerSeries:
-    """The weight-k polylogarithm series sum_{n>=1} t^n / n^k."""
-    if k < 1:
-        raise ValueError("polylog weight must be >= 1")
-    return PowerSeries(
-        [Fraction(0)] + [Fraction(1, n**k) for n in range(1, order + 1)], order
-    )
-
-
-def bernoulli_gf_series(order: int) -> PowerSeries:
-    """t/(e^t - 1) as a series, i.e. the Bernoulli number generating function."""
-    # (e^t - 1)/t has coefficients 1/(i+1)!; invert it.
-    body = PowerSeries(
-        [Fraction(1, math.factorial(i + 1)) for i in range(order + 1)], order
-    )
-    return body.reciprocal()
+def appell_polynomial(numbers: Sequence, n: int) -> ZPolynomial:
+    """sum_m C(n,m) b_m z^{n-m} for the rationals b = numbers[:n+1]: n! [t^n]
+    of e^{zt} sum b_m t^m / m!, built on the numerators of b_0..b_n over one
+    denominator."""
+    nums, d = integer_numerators(numbers[: n + 1])
+    return ZPolynomial({n - m: math.comb(n, m) * x for m, x in enumerate(nums)}, d)
 
 
 def bernoulli_polynomial(n: int) -> ZPolynomial:
@@ -541,6 +399,4 @@ def bernoulli_polynomial(n: int) -> ZPolynomial:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    nums, d = integer_numerators(bernoulli_numbers(n))
-    # coefficient of z^{n-j} is C(n,j) B_j
-    return ZPolynomial({n - j: math.comb(n, j) * x for j, x in enumerate(nums)}, d)
+    return appell_polynomial(bernoulli_numbers(n), n)

@@ -4,9 +4,12 @@ symbolic moments, Stirling-number closed form), plus the exact
 integral-transform representations through Bernoulli-Barnes polynomials on
 the unit cube and on the ordered simplex.
 
-The symbolic route evaluates the nested symbol S_k = 1 + C_k through its
-moment sequences (umbral_numbers); the transforms still expand their
-integrands in the sparse symbol algebra of the umbral module.
+The series route composes and divides integer EGF numerators; the symbolic
+route evaluates the nested symbol S_k = 1 + C_k through its moment
+sequences (umbral_numbers); the transforms still expand their integrands in
+the sparse symbol algebra of the umbral module.  Every route yields the
+z = 0 numbers, and the polynomials are their Appell lifts
+(exact.appell_polynomial).
 
 Route agreement across all of these is the central correctness invariant of
 the package.
@@ -21,12 +24,12 @@ from typing import Union
 
 from .exact import (
     ZPolynomial,
+    appell_polynomial,
     bernoulli_number,
     binomial,
-    expm1_series,
+    egf_compose,
+    egf_divide,
     integer_numerators,
-    one_minus_exp_neg_series,
-    polylog_series,
     stirling2,
 )
 from .umbral import (
@@ -89,7 +92,7 @@ class PolyBernoulliTable:
 
     def value(self, n: int) -> ZPolynomial:
         """Entry n alone, lifted from the numbers."""
-        return _lift(self.numbers, n)
+        return appell_polynomial(self.numbers, n)
 
     def number(self, n: int) -> Fraction:
         """The number at z = 0 (B_n^{(k)} for the B variant, C_n^{(k)} for C)."""
@@ -111,19 +114,13 @@ class PolyBernoulliTable:
         }
 
 
-def _lift(numbers: list[Fraction], n: int) -> ZPolynomial:
-    """Entry n as a polynomial from the z = 0 numbers via the e^{zt} product:
-    entry_n(z) = sum_m C(n,m) b_m z^{n-m}, on the numerators of b_0..b_n."""
-    nums, d = integer_numerators(numbers[: n + 1])
-    return ZPolynomial({n - m: binomial(n, m) * x for m, x in enumerate(nums)}, d)
-
-
 def poly_bernoulli_series(n_max: int, k: int, variant: str = "B") -> PolyBernoulliTable:
     """Coefficient extraction from Li_k(1-e^{-t})/(1-e^{-t}) (B variant) or
     Li_k(1-e^{-t})/(e^t-1) (C variant); entries are n! times the t^n
-    coefficient, extended to polynomials by the e^{zt} factor.  The
-    composition and the division run on the exact integer EGF numerators of
-    exact.PowerSeries.
+    coefficient, extended to polynomials by the e^{zt} factor.  Li_k is
+    composed with 1-e^{-t} and the result divided, both on integer EGF
+    numerators (exact.egf_compose, exact.egf_divide): the EGF numerators of
+    1-e^{-t} and e^t-1 are 0, +-1 over 1.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -133,11 +130,11 @@ def poly_bernoulli_series(n_max: int, k: int, variant: str = "B") -> PolyBernoul
         raise ValueError(f"variant must be one of {VARIANTS}")
     # one extra order so the valuation-shifted quotient still covers t^n_max
     order = n_max + 1
-    w = one_minus_exp_neg_series(order)
-    num = polylog_series(k, order).compose(w)
-    den = w if variant == "B" else expm1_series(order)
-    gf = num.divide(den)
-    numbers = [gf.factorial_coefficient(n) for n in range(n_max + 1)]
+    w = [0] + [(-1) ** (j + 1) for j in range(1, order + 1)]
+    li = [Fraction(0)] + [Fraction(1, j**k) for j in range(1, order + 1)]
+    den = w if variant == "B" else [0] + [1] * order
+    q, d = egf_divide(egf_compose(li, (w, 1)), (den, 1))
+    numbers = [Fraction(x, d) for x in q]
     return PolyBernoulliTable(k, variant, "series", numbers)
 
 
@@ -177,7 +174,7 @@ def poly_bernoulli_umbral(n: int, k: int, variant: str = "B") -> ZPolynomial:
     lifted from the symbol's moments."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _lift(umbral_numbers(n, k, variant), n)
+    return appell_polynomial(umbral_numbers(n, k, variant), n)
 
 
 def poly_bernoulli_stirling(n: int, k: int) -> Fraction:

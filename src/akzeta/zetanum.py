@@ -277,8 +277,9 @@ def _moment_level(
     return {m: _fsum_complex(partials[m]) for m in ms}
 
 
-def _converge(level_fn, spec: QuadratureSpec):
-    """Run refinement levels until successive values agree within tolerance.
+def _converge(level_fn, spec: QuadratureSpec, relative: bool = False):
+    """Run refinement levels until successive values agree within tolerance,
+    times the largest |value| of the level when relative is set.
 
     level_fn(panels) -> dict of values; the delta is the max over keys.
     """
@@ -288,22 +289,24 @@ def _converge(level_fn, spec: QuadratureSpec):
         cur = level_fn(spec.panels << lev)
         if prev is not None:
             delta = max(abs(cur[m] - prev[m]) for m in cur)
-            if delta < spec.tolerance:
+            scale = max(map(abs, cur.values())) if relative else 1.0
+            if delta < spec.tolerance * scale:
                 return cur, delta, lev + 1
         prev = cur
     raise ConvergenceError(delta, spec.levels)
 
 
-def _mellin_quad(integrand, T: float, tol: float) -> float:
+def _mellin_quad(integrand, T: float, tol: float, relative: bool = False) -> float:
     """int_0^T integrand(t) dt on 24-node Gauss-Legendre panels, doubling from
-    max(8, T/2) panels for up to 4 levels until two agree within tol/2."""
+    max(8, T/2) panels for up to 4 levels until two agree within tol/2 (times
+    the value when relative is set)."""
     spec = QuadratureSpec(panels=max(8, int(T / 2)), nodes=24, levels=4, tolerance=tol / 2)
 
     def level(panels: int) -> dict[int, float]:
         t, w = _panel_axis(0.0, T, panels, spec.nodes)
         return {0: float(np.dot(w, integrand(t)))}
 
-    vals, _, _ = _converge(level, spec)
+    vals, _, _ = _converge(level, spec, relative)
     return vals[0]
 
 
@@ -584,7 +587,11 @@ def ak_zeta_moment(k: int, m: int, spec: QuadratureSpec | None = None) -> Quadra
 
 def barnes_zeta_mellin(m: int, w: float, a: Sequence[float], tol: float = 1e-10) -> float:
     """Barnes zeta zeta_k(m, w | a) = (1/Gamma(m)) int_0^inf prod_j
-    (1 - e^{-a_j t})^{-1} t^{m-1} e^{-w t} dt, for integer m > k and w > 0."""
+    (1 - e^{-a_j t})^{-1} t^{m-1} e^{-w t} dt, for integer m > k and w > 0,
+    to the relative tolerance tol: the value is at least w^{-m}, its first
+    term, so the tail is cut where its bound falls below tol/2 times w^{-m},
+    and the refinement stops when two levels agree within tol/2 times the
+    value."""
     k = len(a)
     if k == 0:
         raise ValueError("parameter list must be nonempty")
@@ -596,7 +603,7 @@ def barnes_zeta_mellin(m: int, w: float, a: Sequence[float], tol: float = 1e-10)
     prod_bound = 1.0
     for ai in a:
         prod_bound /= -math.expm1(-ai * T)
-    while prod_bound * _gamma_q(m, w * T) / w**m > tol / 2:
+    while prod_bound * _gamma_q(m, w * T) > tol / 2:
         T *= 1.5
 
     def integrand(t: np.ndarray) -> np.ndarray:
@@ -605,7 +612,7 @@ def barnes_zeta_mellin(m: int, w: float, a: Sequence[float], tol: float = 1e-10)
             out = out / (-np.expm1(-ai * t))
         return out
 
-    return _mellin_quad(integrand, T, tol)
+    return _mellin_quad(integrand, T, tol, relative=True)
 
 
 def barnes_zeta_sech(

@@ -1,5 +1,5 @@
 """Exact layer: independent oracles for the generators, ring laws for
-polynomials and truncated series."""
+polynomials, and the integer EGF kernels against Fraction references."""
 import itertools
 import math
 import operator
@@ -13,19 +13,14 @@ from hypothesis import strategies as st
 
 from akzeta import exact
 from akzeta.exact import (
-    PowerSeries,
     ZPolynomial,
-    bernoulli_gf_series,
     bernoulli_numbers,
     bernoulli_polynomial,
     bernoulli_number,
     binomial,
-    exp_series,
-    expm1_series,
-    log1p_series,
-    one_minus_exp_neg_series,
-    polylog_series,
-    rational_from_json,
+    egf_compose,
+    egf_divide,
+    integer_numerators,
     rational_to_json,
     stirling2,
 )
@@ -311,7 +306,7 @@ def test_zpolynomial_degree_multiplicative():
 
 def test_zpolynomial_json_roundtrip():
     p = ZPolynomial([Fraction(1, 6), -1, 1])
-    assert [rational_from_json(c) for c in p.to_json()] == list(p.coeffs)
+    assert [Fraction(int(c["num"]), int(c["den"])) for c in p.to_json()] == list(p.coeffs)
     assert rational_to_json(Fraction(-3, 7)) == {"num": "-3", "den": "7"}
 
 
@@ -357,28 +352,49 @@ def test_zpolynomial_matches_dense_fraction_reference(a, b, q, n):
     assert (p * Fraction(1, 2) == p) == p.is_zero()
 
 
-# --- power series --------------------------------------------------------------
+# --- integer EGF kernels ---------------------------------------------------------
+
+
+def to_egf(coeffs):
+    """(x, d) with n! c_n = x_n / d, from the rational ordinary coefficients c."""
+    return integer_numerators([Fraction(c) * math.factorial(n) for n, c in enumerate(coeffs)])
+
+
+def from_egf(egf):
+    """The ordinary coefficients of a kernel's result; its denominator must be positive."""
+    x, d = egf
+    assert d > 0
+    return [Fraction(xn, d * math.factorial(n)) for n, xn in enumerate(x)]
+
+
+def unit(length):
+    """The series 1 through t^(length-1), the numerator of a reciprocal."""
+    return [1] + [0] * (length - 1), 1
 
 
 def test_series_compose_examples():
-    t2 = PowerSeries([0, 0, 1], 6)
-    t = PowerSeries([0, 1], 6)
-    assert t.compose(t2).coeffs == [0, 0, 1, 0, 0, 0, 0]
-    back = expm1_series(6).compose(log1p_series(6))
-    assert back.coeffs == [0, 1, 0, 0, 0, 0, 0]
+    t2 = [0, 0, 1, 0, 0, 0, 0]
+    t = [0, 1, 0, 0, 0, 0, 0]
+    assert from_egf(egf_compose(t, to_egf(t2))) == [0, 0, 1, 0, 0, 0, 0]
+    # (e^t - 1) o log(1 + t) = t
+    expm1 = [0] + [Fraction(1, math.factorial(n)) for n in range(1, 7)]
+    log1p = [0] + [Fraction((-1) ** (n + 1), n) for n in range(1, 7)]
+    assert from_egf(egf_compose(expm1, to_egf(log1p))) == [0, 1, 0, 0, 0, 0, 0]
 
 
 def test_series_compose_rejects_nonzero_constant():
+    exp = [Fraction(1, math.factorial(n)) for n in range(5)]
     with pytest.raises(ValueError):
-        exp_series(4).compose(exp_series(4))
+        egf_compose(exp, to_egf(exp))
 
 
 def test_polylog_composition_matches_stirling_closed_form():
     # n! coeff of Li_2(1-e^{-t})/(1-e^{-t}) must equal
     # (-1)^n sum_m (-1)^m m! S(n,m)/(m+1)^2
     order = 9
-    w = one_minus_exp_neg_series(order)
-    gf = polylog_series(2, order).compose(w).divide(w)
+    w = [0] + [(-1) ** (n + 1) for n in range(1, order + 1)]  # 1 - e^{-t}, over 1
+    li2 = [0] + [Fraction(1, n**2) for n in range(1, order + 1)]
+    q, d = egf_divide(egf_compose(li2, (w, 1)), (w, 1))
     for n in range(order):
         closed = sum(
             (
@@ -387,33 +403,29 @@ def test_polylog_composition_matches_stirling_closed_form():
             ),
             Fraction(0),
         ) * (-1) ** n
-        assert gf.factorial_coefficient(n) == closed
+        assert Fraction(q[n], d) == closed
 
 
 def test_bernoulli_gf_series():
-    gf = bernoulli_gf_series(12)
-    B = bernoulli_numbers(12)
-    for n in range(13):
-        assert gf.factorial_coefficient(n) == B[n]
+    # t/(e^t - 1): EGF numerators 0, 1, 0, ... over 0, 1, 1, ...
+    q, d = egf_divide(([0, 1] + [0] * 12, 1), ([0] + [1] * 13, 1))
+    assert [Fraction(x, d) for x in q] == bernoulli_oracle(12) == bernoulli_numbers(12)
 
 
 def test_divide_valuation_rules():
-    t = PowerSeries([0, 1, 0, 0], 3)
-    one = PowerSeries([1, 0, 0, 0], 3)
+    t = ([0, 1, 0, 0], 1)
     with pytest.raises(ValueError):
-        one.divide(t)  # numerator valuation below denominator's
-    q = t.divide(t)
-    assert q.order == 2 and q.coeffs == [1, 0, 0]
+        egf_divide(unit(4), t)  # numerator valuation below denominator's
+    assert from_egf(egf_divide(t, t)) == [1, 0, 0]
     with pytest.raises(ZeroDivisionError):
-        t.divide(PowerSeries([0, 0, 0, 0], 3))
+        egf_divide(t, ([0, 0, 0, 0], 1))
 
 
 def test_order_bookkeeping():
-    a = exp_series(8)
-    b = exp_series(5)
-    assert (a * b).order == 5
-    assert (a + b).order == 5
-    assert a.compose(PowerSeries([0, 1], 7)).order == 7
+    # a result runs through the shorter operand, less the divisor's valuation
+    exp = [Fraction(1, math.factorial(n)) for n in range(9)]
+    assert len(egf_compose(exp, ([0, 1] + [0] * 6, 1))[0]) == 8
+    assert len(egf_divide(([0, 0] + [1] * 7, 1), ([0, 0, 1, 0, 0, 0], 1))[0]) == 4
 
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=12)
@@ -423,9 +435,8 @@ small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 @given(st.lists(small_fractions, min_size=11, max_size=11), small_fractions)
 def test_series_reciprocal_roundtrip(coeffs, lead):
     coeffs = [lead if lead != 0 else Fraction(1)] + coeffs[1:]
-    s = PowerSeries(coeffs, 10)
-    prod = s * s.reciprocal()
-    assert prod.coeffs == [Fraction(1)] + [Fraction(0)] * 10
+    rec = from_egf(egf_divide(unit(11), to_egf(coeffs)))
+    assert series_mul_reference(coeffs, rec, 10) == [Fraction(1)] + [Fraction(0)] * 10
 
 
 def test_integer_kernels_on_non_integer_egf():
@@ -433,12 +444,12 @@ def test_integer_kernels_on_non_integer_egf():
     # quotient's denominators exceed the numerator's, so both growth paths run
     inner = [Fraction(0), Fraction(1, 3), Fraction(2, 5), Fraction(-1, 7)] + [Fraction(0)] * 5
     outer = [Fraction(0)] + [Fraction(1, n + 1) for n in range(1, 9)]
-    got = PowerSeries(outer, 8).compose(PowerSeries(inner, 8))
-    assert got.coeffs == series_compose_reference(outer, inner, 8)
+    got = egf_compose(outer, to_egf(inner))
+    assert from_egf(got) == series_compose_reference(outer, inner, 8)
     den = [Fraction(0), Fraction(3), Fraction(1, 2)] + [Fraction(0)] * 6
-    q = got.divide(PowerSeries(den, 8))
-    assert q.coeffs == series_divide_reference(got.coeffs, den, 8)
-    assert PowerSeries(den[1:], 7).reciprocal().coeffs == series_reciprocal_oracle(den[1:], 7)
+    q = egf_divide(got, to_egf(den))
+    assert from_egf(q) == series_divide_reference(from_egf(got), den, 8)
+    assert from_egf(egf_divide(unit(8), to_egf(den[1:]))) == series_reciprocal_oracle(den[1:], 7)
 
 
 @settings(max_examples=40, deadline=None)
@@ -451,18 +462,18 @@ def test_integer_kernels_on_non_integer_egf():
 )
 def test_integer_kernels_match_fraction_reference(order, outer, inner, den, v):
     inner = [Fraction(0)] + inner[1 : order + 1]
-    got = PowerSeries(outer, order).compose(PowerSeries(inner, order))
-    assert got.coeffs == series_compose_reference(outer, inner, order)
+    got = egf_compose(outer, to_egf(inner))
+    assert from_egf(got) == series_compose_reference(outer, inner, order)
     v = min(v, order)
     den = [Fraction(0)] * v + den[v : order + 1]
     if den[v] == 0:
         den[v] = Fraction(1, 3)
     num = [Fraction(0)] * v + outer[v : order + 1]
-    q = PowerSeries(num, order).divide(PowerSeries(den, order))
-    assert q.order == order - v
-    assert q.coeffs == series_divide_reference(num, den, order)
-    rec = PowerSeries(den[v:], order - v).reciprocal()
-    assert rec.coeffs == series_reciprocal_oracle(den[v:], order - v)
+    q = from_egf(egf_divide(to_egf(num), to_egf(den)))
+    assert len(q) == order - v + 1
+    assert q == series_divide_reference(num, den, order)
+    rec = from_egf(egf_divide(unit(order - v + 1), to_egf(den[v:])))
+    assert rec == series_reciprocal_oracle(den[v:], order - v)
 
 
 @settings(max_examples=30, deadline=None)
@@ -472,12 +483,13 @@ def test_integer_kernels_match_fraction_reference(order, outer, inner, den, v):
     st.lists(small_fractions, min_size=8, max_size=8),
 )
 def test_composition_associative(fa, fb, fc):
-    a = PowerSeries(fa, 8)
-    b = PowerSeries([Fraction(0)] + fb, 8)
-    c = PowerSeries([Fraction(0)] + fc, 8)
-    left = a.compose(b).compose(c)
-    right = a.compose(b.compose(c))
-    assert left.coeffs == right.coeffs
+    b = [Fraction(0)] + fb
+    c = to_egf([Fraction(0)] + fc)
+    # (a o b) o c needs a o b's ordinary coefficients; a o (b o c) takes
+    # b o c's EGF numerators as they come
+    left = egf_compose(from_egf(egf_compose(fa, to_egf(b))), c)
+    right = egf_compose(fa, egf_compose(b, c))
+    assert from_egf(left) == from_egf(right)
 
 
 @settings(max_examples=60, deadline=None)

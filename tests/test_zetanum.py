@@ -281,6 +281,15 @@ def test_barnes_mellin_values():
         barnes_zeta_mellin(2, -1.0, [1.0])
 
 
+def test_barnes_mellin_relative_tolerance():
+    # at w = 0.5, a = [1, 2] the value is about 2^m, so an absolute 1e-10
+    # lies below a double's resolution; cutting the direct double sum at 60
+    # leaves a relative error far below 1e-30
+    for m in list(range(22, 31)) + [60]:
+        direct = math.fsum((0.5 + i + 2 * j) ** -m for i in range(60) for j in range(60))
+        assert abs(barnes_zeta_mellin(m, 0.5, [1.0, 2.0]) - direct) <= 1e-10 * direct
+
+
 def test_barnes_sech_matches_mellin_at_shifted_argument():
     r1 = barnes_zeta_sech(3, 1.0, [1.0])
     assert abs(r1.value - barnes_zeta_mellin(3, 1.5, [1.0])) < 1e-8
