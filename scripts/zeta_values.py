@@ -4,7 +4,7 @@
 For each (k, m) this prints the negative-moment quadrature, the Mellin
 integral, and a truncated multiple-zeta-star sum, with their mutual
 discrepancies.  Everything is deterministic; the k = 3 moment batch runs on a
-four-dimensional grid and takes well under a second.
+three-dimensional grid and takes well under a second.
 
     python scripts/zeta_values.py --k-max 3 --terms 20000
 """

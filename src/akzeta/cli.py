@@ -296,9 +296,6 @@ def build_parser() -> _Parser:
     setting("--panels", type=int, help="starting quadrature panels per axis")
     setting("--nodes", type=int, help="Gauss-Legendre nodes per panel")
     setting("--levels", type=int, help="maximum refinement levels (at least 2)")
-    setting("--u-nodes", type=int,
-            help="nodes on the inner unit-interval axis of the k = 3 "
-                 "moment (the outermost one is integrated exactly)")
     setting("--w-cutoff", type=float, help="sech^2 axis truncation")
     common.add_argument("--config", default=argparse.SUPPRESS,
                         help="key=value config file of settings; flags take precedence")

@@ -11,16 +11,17 @@ Quadrature scheme: each sech^2 axis is truncated to [-w_cutoff, w_cutoff]
 outside, which is reported as an analytic tail bound) and integrated by
 composite Gauss-Legendre panels; refinement doubles the panel count per
 w-axis, and convergence is declared when successive refinement levels agree
-within the target tolerance.  The outermost unit-interval axis of a negative
-moment is integrated in closed form; the inner one at k = 3 uses a fixed
-Gauss-Legendre rule.  Summation order is fixed (chunks ascending, compensated
-combination), so results are bit-reproducible.
+within the target tolerance.  The unit-interval axes of a negative moment
+are integrated in closed form (at k = 3 through a complex dilogarithm), so
+only the k sech^2 axes are summed.  Summation order is fixed (chunks
+ascending, compensated combination), so results are bit-reproducible.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -58,11 +59,9 @@ class QuadratureSpec:
     panels/nodes set the starting composite Gauss-Legendre rule per w-axis
     (per t-axis for the Mellin routes); each refinement level doubles the
     panel count, up to `levels` levels.
-    u_nodes sets the fixed Gauss-Legendre rule on the inner unit-interval
-    axis of the k = 3 negative moment; the outermost u-axis is integrated in
-    closed form, so u_nodes is unused for k <= 2.  The inner u-integrand is
-    analytic with comfortable margins, so refining it buys nothing and
-    multiplies the tensor cost.
+    u_nodes is unused: every unit-interval axis of a negative moment is
+    integrated in closed form.  The field and its validation stay only
+    because perfbench/workloads.py reads default_spec(k).u_nodes.
     """
 
     panels: int = 8
@@ -82,7 +81,7 @@ class QuadratureSpec:
 
 
 def default_spec(k: int) -> QuadratureSpec:
-    """Dimension-aware defaults: the tensor grid must shrink as its 2k-2 axes grow."""
+    """Dimension-aware defaults: the tensor grid must shrink as its k axes grow."""
     if k <= 1:
         return QuadratureSpec(panels=8, nodes=32, levels=3, tolerance=1e-9, w_cutoff=7.0)
     if k == 2:
@@ -165,9 +164,11 @@ def _weighted_sum(arr: np.ndarray, weights: Sequence[np.ndarray]) -> complex:
     return complex(v)
 
 
-def _fsum_complex(parts: Iterable[complex]) -> complex:
-    parts = list(parts)
-    return complex(math.fsum(p.real for p in parts), math.fsum(p.imag for p in parts))
+def _fsum_complex(parts: Sequence[complex] | np.ndarray) -> complex:
+    """Correctly rounded sum, real and imaginary parts apart: it does not
+    depend on how the parts are ordered or grouped into chunks."""
+    v = np.asarray(parts, dtype=complex)
+    return complex(math.fsum(v.real.tolist()), math.fsum(v.imag.tolist()))
 
 
 def _recip_powers(z: np.ndarray, ps: Sequence[int]) -> dict[int, np.ndarray]:
@@ -228,20 +229,19 @@ def _moment_level(
     V_k = i w_k - 1/2 and p_l = prod_{j=l}^{k-1} u_j.
 
     For k >= 2 the denominator is linear in the outermost unit variable,
-    A + u_{k-1} B with A = const + V_k and B = B_{k-1}, where B_1 = V_1 and
-    B_l = V_l + u_{l-1} B_{l-1}; that axis is integrated in closed form,
+    a + u_{k-1} p with a = const + V_k, and p = V_1 at k = 2 and
+    V_2 + u_1 V_1 at k = 3; that axis is integrated in closed form,
 
-      int_0^1 (A + uB)^{-m} du = (g_m(A + B) - g_m(A)) / B,
+      int_0^1 (a + up)^{-m} du = (g_m(a + p) - g_m(a)) / p,
 
     with g_1(z) = log(s z), g_m(z) = -z^{1-m}/(m-1) and s = sign(const - 1/2),
-    the constant sign of Re(A + uB) (the negative_moment guard ensures it;
+    the constant sign of Re(a + up) (the negative_moment guard ensures it;
     telescoping_check has Re >= 1/2).  For inner_shift 0 or 1,
-    |Re B| >= 1/2, so the division cancels nothing.  That leaves 2k-2 axes:
-    the w_k axis is contracted against its weights by one matrix-vector
-    product per chunk, and the other axes (w_1..w_{k-1}, u_1..u_{k-2}) form a
-    flat grid walked in chunks of about _CHUNK elements.  Chunks run in
-    ascending order and their partial sums are combined with fsum, so the
-    result is reproducible bit for bit.
+    |Re V_l| >= 1/2, so no division by p cancels anything.  At k = 2 the
+    w_2 axis is contracted against its weights by one matrix-vector product
+    per chunk of w_1 rows; k = 3 integrates u_1 in closed form too
+    (_moment_level_k3).  Chunks run in ascending order and their partial
+    sums are combined with fsum, so the result is reproducible bit for bit.
     """
     X, WX = _sech_axis(spec.w_cutoff, panels, spec.nodes)
     C = 1j * X - 0.5
@@ -252,29 +252,111 @@ def _moment_level(
         return {m: _weighted_sum(pw[m], [WX]) for m in ms}
     if k > 3:
         raise ValueError(
-            "moment quadrature is limited to k <= 3: the tensor grid has 2k-1 "
-            "axes and is not tractable beyond that"
+            "moment quadrature is limited to k <= 3: beyond that the unit axes "
+            "have no closed form here and the tensor grid is not tractable"
         )
-
-    U, WU = _panel_axis(0.0, 1.0, 1, spec.u_nodes)
     V = C + inner_shift
+    if k == 3:
+        return _moment_level_k3(ms, A, V, WX)
     g_a = _antiderivative_sums(A, ms, WX)
-    shape = (len(X),) * (k - 1) + (len(U),) * (k - 2)
-    size = math.prod(shape)
     rows = max(1, _CHUNK // len(X))
     partials: dict[int, list[complex]] = {m: [] for m in ms}
-    for lo in range(0, size, rows):
-        idx = np.unravel_index(np.arange(lo, min(lo + rows, size)), shape)
-        B = V[idx[0]]
-        wgt = WX[idx[0]]
-        for l in range(1, k - 1):
-            u = idx[k - 2 + l]
-            B = V[idx[l]] + U[u] * B
-            wgt = wgt * WX[idx[l]] * WU[u]
+    for lo in range(0, len(X), rows):
+        B = V[lo : lo + rows]
         g_ab = _antiderivative_sums(A[None, :] + B[:, None], ms, WX)
         for m in ms:
-            partials[m].append(complex(np.dot(wgt, (g_ab[m] - g_a[m]) / B)))
+            partials[m].append(complex(np.dot(WX[lo : lo + rows], (g_ab[m] - g_a[m]) / B)))
     return {m: _fsum_complex(partials[m]) for m in ms}
+
+
+def _moment_level_k3(
+    ms: Sequence[int], A: np.ndarray, V: np.ndarray, W: np.ndarray
+) -> dict[int, complex]:
+    """The k = 3 level: sum over (w_1, w_2, w_3) of W_1 W_2 W_3 times the
+    double integral over u_1, u_2 of (a + u_2 (V_2 + u_1 V_1))^{-m}, with
+    a = A[w_3].  After the u_2 step, the u_1 integral runs over
+    p = V_2 + u_1 V_1 from V_2 to V_1 + V_2, with dp = V_1 du_1:
+
+      (1/V_1) [T_m(a, V_1 + V_2) - T_m(a, V_2)],  where
+      T_1(a, q) = -Li_2(-q/a)  and, with n = m - 1,
+      T_m(a, q) = (1/n) sum_{j=1}^{n} a^{-(n-j+1)} G_j(a + q),
+      G_1(q) = log(s q),  G_j(q) = q^{1-j}/(1-j),
+
+    from (a^{-n} - (a+p)^{-n})/p = sum_j a^{-(n-j+1)} (a+p)^{-j}.  Re(s(a+p))
+    keeps its sign along the segment, so neither log(s q) nor
+    Li_2(-q/a) = -int_0^q log(1 + p/a)/p dp crosses a branch cut.  The
+    V_2-endpoint term does not depend on w_1, so it is a (w_2, w_3) sum times
+    sum_1 W_1/V_1; the (V_1 + V_2)-endpoint term depends on w_1 + w_2 only,
+    so it is summed over unordered pairs {w_1, w_2} with weight
+    W_1 W_2 (1/V_1 + 1/V_2) (W_1^2/V_1 on the diagonal).
+    """
+    n = len(V)
+    rv = 1.0 / V
+    pair_sum = np.concatenate([V[i] + V[i:] for i in range(n)])
+    pair_wgt = np.concatenate([W[i] * W[i:] * (rv[i] + rv[i:]) for i in range(n)])
+    diagonal = np.concatenate(([0], np.cumsum(np.arange(n, 1, -1))))  # row starts
+    pair_wgt[diagonal] *= 0.5
+    pairs = _endpoint_sums(ms, A, W, pair_sum, pair_wgt)
+    single = _endpoint_sums(ms, A, W, V, W)
+    r = complex(np.dot(W, rv))
+    return {m: pairs[m] - r * single[m] for m in ms}
+
+
+def _endpoint_sums(
+    ms: Sequence[int], A: np.ndarray, W: np.ndarray, Q: np.ndarray, wgt: np.ndarray
+) -> dict[int, complex]:
+    """sum_r wgt_r sum_c W_c T_m(A_c, Q_r) for every m in ms (see
+    _moment_level_k3), walked in chunks of Q rows.  The factors a^{-(m-j)}/n
+    and 1/(1-j) depend on the w_3 column only, so they are folded into one
+    column-weight matrix per j: each chunk makes G_1 and then the powers
+    (a+q)^{-1}, (a+q)^{-2}, ... one at a time in place."""
+    higher = [m for m in ms if m > 1]
+    top = ms[-1] - 1
+    pw = _recip_powers(A, range(1, top + 1)) if top else {}
+    mats = []
+    for j in range(1, top + 1):
+        scale = 1.0 if j == 1 else 1.0 / (1 - j)
+        cols = [W * pw[m - j] * (scale / (m - 1)) if m > j else 0 * W for m in higher]
+        mats.append(np.stack(cols, axis=1))
+    rows = max(1, _CHUNK // len(A))
+    out = {}
+    if ms[0] == 1:
+        # _li2 holds three more arrays of its argument's size, so it runs on
+        # quarter chunks: the level then peaks no higher than the m >= 2 loop
+        step = max(1, rows // 4)
+        parts = []
+        for lo in range(0, len(Q), step):
+            li = _li2(-Q[lo : lo + step, None] / A)
+            parts.append(_fsum_complex(wgt[lo : lo + step] * np.einsum("ra,a->r", li, W)))
+        out[1] = -_fsum_complex(parts)
+    partials: dict[int, list[complex]] = {m: [] for m in higher}
+    for lo in range(0, len(Q) if higher else 0, rows):
+        q = Q[lo : lo + rows, None]
+        d = np.empty((len(q), len(A)), dtype=complex)
+        d[...] = A  # a + q in place: a broadcasting add would buffer both operands
+        d += q
+        g = np.empty_like(d)
+        np.multiply(d.real, d.real, out=g.real)
+        np.multiply(d.imag, d.imag, out=g.imag)
+        g.real += g.imag
+        np.log(g.real, out=g.real)
+        g.real *= 0.5
+        np.divide(d.imag, d.real, out=g.imag)
+        np.arctan(g.imag, out=g.imag)  # arg(s d), as Re(s d) > 0
+        acc = np.einsum("ra,ak->rk", g, mats[0])
+        del g
+        if top > 1:
+            r = np.reciprocal(d, out=d)
+            cur = r.copy() if top > 2 else r
+            for j, mat in enumerate(mats[1:], 2):
+                if j > 2:
+                    cur *= r
+                acc += np.einsum("ra,ak->rk", cur, mat)
+        acc *= wgt[lo : lo + rows, None]
+        for col, m in enumerate(higher):
+            partials[m].append(_fsum_complex(acc[:, col]))
+    out.update((m, _fsum_complex(partials[m])) for m in higher)
+    return out
 
 
 def _converge(level_fn, spec: QuadratureSpec, relative: bool = False):
@@ -540,6 +622,84 @@ def polylog(k: int, x: float) -> float:
     return float(_li_exp(k, np.array([math.log(x)]))[0])
 
 
+# Li_2 by the Bernoulli series in u = -log(1 - z), after the maps below have
+# brought z into |z| <= 1, Re z <= 1/2, where |u| <= pi/3: the terms beyond
+# u - u^2/4 fall like (u/2 pi)^2 per step, so 11 reach double precision.
+_LI2_TERMS = 11
+
+
+@functools.cache
+def _li2_coefficients() -> tuple[float, ...]:
+    """B_{2j}/(2j+1)! for j = 1.._LI2_TERMS."""
+    b = bernoulli_numbers(2 * _LI2_TERMS)
+    return tuple(float(b[2 * j] / math.factorial(2 * j + 1)) for j in range(1, _LI2_TERMS + 1))
+
+
+def _clog(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Principal log of a complex array from a real log and arctan2, several
+    times faster than numpy's complex log."""
+    if out is None:
+        out = np.empty_like(z)
+    re = z.real * z.real
+    re += z.imag * z.imag
+    np.arctan2(z.imag, z.real, out=out.imag)
+    np.log(re, out=out.real)
+    out.real *= 0.5
+    return out
+
+
+def _li2(x: np.ndarray) -> np.ndarray:
+    """Principal-branch dilogarithm Li_2(x) of a complex array, x != 1.
+
+    Inversion for |x| > 1, Li_2(x) = -pi^2/6 - log^2(-x)/2 - Li_2(1/x), then
+    reflection for Re y > 1/2, Li_2(y) = pi^2/6 - log(y) log(1-y) - Li_2(1-y),
+    leave an argument z for the Bernoulli series
+
+      Li_2(z) = sum_{k>=0} B_k u^{k+1}/(k+1)!,   u = -log(1-z)
+
+    ('t Hooft and Veltman, Nucl. Phys. B153 (1979) 365).  Signed zeros pick
+    the side of the cut x > 1: Im x = +0 gives the limit from above.  The
+    moment and Mellin routes share no polylogarithm: this one serves the
+    k = 3 moment kernel only, _li_exp the Mellin routes.  Besides the result
+    it holds two arrays of x's size, and the reflection term on its subset.
+    """
+    x = np.asarray(x, dtype=complex)
+    inv = x.real * x.real + x.imag * x.imag > 1.0
+    z = np.divide(1.0, x, out=x.copy(), where=inv)
+    refl = z.real > 0.5
+    np.subtract(1.0, z, out=z, where=refl)
+    u = np.empty_like(z)
+    zr, zi, ur, ui = z.real, z.imag, u.real, u.imag
+    np.subtract(zr, 2.0, out=ur)
+    ur *= zr
+    ur += zi * zi
+    np.log1p(ur, out=ur)  # log|1 - z|, exact for small z
+    ur *= -0.5
+    np.subtract(1.0, zr, out=ui)
+    np.arctan2(zi, ui, out=ui)  # -arg(1 - z)
+    zeta2 = math.pi**2 / 6
+    refl_term = zeta2 + u[refl] * _clog(z[refl])  # log(y) = -u
+    t = np.multiply(u, u, out=z)
+    c = _li2_coefficients()
+    out = np.full_like(u, c[-1])
+    for cj in c[-2::-1]:
+        out *= t
+        out += cj
+    out *= t
+    out += 1.0
+    out *= u
+    t *= 0.25
+    out -= t  # u (1 + t P(t)) - u^2/4
+    out[refl] = refl_term - out[refl]
+    lx = _clog(np.negative(x, out=t), out=u)  # log(-x)
+    lx *= lx
+    np.multiply(lx, -0.5, out=t)
+    t -= zeta2
+    t -= out
+    np.copyto(out, t, where=inv)
+    return out
+
+
 def _gamma_q(m: int, x: float) -> float:
     """Regularized upper incomplete gamma for integer shape m and x > 0:
     Q(m, x) = e^{-x} sum_{j<m} x^j/j!, each term formed in log space."""
@@ -599,6 +759,15 @@ def barnes_zeta_mellin(m: int, w: float, a: Sequence[float], tol: float = 1e-10)
         raise ValueError("barnes_zeta_mellin requires m > len(a)")
     if w <= 0 or any(ai <= 0 for ai in a):
         raise ValueError("requires w > 0 and all a_j > 0")
+    try:
+        first = w ** -m
+    except OverflowError:
+        first = math.inf
+    if not 0.0 < first < math.inf:
+        raise ValueError(
+            f"w^-m = {w}^-{m}, the first term of the value, is not a finite "
+            "nonzero double, so the value is out of double range"
+        )
     T = max(20.0, 20.0 / w)
     prod_bound = 1.0
     for ai in a:

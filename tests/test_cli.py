@@ -287,6 +287,19 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     assert "unknown config key" in err
 
 
+def test_u_nodes_setting_is_gone(capsys, tmp_path):
+    # every unit axis of the moments is integrated in closed form
+    with pytest.raises(SystemExit) as exc:
+        main(["zeta", "--k", "3", "--m", "1", "--u-nodes", "8"])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --u-nodes" in capsys.readouterr().err
+    conf = tmp_path / "old.conf"
+    conf.write_text("u_nodes=8\n")
+    code, _, err = run_cli(capsys, "--config", str(conf), "num", "--n", "1", "--k", "2")
+    assert code == EXIT_USAGE
+    assert "unknown config key" in err
+
+
 def test_global_flags_after_subcommand(capsys):
     code, out, _ = run_cli(capsys, "num", "--n", "1", "--k", "2", "--format", "plain")
     assert code == EXIT_OK

@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,8 @@ from akzeta.zetanum import (
     telescoping_check,
     zeta_star_3_1_double,
 )
-from akzeta.zetanum import _li_exp, _moment_level, _sech_axis
+from akzeta import zetanum
+from akzeta.zetanum import _li2, _li_exp, _moment_level, _sech_axis
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -84,6 +87,40 @@ def test_polylog_values():
         polylog(2, 1.0)
     with pytest.raises(ValueError):
         polylog(2, -0.1)
+
+
+LI2_POINTS = [
+    # |x| <= 1, Re x <= 1/2: the Bernoulli series directly
+    0.3 + 0.2j, -0.5 + 0.5j, 1e-3j, 1e-8 - 2e-8j, 0.4 - 0.7j, -0.9 + 0.1j, 0.1 + 0.9j,
+    # |x| <= 1, Re x > 1/2: reflection
+    0.8 + 0.1j, 0.6 - 0.5j, 0.9 + 0j, 0.99 + 0.01j, 0.7 + 0.7j,
+    # |x| > 1: inversion, then reflection when Re(1/x) > 1/2
+    3 + 4j, -5 + 0j, -2 + 0.5j, 1.5 + 1j, 0.2 + 3j, 1.2 - 0.3j, -30 - 40j,
+    # the two sides of the cut x > 1, and named points
+    2 + 1e-9j, 2 - 1e-9j, -1 + 0j, 1j, 0.5 + 0.5j,
+]
+
+
+def test_li2_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    got = _li2(np.array(LI2_POINTS))
+    with mpmath.workdps(30):
+        for x, g in zip(LI2_POINTS, got):
+            ref = complex(mpmath.polylog(2, mpmath.mpc(x.real, x.imag)))
+            assert abs(g - ref) <= 1e-15 * abs(ref), (x, g, ref)
+
+
+def test_li2_closed_forms():
+    ln2 = math.log(2.0)
+    half, minus_one = _li2(np.array([0.5 + 0j, -1 + 0j]))
+    assert abs(half - (ZETA2 / 2 - ln2**2 / 2)) <= 1e-15
+    assert abs(minus_one + ZETA2 / 2) <= 1e-15
+    # the cut x > 1: Im x = +-0 picks the side, Im Li_2 = +-pi ln x
+    above, below = _li2(np.array([complex(2.0, 0.0), complex(2.0, -0.0)]))
+    assert abs(above - complex(math.pi**2 / 4, math.pi * ln2)) <= 1e-15
+    assert below == above.conjugate()
+    xs = np.array(LI2_POINTS)
+    assert np.array_equal(_li2(xs.conj()), _li2(xs).conj())
 
 
 def test_polylog_matches_mpmath():
@@ -186,25 +223,53 @@ def _unit_rule(nodes):
 @pytest.mark.parametrize("const, shift", [(0.0, 0.0), (2.5, 0.0), (-0.7, 0.0), (1.0, 1.0)])
 def test_moment_kernel_matches_tensor_sum(k, const, shift):
     # brute-force tensor sum over all 2k-1 axes with the kernel's w-nodes and
-    # inner u-rule, and a 40-node Gauss-Legendre rule on the outermost u-axis
-    # that the kernel integrates in closed form
-    spec = QuadratureSpec(panels=2, nodes=6, levels=2, w_cutoff=4.0, u_nodes=10)
+    # a 40-node Gauss-Legendre rule on each unit axis, which the kernel
+    # integrates in closed form; at k = 3 the u_1 axis is summed one node at
+    # a time to keep the tensor small
+    spec = QuadratureSpec(panels=2, nodes=6, levels=2, w_cutoff=4.0)
     X, WX = _sech_axis(spec.w_cutoff, spec.panels, spec.nodes)
     C = 1j * X - 0.5
     V = C + shift
-    U, WU = _unit_rule(spec.u_nodes)
     UL, WUL = _unit_rule(40)
-    if k == 2:  # axes (w_1, w_2, u_1): const + C_2 + u_1 V_1
-        den = const + C[None, :, None] + UL[None, None, :] * V[:, None, None]
-        subscripts, weights = "abc,a,b,c->", (WX, WX, WUL)
-    else:  # axes (w_1, w_2, w_3, u_1, u_2): const + C_3 + u_2 (V_2 + u_1 V_1)
-        b2 = V[None, :, None, None, None] + U[None, None, None, :, None] * V[:, None, None, None, None]
-        den = const + C[None, None, :, None, None] + UL[None, None, None, None, :] * b2
-        subscripts, weights = "abcde,a,b,c,d,e->", (WX, WX, WX, WU, WUL)
     got = _moment_level(k, [1, 2, 3], spec.panels, spec, const, shift)
     for m in (1, 2, 3):
-        ref = np.einsum(subscripts, den**-m, *weights)
+        if k == 2:  # axes (w_1, w_2, u_1): const + C_2 + u_1 V_1
+            den = const + C[None, :, None] + UL[None, None, :] * V[:, None, None]
+            ref = np.einsum("abc,a,b,c->", den**-m, WX, WX, WUL)
+        else:  # axes (w_1, w_2, w_3, u_1, u_2): const + C_3 + u_2 (V_2 + u_1 V_1)
+            ref = 0
+            for u1, wu1 in zip(UL, WUL):
+                p = V[None, :, None, None] + u1 * V[:, None, None, None]
+                den = const + C[None, None, :, None] + UL[None, None, None, :] * p
+                ref += wu1 * np.einsum("abcd,a,b,c,d->", den**-m, WX, WX, WX, WUL)
         assert abs(got[m] - ref) < 1e-12, (m, got[m], ref)
+
+
+def test_k3_level_chunking_is_invisible(monkeypatch):
+    # one pair of (w_1, w_2) rows per chunk moves every chunk boundary
+    spec = default_spec(3)
+    for const, shift in ((0.0, 0.0), (1.0, 1.0)):
+        ref = _moment_level(3, [1, 2, 3], spec.panels, spec, const, shift)
+        with monkeypatch.context() as mp:
+            mp.setattr(zetanum, "_CHUNK", 1)
+            got = _moment_level(3, [1, 2, 3], spec.panels, spec, const, shift)
+        for m in (1, 2, 3):
+            assert abs(got[m] - ref[m]) <= 1e-15, (const, m, got[m], ref[m])
+
+
+def test_k3_level_memory_stays_chunked():
+    # 160 nodes per axis: a grid over all pairs would need 33 MB per complex
+    # array; the chunked kernel holds about 1 MB
+    spec = default_spec(3)
+    panels = 160 // spec.nodes
+    _moment_level(3, [1, 2, 3], panels, spec, 0.0, 0.0)  # caches filled
+    tracemalloc.start()
+    try:
+        _moment_level(3, [1, 2, 3], panels, spec, 0.0, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 def test_negative_moment_k3_closed_forms():
@@ -219,7 +284,7 @@ def test_refinement_monotonic_delta():
     # deltas across the last two levels must not increase
     for k, const, nodes in ((1, 1.0, 8), (2, 0.0, 8)):
         spec = QuadratureSpec(
-            panels=2, nodes=nodes, levels=4, tolerance=1e-30, w_cutoff=5.0, u_nodes=12
+            panels=2, nodes=nodes, levels=4, tolerance=1e-30, w_cutoff=5.0
         )
         deltas = []
         prev = None
@@ -288,6 +353,17 @@ def test_barnes_mellin_relative_tolerance():
     for m in list(range(22, 31)) + [60]:
         direct = math.fsum((0.5 + i + 2 * j) ** -m for i in range(60) for j in range(60))
         assert abs(barnes_zeta_mellin(m, 0.5, [1.0, 2.0]) - direct) <= 1e-10 * direct
+
+
+def test_barnes_mellin_out_of_double_range():
+    # the value is at least its first term w^-m: 1e-400 underflows and
+    # 1e400 overflows a double, and the error must say so, without warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m, w in ((400, 10.0), (200, 0.01)):
+            with pytest.raises(ValueError, match="not a finite nonzero double"):
+                barnes_zeta_mellin(m, w, [1.0])
+    assert abs(barnes_zeta_mellin(300, 10.0, [1.0]) - 1e-300) <= 1e-10 * 1e-300
 
 
 def test_barnes_sech_matches_mellin_at_shifted_argument():
