@@ -29,9 +29,9 @@ from .polybernoulli import (
     route_disagreement,
     stirling_table,
 )
+from .quadspec import ConvergenceError, QuadratureSpec, default_spec
 from .umbral import ExpansionCapError
 from .verify import SUITES, VerifyConfig, run_all
-from . import zetanum
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -90,7 +90,7 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
-def _resolve_settings(args, settings: dict) -> zetanum.QuadratureSpec:
+def _resolve_settings(args, settings: dict) -> QuadratureSpec:
     """Store every setting in args, taking defaults < AKZETA_FORMAT < --config
     file < flags, and return the QuadratureSpec the numeric ones describe.
 
@@ -114,9 +114,9 @@ def _resolve_settings(args, settings: dict) -> zetanum.QuadratureSpec:
         if action.choices and values[dest] not in action.choices:
             raise ValueError(f"{dest} must be one of {tuple(action.choices)}")
     vars(args).update(values)
-    spec_fields = {f.name for f in fields(zetanum.QuadratureSpec)}
+    spec_fields = {f.name for f in fields(QuadratureSpec)}
     overrides = {d: v for d, v in values.items() if d in spec_fields and v is not None}
-    return replace(zetanum.default_spec(getattr(args, "k", 1)), **overrides)
+    return replace(default_spec(getattr(args, "k", 1)), **overrides)
 
 
 def _emit(fmt: str, obj, rows, text: str) -> None:
@@ -200,6 +200,8 @@ def _cmd_table(args, spec) -> int:
 
 
 def _cmd_zeta(args, spec) -> int:
+    from . import zetanum  # numpy loads only for the numeric commands
+
     k, m = args.k, args.m
     if k < 1 or m < 1:
         raise ValueError("need k >= 1 and m >= 1")
@@ -229,6 +231,8 @@ def _cmd_zeta(args, spec) -> int:
 
 
 def _cmd_mzv(args, spec) -> int:
+    from . import zetanum
+
     try:
         exponents = tuple(int(s) for s in args.sig.split(","))
     except ValueError as e:
@@ -372,7 +376,7 @@ def main(argv=None) -> int:
     except ExpansionCapError as e:
         print(f"akzeta: expansion cap exceeded: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except zetanum.ConvergenceError as e:
+    except ConvergenceError as e:
         print(f"akzeta: convergence failure: {e}", file=sys.stderr)
         return EXIT_CROSSCHECK_FAIL
 

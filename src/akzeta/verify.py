@@ -37,7 +37,6 @@ from .umbral import (
     poly_symbol,
     uniform_symbol,
 )
-from . import zetanum
 
 __all__ = [
     "VerifyConfig",
@@ -564,11 +563,14 @@ def check_simplex_transform(n_max: int = 10, k_max: int = 4) -> IdentityCheck:
 
 
 # ---------------------------------------------------------------------------
-# numeric spot checks (tolerances recorded in the check)
+# numeric spot checks (tolerances recorded in the check); each imports
+# zetanum itself, so numpy loads only when a zeta check runs
 
 
 def check_moment_realization() -> IdentityCheck:
     """The sech^2 quadrature reproduces B_n for n <= 8 to 1e-10 relative."""
+    from . import zetanum
+
     chk = IdentityCheck("zeta-moment-realization", {"n_max": 8}, tolerance=1e-10)
     for n in range(9):
         r = zetanum.bernoulli_moment_quadrature(n)
@@ -584,6 +586,8 @@ def check_moment_realization() -> IdentityCheck:
 
 def check_polygamma_bridge() -> IdentityCheck:
     """Negative k=1 moments match the polygamma closed form on both branches."""
+    from . import zetanum
+
     chk = IdentityCheck("zeta-polygamma-bridge", {"m_max": 2}, tolerance=1e-8)
     for m in (1, 2):
         for z in (0.25, 0.75, 1.0, 2.0):
@@ -600,6 +604,8 @@ def check_polygamma_bridge() -> IdentityCheck:
 def check_reference_values() -> IdentityCheck:
     """The three k = 2 negative moments against their published six-digit
     decimal values."""
+    from . import zetanum
+
     chk = IdentityCheck("zeta-reference-values", {"k": 2}, tolerance=5e-5)
     res = zetanum.negative_moment_batch(2, [1, 2, 3], 0.0)
     targets = {1: (-1.20206, 5e-6), 2: (1.3529, 5e-5), 3: (-1.45884, 5e-6)}
@@ -612,6 +618,8 @@ def check_reference_values() -> IdentityCheck:
 
 def check_two_route_zeta() -> IdentityCheck:
     """Mellin integral vs negative-moment route for zeta_2(m), m <= 3."""
+    from . import zetanum
+
     chk = IdentityCheck("zeta-two-route", {"k": 2, "m_max": 3}, tolerance=1e-6)
     res = zetanum.negative_moment_batch(2, [1, 2, 3], 0.0)
     for m in (1, 2, 3):
@@ -624,6 +632,8 @@ def check_two_route_zeta() -> IdentityCheck:
 
 def check_telescoping() -> IdentityCheck:
     """Both quadrature realizations of zeta(3) from the telescoped series."""
+    from . import zetanum
+
     chk = IdentityCheck("zeta-telescoping", {"k": 2}, tolerance=1e-6)
     z3 = 1.2020569031595942854
     a, b = zetanum.telescoping_check(2)
@@ -640,6 +650,8 @@ def check_double_integral() -> IdentityCheck:
 
     Both quadratures integrate the unit-interval axis in closed form, so the
     closed form is the independent side of the check."""
+    from . import zetanum
+
     chk = IdentityCheck("zeta-double-integral", {"weight": "(3,1)"}, tolerance=1e-6)
     two = zetanum.zeta_star_3_1_double()
     closed = math.pi**4 / 72

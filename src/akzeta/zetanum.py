@@ -15,17 +15,23 @@ within the target tolerance.  The unit-interval axes of a negative moment
 are integrated in closed form (at k = 3 through a complex dilogarithm), so
 only the k sech^2 axes are summed.  Summation order is fixed (chunks
 ascending, compensated combination), so results are bit-reproducible.
+
+The settings, result and error types (QuadratureSpec, default_spec,
+QuadratureResult, ConvergenceError) live in the numpy-free `quadspec` module
+and are re-exported here.
 """
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 import numpy as np
 
 from .exact import bernoulli_numbers
+from .quadspec import ConvergenceError, QuadratureResult, QuadratureSpec, default_spec
 
 __all__ = [
     "QuadratureSpec",
@@ -50,77 +56,6 @@ __all__ = [
 
 # Reject denominators whose real part at w = 0 can come this close to zero.
 _RE_GUARD = 0.1
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Controls for the sech^2 tensor quadrature.
-
-    panels/nodes set the starting composite Gauss-Legendre rule per w-axis
-    (per t-axis for the Mellin routes); each refinement level doubles the
-    panel count, up to `levels` levels.
-    u_nodes is unused: every unit-interval axis of a negative moment is
-    integrated in closed form.  The field and its validation stay only
-    because perfbench/workloads.py reads default_spec(k).u_nodes.
-    """
-
-    panels: int = 8
-    nodes: int = 32
-    levels: int = 3
-    tolerance: float = 1e-8
-    w_cutoff: float = 6.0
-    u_nodes: int = 24
-
-    def __post_init__(self):
-        if min(self.panels, self.nodes, self.u_nodes) < 1:
-            raise ValueError("panels, nodes and u_nodes must be >= 1")
-        if self.levels < 2:
-            raise ValueError("need at least 2 levels to declare convergence")
-        if not (0 < self.tolerance < 1) or self.w_cutoff <= 0:
-            raise ValueError("tolerance must be in (0,1) and w_cutoff positive")
-
-
-def default_spec(k: int) -> QuadratureSpec:
-    """Dimension-aware defaults: the tensor grid must shrink as its k axes grow."""
-    if k <= 1:
-        return QuadratureSpec(panels=8, nodes=32, levels=3, tolerance=1e-9, w_cutoff=7.0)
-    if k == 2:
-        return QuadratureSpec(panels=8, nodes=32, levels=3, tolerance=1e-8, w_cutoff=5.0)
-    return QuadratureSpec(
-        panels=2, nodes=20, levels=3, tolerance=1e-6, w_cutoff=3.2, u_nodes=16
-    )
-
-
-@dataclass
-class QuadratureResult:
-    """A quadrature estimate; the imaginary residue is reported, never dropped."""
-
-    value: float
-    imag_residue: float
-    convergence_delta: float
-    levels_used: int
-    tail_bound: float | None = None
-
-    def to_json(self) -> dict:
-        out = {
-            "value": self.value,
-            "imag_residue": self.imag_residue,
-            "convergence_delta": self.convergence_delta,
-        }
-        if self.tail_bound is not None:
-            out["tail_bound"] = self.tail_bound
-        return out
-
-
-class ConvergenceError(RuntimeError):
-    """Quadrature refinement exhausted without meeting the tolerance."""
-
-    def __init__(self, last_delta: float, levels: int):
-        super().__init__(
-            f"no convergence after {levels} refinement levels (last delta {last_delta:.3e})"
-        )
-        self.last_delta = last_delta
-        self.levels = levels
 
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -763,10 +698,12 @@ def barnes_zeta_mellin(m: int, w: float, a: Sequence[float], tol: float = 1e-10)
         first = w ** -m
     except OverflowError:
         first = math.inf
-    if not 0.0 < first < math.inf:
+    if not sys.float_info.min <= first < math.inf:
+        # a subnormal value has too few bits for a relative stop to hold
         raise ValueError(
             f"w^-m = {w}^-{m}, the first term of the value, is not a finite "
-            "nonzero double, so the value is out of double range"
+            "nonzero double at full precision (it overflows, underflows or is "
+            "subnormal), so the value is out of double range"
         )
     T = max(20.0, 20.0 / w)
     prod_bound = 1.0
@@ -793,7 +730,9 @@ def barnes_zeta_sech(
       (pi/2)^k Gamma(m-k)/Gamma(m) int prod (1/a_n^2) sech^2(pi u_n / a_n)
                                         (w - i sum u_n)^{-(m-k)} du.
 
-    Requires m - k >= 1 and w > 0; each axis is rescaled by its a_n.
+    Requires m - k >= 1 and w > 0; each axis is rescaled by its a_n.  The
+    first axis is walked in blocks of about _CHUNK // N^{k-1} rows, and the
+    blocks' sums are combined with fsum, so no level holds its full tensor.
     """
     k = len(a)
     if k == 0:
@@ -811,17 +750,22 @@ def barnes_zeta_sech(
         for an in a:
             x, wt = _sech_axis(spec.w_cutoff, panels, spec.nodes)
             axes.append((an * x, wt / an))
-        dims = k
-        den = w + 0j
-        for slot, (vals, _) in enumerate(axes):
-            shape = [1] * dims
-            shape[slot] = len(vals)
-            den = den - 1j * vals.reshape(shape)
-        r = 1.0 / den
-        cur = r
-        for _ in range(power - 1):
-            cur = cur * r
-        return {0: pref * _weighted_sum(cur, [wt for _, wt in axes])}
+        (first, w_first), rest = axes[0], axes[1:]
+        rows = max(1, _CHUNK // math.prod(len(vals) for vals, _ in rest))
+        parts = []
+        for lo in range(0, len(first), rows):
+            den = w - 1j * first[lo : lo + rows].reshape([-1] + [1] * (k - 1))
+            for slot, (vals, _) in enumerate(rest, 1):
+                shape = [1] * k
+                shape[slot] = len(vals)
+                den = den - 1j * vals.reshape(shape)
+            r = 1.0 / den
+            cur = r
+            for _ in range(power - 1):
+                cur = cur * r
+            weights = [w_first[lo : lo + rows]] + [wt for _, wt in rest]
+            parts.append(_weighted_sum(cur, weights))
+        return {0: pref * _fsum_complex(parts)}
 
     vals, delta, levels = _converge(level, spec)
     v = vals[0]

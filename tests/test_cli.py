@@ -331,3 +331,48 @@ def test_expansion_cap_error_is_usage_error(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "--suite", "umbral")
     assert code == EXIT_USAGE
     assert out == "" and "expansion cap" in err
+
+
+# Each exact command must run without importing numpy, which only the
+# numerical layer (akzeta.zetanum) needs; a fresh interpreter per case, since
+# this one has numpy loaded already.
+NUMPY_PROBE = """
+import sys
+from akzeta.cli import main
+main(sys.argv[1:])
+print('numpy' in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("num", "--n", "1", "--k", "2"),
+        ("table", "--n-max", "5", "--k-max", "2"),
+        ("verify", "--suite", "recurrence"),
+    ],
+)
+def test_exact_commands_do_not_import_numpy(argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_package_import_is_numpy_free_until_a_numeric_name_is_used():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, akzeta; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+    import akzeta
+    import akzeta.zetanum
+
+    assert akzeta.ak_zeta_mellin is akzeta.zetanum.ak_zeta_mellin
+    assert akzeta.QuadratureSpec is akzeta.zetanum.QuadratureSpec
+    with pytest.raises(AttributeError):
+        akzeta.no_such_name

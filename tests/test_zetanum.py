@@ -366,6 +366,15 @@ def test_barnes_mellin_out_of_double_range():
     assert abs(barnes_zeta_mellin(300, 10.0, [1.0]) - 1e-300) <= 1e-10 * 1e-300
 
 
+def test_barnes_mellin_rejects_subnormal_values():
+    # 10^-308 and below are subnormal: too few bits for a relative stop, so
+    # the range error comes first, not a ConvergenceError after every level
+    for m in (308, 310, 320):
+        with pytest.raises(ValueError, match="subnormal"):
+            barnes_zeta_mellin(m, 10.0, [1.0])
+    assert abs(barnes_zeta_mellin(307, 10.0, [1.0]) - 1e-307) <= 1e-10 * 1e-307
+
+
 def test_barnes_sech_matches_mellin_at_shifted_argument():
     r1 = barnes_zeta_sech(3, 1.0, [1.0])
     assert abs(r1.value - barnes_zeta_mellin(3, 1.5, [1.0])) < 1e-8
@@ -383,6 +392,28 @@ def test_barnes_sech_scaled_axes():
     r = barnes_zeta_sech(3, 1.0, [a])
     direct = sum((1.0 + a / 2 + a * n) ** -3.0 for n in range(400000))
     assert abs(r.value - direct) < 1e-7
+
+
+def test_barnes_sech_chunking_is_invisible(monkeypatch):
+    # one row of the first axis per block moves every block boundary
+    for m, w, a in ((3, 1.0, [1.0]), (5, 0.5, [1.0, 2.0])):
+        ref = barnes_zeta_sech(m, w, a)
+        with monkeypatch.context() as mp:
+            mp.setattr(zetanum, "_CHUNK", 1)
+            got = barnes_zeta_sech(m, w, a)
+        assert abs(got.value - ref.value) <= 1e-15, (m, w, a, got.value, ref.value)
+        assert got.levels_used == ref.levels_used
+
+
+def test_barnes_sech_memory_stays_chunked():
+    # a full 512 x 512 tensor of the last level takes 4 MB per complex array
+    tracemalloc.start()
+    try:
+        barnes_zeta_sech(4, 0.5, [1.0, 1.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 # --- multiple zeta sums -------------------------------------------------------------
