@@ -44,7 +44,6 @@ __all__ = [
     "PolyBernoulliTable",
     "BarnesParameters",
     "BarnesPolynomial",
-    "InternalInvariantError",
     "poly_bernoulli_series",
     "poly_bernoulli_umbral",
     "poly_bernoulli_stirling",
@@ -58,11 +57,7 @@ __all__ = [
 ]
 
 VARIANTS = ("B", "C")
-ROUTES = ("series", "umbral", "stirling", "barnes-cube", "barnes-simplex")
-
-
-class InternalInvariantError(Exception):
-    """An internal algebraic invariant was violated; indicates a bug, not bad input."""
+ROUTES = ("series", "umbral", "stirling")
 
 
 @dataclass
@@ -97,13 +92,6 @@ class PolyBernoulliTable:
     def number(self, n: int) -> Fraction:
         """The number at z = 0 (B_n^{(k)} for the B variant, C_n^{(k)} for C)."""
         return self.numbers[n]
-
-    def to_csv(self) -> str:
-        lines = ["n,k,variant,num,den"]
-        for n in range(len(self.numbers)):
-            q = self.number(n)
-            lines.append(f"{n},{self.k},{self.variant},{q.numerator},{q.denominator}")
-        return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:
         return {
@@ -375,26 +363,3 @@ def simplex_transform(n: int, k: int, z: Union[Fraction, None] = None):
         return poly
     return poly.coefficient(0)
 
-
-def _transform_table(polys: list[ZPolynomial], k: int, route: str) -> PolyBernoulliTable:
-    """A table from a transform's formal polynomials, which must be the
-    lifts of their own constant terms."""
-    table = PolyBernoulliTable(k, "B", route, [p.coefficient(0) for p in polys])
-    for n, p in enumerate(polys):
-        if p != table.entries[n]:
-            raise InternalInvariantError(
-                f"{route} polynomial for n={n} is not the lift of the z = 0 numbers"
-            )
-    return table
-
-
-def cube_table(n_max: int, k: int) -> PolyBernoulliTable:
-    """B-variant table built entirely through the unit-cube transform."""
-    polys = [barnes_transform_cube(n, k) for n in range(n_max + 1)]
-    return _transform_table(polys, k, "barnes-cube")
-
-
-def simplex_table(n_max: int, k: int) -> PolyBernoulliTable:
-    """B-variant table built entirely through the ordered-simplex transform."""
-    polys = [simplex_transform(n, k) for n in range(n_max + 1)]
-    return _transform_table(polys, k, "barnes-simplex")

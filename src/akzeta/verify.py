@@ -222,12 +222,11 @@ def check_refuted_variant(n_max: int = 6, k_max: int = 3) -> IdentityCheck:
 
 
 def check_connection(n_max: int, k_max: int) -> IdentityCheck:
-    """Connection relation through values at -1, plus the equivalent
-    expansion of the companion family in Bernoulli polynomials:
+    """Connection relation through values at -1, and the expansion of the
+    companion family in Bernoulli polynomials:
 
       B_n^{(k)}(z) = (1/(n+1)) sum_l C(n+1,l+1) B_{n-l}(z+1) B_l^{(k-1)}(-1)
       C_n^{(k)}(z) = (1/(n+1)) sum_l C(n+1,l+1) B_{n-l}(z)   C_l^{(k-1)}
-      C_n^{(k)}(z) = (1/(n+1)) sum_p C(n+1,p) C_{p-1}^{(k-1)} B_{n-p+1}(z)
     """
     chk = IdentityCheck("connection-relation", {"n_max": n_max, "k_max": k_max})
     tb = _tables(n_max, k_max, "B")
@@ -247,13 +246,6 @@ def check_connection(n_max: int, k_max: int) -> IdentityCheck:
                 return chk.fail({"variant": "B", "n": n, "k": k}, tb[k - 1].entries[n], rhs)
             if tc[k - 1].entries[n] != rhs_c:
                 return chk.fail({"variant": "C", "n": n, "k": k}, tc[k - 1].entries[n], rhs_c)
-            # periodic-expansion form, re-indexed with p = l + 1
-            rhs_f = ZPolynomial()
-            for p in range(1, n + 2):
-                c = Fraction(binomial(n + 1, p), n + 1)
-                rhs_f = rhs_f + bpoly[n - p + 1] * (c * tc[k - 2].number(p - 1))
-            if tc[k - 1].entries[n] != rhs_f:
-                return chk.fail({"variant": "C-fourier", "n": n, "k": k}, tc[k - 1].entries[n], rhs_f)
     return chk
 
 

@@ -12,9 +12,13 @@ outside, which is reported as an analytic tail bound) and integrated by
 composite Gauss-Legendre panels; refinement doubles the panel count per
 w-axis, and convergence is declared when successive refinement levels agree
 within the target tolerance.  The unit-interval axes of a negative moment
-are integrated in closed form (at k = 3 through a complex dilogarithm), so
-only the k sech^2 axes are summed.  Summation order is fixed (chunks
-ascending, compensated combination), so results are bit-reproducible.
+are integrated in closed form, so only the k sech^2 axes are summed.  At
+k = 2 and k = 3 the closed forms are sums of the antiderivatives
+G_1(q) = log(s q) and G_j(q) = q^{1-j}/(1-j) at end points, which one
+kernel (_g_sums) evaluates for both; only the k = 3, m = 1 term goes
+through a complex dilogarithm instead.  Weighted rows are combined with
+fsum, so results are bit-reproducible, and chunking moves them by rounding
+only.
 
 The settings, result and error types (QuadratureSpec, default_spec,
 QuadratureResult, ConvergenceError) live in the numpy-free `quadspec` module
@@ -58,13 +62,8 @@ __all__ = [
 _RE_GUARD = 0.1
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    if nodes not in _GL_CACHE:
-        _GL_CACHE[nodes] = np.polynomial.legendre.leggauss(nodes)
-    return _GL_CACHE[nodes]
+# Gauss-Legendre nodes and weights on [-1, 1], made once per node count.
+_gl = functools.cache(np.polynomial.legendre.leggauss)
 
 
 def _panel_axis(a: float, b: float, panels: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -120,31 +119,6 @@ def _recip_powers(z: np.ndarray, ps: Sequence[int]) -> dict[int, np.ndarray]:
     return out
 
 
-def _antiderivative_sums(z: np.ndarray, ms: Sequence[int], weights: np.ndarray) -> dict:
-    """Contract g_m(z) over the last axis against `weights` for every m in ms
-    (ascending), where g_m' = z^{-m}: g_m(z) = -z^{1-m}/(m-1) for m >= 2, and
-    g_1(z) = log(s z) with s the sign of Re z, which must not vanish:
-    log|z| + i arctan(Im z / Re z) is that logarithm, off its branch cut.
-
-    The products run in einsum, not BLAS: at this size multithreaded BLAS
-    gains nothing, and its spinning threads doubled the CPU time and slowed
-    the kernel on a loaded two-core host."""
-
-    def contract(a: np.ndarray):
-        return np.einsum("...a,a->...", a, weights)
-
-    out = {}
-    if ms[0] == 1:
-        x, y = z.real, z.imag
-        out[1] = 0.5 * contract(np.log(x * x + y * y)) + 1j * contract(np.arctan(y / x))
-    higher = [m for m in ms if m > 1]
-    if higher:
-        pw = _recip_powers(z, [m - 1 for m in higher])
-        for m in higher:
-            out[m] = contract(pw[m - 1]) * (-1.0 / (m - 1))
-    return out
-
-
 # Complex elements per (rows, w-nodes) temporary of the moment kernel (128 KB):
 # cache-resident, yet large enough that per-chunk Python overhead is
 # negligible; the fastest of 2^10..2^16 for the k = 3 default spec.
@@ -167,21 +141,21 @@ def _moment_level(
     a + u_{k-1} p with a = const + V_k, and p = V_1 at k = 2 and
     V_2 + u_1 V_1 at k = 3; that axis is integrated in closed form,
 
-      int_0^1 (a + up)^{-m} du = (g_m(a + p) - g_m(a)) / p,
+      int_0^1 (a + up)^{-m} du = (G_m(a + p) - G_m(a)) / p,
 
-    with g_1(z) = log(s z), g_m(z) = -z^{1-m}/(m-1) and s = sign(const - 1/2),
+    with G_1(q) = log(s q), G_m(q) = q^{1-m}/(1-m) and s = sign(const - 1/2),
     the constant sign of Re(a + up) (the negative_moment guard ensures it;
     telescoping_check has Re >= 1/2).  For inner_shift 0 or 1,
-    |Re V_l| >= 1/2, so no division by p cancels anything.  At k = 2 the
-    w_2 axis is contracted against its weights by one matrix-vector product
-    per chunk of w_1 rows; k = 3 integrates u_1 in closed form too
-    (_moment_level_k3).  Chunks run in ascending order and their partial
-    sums are combined with fsum, so the result is reproducible bit for bit.
+    |Re V_l| >= 1/2, so no division by p cancels anything.  At k = 2 both
+    terms go to the G-sum kernel (_g_sums) in one call: the end point at
+    Q = V_1 with weights W_1/V_1, the a-only term at Q = 0 with the weight
+    -sum_1 W_1/V_1.  k = 3 integrates u_1 in closed form too
+    (_moment_level_k3), and sums its G_j through the same kernel.
     """
     X, WX = _sech_axis(spec.w_cutoff, panels, spec.nodes)
     C = 1j * X - 0.5
     A = const + C
-    ms = sorted(powers)
+    ms = sorted(set(powers))
     if k == 1:
         pw = _recip_powers(A, ms)
         return {m: _weighted_sum(pw[m], [WX]) for m in ms}
@@ -193,15 +167,9 @@ def _moment_level(
     V = C + inner_shift
     if k == 3:
         return _moment_level_k3(ms, A, V, WX)
-    g_a = _antiderivative_sums(A, ms, WX)
-    rows = max(1, _CHUNK // len(X))
-    partials: dict[int, list[complex]] = {m: [] for m in ms}
-    for lo in range(0, len(X), rows):
-        B = V[lo : lo + rows]
-        g_ab = _antiderivative_sums(A[None, :] + B[:, None], ms, WX)
-        for m in ms:
-            partials[m].append(complex(np.dot(WX[lo : lo + rows], (g_ab[m] - g_a[m]) / B)))
-    return {m: _fsum_complex(partials[m]) for m in ms}
+    wgt = np.append(WX / V, -complex(np.dot(WX, 1.0 / V)))
+    mats = {m: (slice(col, col + 1), WX[None, :]) for col, m in enumerate(ms)}
+    return dict(zip(ms, _g_sums(A, np.append(V, 0.0), wgt, mats, len(ms))))
 
 
 def _moment_level_k3(
@@ -215,88 +183,124 @@ def _moment_level_k3(
       (1/V_1) [T_m(a, V_1 + V_2) - T_m(a, V_2)],  where
       T_1(a, q) = -Li_2(-q/a)  and, with n = m - 1,
       T_m(a, q) = (1/n) sum_{j=1}^{n} a^{-(n-j+1)} G_j(a + q),
-      G_1(q) = log(s q),  G_j(q) = q^{1-j}/(1-j),
 
     from (a^{-n} - (a+p)^{-n})/p = sum_j a^{-(n-j+1)} (a+p)^{-j}.  Re(s(a+p))
     keeps its sign along the segment, so neither log(s q) nor
     Li_2(-q/a) = -int_0^q log(1 + p/a)/p dp crosses a branch cut.  The
-    V_2-endpoint term does not depend on w_1, so it is a (w_2, w_3) sum times
-    sum_1 W_1/V_1; the (V_1 + V_2)-endpoint term depends on w_1 + w_2 only,
-    so it is summed over unordered pairs {w_1, w_2} with weight
-    W_1 W_2 (1/V_1 + 1/V_2) (W_1^2/V_1 on the diagonal).
+    V_2-endpoint term does not depend on w_1, so it is a (w_2, w_3) sum with
+    weight -W_2 sum_1 W_1/V_1; the (V_1 + V_2)-endpoint term depends on
+    w_1 + w_2 only, so it is summed over unordered pairs {w_1, w_2} with
+    weight W_1 W_2 (1/V_1 + 1/V_2) (W_1^2/V_1 on the diagonal).  Both end
+    points form one list of rows Q.  The factors a^{-(m-j)}/(m-1) of T_m
+    depend on the w_3 column only, so they are folded into one
+    column-weight matrix per j, over the m > j that need G_j, for the G-sum
+    kernel.
     """
     n = len(V)
     rv = 1.0 / V
-    pair_sum = np.concatenate([V[i] + V[i:] for i in range(n)])
-    pair_wgt = np.concatenate([W[i] * W[i:] * (rv[i] + rv[i:]) for i in range(n)])
-    diagonal = np.concatenate(([0], np.cumsum(np.arange(n, 1, -1))))  # row starts
-    pair_wgt[diagonal] *= 0.5
-    pairs = _endpoint_sums(ms, A, W, pair_sum, pair_wgt)
-    single = _endpoint_sums(ms, A, W, V, W)
+    Q = np.concatenate([V[i] + V[i:] for i in range(n)] + [V])
     r = complex(np.dot(W, rv))
-    return {m: pairs[m] - r * single[m] for m in ms}
-
-
-def _endpoint_sums(
-    ms: Sequence[int], A: np.ndarray, W: np.ndarray, Q: np.ndarray, wgt: np.ndarray
-) -> dict[int, complex]:
-    """sum_r wgt_r sum_c W_c T_m(A_c, Q_r) for every m in ms (see
-    _moment_level_k3), walked in chunks of Q rows.  The factors a^{-(m-j)}/n
-    and 1/(1-j) depend on the w_3 column only, so they are folded into one
-    column-weight matrix per j: each chunk makes G_1 and then the powers
-    (a+q)^{-1}, (a+q)^{-2}, ... one at a time in place."""
-    higher = [m for m in ms if m > 1]
-    top = ms[-1] - 1
-    pw = _recip_powers(A, range(1, top + 1)) if top else {}
-    mats = []
-    for j in range(1, top + 1):
-        scale = 1.0 if j == 1 else 1.0 / (1 - j)
-        cols = [W * pw[m - j] * (scale / (m - 1)) if m > j else 0 * W for m in higher]
-        mats.append(np.stack(cols, axis=1))
-    rows = max(1, _CHUNK // len(A))
+    wgt = np.concatenate([W[i] * W[i:] * (rv[i] + rv[i:]) for i in range(n)] + [-r * W])
+    diagonal = np.concatenate(([0], np.cumsum(np.arange(n, 1, -1))))  # row starts
+    wgt[diagonal] *= 0.5
     out = {}
     if ms[0] == 1:
         # _li2 holds three more arrays of its argument's size, so it runs on
-        # quarter chunks: the level then peaks no higher than the m >= 2 loop
-        step = max(1, rows // 4)
+        # quarter chunks: the level then peaks no higher than the G-sum kernel
+        step = max(1, _CHUNK // n // 4)
         parts = []
         for lo in range(0, len(Q), step):
             li = _li2(-Q[lo : lo + step, None] / A)
             parts.append(_fsum_complex(wgt[lo : lo + step] * np.einsum("ra,a->r", li, W)))
         out[1] = -_fsum_complex(parts)
-    partials: dict[int, list[complex]] = {m: [] for m in higher}
-    for lo in range(0, len(Q) if higher else 0, rows):
+    higher = ms[1:] if ms[0] == 1 else ms
+    if higher:
+        pw = _recip_powers(A, range(1, higher[-1]))
+        mats = {}
+        for j in range(1, higher[-1]):
+            first = next(col for col, m in enumerate(higher) if m > j)
+            cols = [W * pw[m - j] * (1.0 / (m - 1)) for m in higher[first:]]
+            mats[j] = (slice(first, None), np.stack(cols))
+        out.update(zip(higher, _g_sums(A, Q, wgt, mats, len(higher))))
+    return out
+
+
+def _g_sums(
+    A: np.ndarray,
+    Q: np.ndarray,
+    wgt: np.ndarray,
+    mats: dict[int, tuple[slice, np.ndarray]],
+    cols: int,
+) -> list[complex]:
+    """The G-sum kernel: for every column col < cols,
+
+      sum_r wgt_r sum_c sum_j G_j(A_c + Q_r) M_j[col, c],
+
+    G_1(q) = log(s q), G_j(q) = q^{1-j}/(1-j), with s the sign of Re q,
+    which must not vanish: log|q| + i arctan(Im q / Re q) is that
+    logarithm, off its branch cut.  mats maps each j that some column needs
+    to the slice of columns that need it and M_j on those columns, one row
+    per column.  Walked in chunks of Q rows: each makes G_1 only if j = 1 is
+    needed, then the powers (a+q)^{-1}, (a+q)^{-2}, ... up to the largest j,
+    one at a time in place.  The weighted rows of all chunks are summed with
+    one fsum per column, so the result is reproducible bit for bit.
+
+    The products run in einsum, not BLAS: at this size multithreaded BLAS
+    gains nothing, and its spinning threads doubled the CPU time and slowed
+    the kernel on a loaded two-core host.  Weights stored one row per
+    column contract about twice as fast as columns.  log|q| and arg(s q)
+    stay real, contiguous arrays, contracted against the rows of Re M_1 and
+    Im M_1: the log and arctan run much slower on the strided parts of a
+    complex array, and a complex contraction of real data converts it."""
+    top = max(mats)
+    # complex weights for the powers: einsum would convert real ones on every call
+    scaled = {j: (sl, mat * complex(1.0 / (1 - j))) for j, (sl, mat) in mats.items() if j > 1}
+    if 1 in mats:
+        sl1, m1 = mats[1]
+        # the rows of Re M_1, then those of Im M_1 unless M_1 is real
+        re_im = np.concatenate([m1.real, m1.imag]) if np.iscomplexobj(m1) else m1
+        c1 = len(m1)
+    rows = max(1, _CHUNK // len(A))
+    out = np.zeros((len(Q), cols), dtype=complex)
+    for lo in range(0, len(Q), rows):
         q = Q[lo : lo + rows, None]
         d = np.empty((len(q), len(A)), dtype=complex)
         d[...] = A  # a + q in place: a broadcasting add would buffer both operands
         d += q
-        g = np.empty_like(d)
-        np.multiply(d.real, d.real, out=g.real)
-        np.multiply(d.imag, d.imag, out=g.imag)
-        g.real += g.imag
-        np.log(g.real, out=g.real)
-        g.real *= 0.5
-        np.divide(d.imag, d.real, out=g.imag)
-        np.arctan(g.imag, out=g.imag)  # arg(s d), as Re(s d) > 0
-        acc = np.einsum("ra,ak->rk", g, mats[0])
-        del g
+        acc = out[lo : lo + rows]
+        if 1 in mats:
+            x, y = d.real, d.imag
+            mag = x * x
+            mag += y * y
+            np.log(mag, out=mag)
+            lg = np.einsum("ra,ka->rk", mag, re_im) * 0.5  # mag is log |q|^2
+            arg = np.divide(y, x)
+            np.arctan(arg, out=arg)  # arg(s q), as Re(s q) > 0
+            th = np.einsum("ra,ka->rk", arg, re_im)
+            if len(re_im) > c1:
+                lg, th = lg[:, :c1] - th[:, c1:], lg[:, c1:] + th[:, :c1]
+            acc.real[:, sl1] = lg
+            acc.imag[:, sl1] = th
         if top > 1:
             r = np.reciprocal(d, out=d)
             cur = r.copy() if top > 2 else r
-            for j, mat in enumerate(mats[1:], 2):
+            for j in range(2, top + 1):
                 if j > 2:
                     cur *= r
-                acc += np.einsum("ra,ak->rk", cur, mat)
-        acc *= wgt[lo : lo + rows, None]
-        for col, m in enumerate(higher):
-            partials[m].append(_fsum_complex(acc[:, col]))
-    out.update((m, _fsum_complex(partials[m])) for m in higher)
-    return out
+                if j in scaled:
+                    sl, mat = scaled[j]
+                    acc[:, sl] += np.einsum("ra,ka->rk", cur, mat)
+    out *= wgt[:, None]
+    return [_fsum_complex(out[:, col]) for col in range(cols)]
 
 
-def _converge(level_fn, spec: QuadratureSpec, relative: bool = False):
+def _converge(
+    level_fn, spec: QuadratureSpec, tails: dict | None = None, relative: bool = False
+) -> dict:
     """Run refinement levels until successive values agree within tolerance,
-    times the largest |value| of the level when relative is set.
+    times the largest |value| of the level when relative is set, and return
+    the last level's values as QuadratureResults, each with the tail bound
+    that `tails` gives for its key (none if tails is None).
 
     level_fn(panels) -> dict of values; the delta is the max over keys.
     """
@@ -308,7 +312,11 @@ def _converge(level_fn, spec: QuadratureSpec, relative: bool = False):
             delta = max(abs(cur[m] - prev[m]) for m in cur)
             scale = max(map(abs, cur.values())) if relative else 1.0
             if delta < spec.tolerance * scale:
-                return cur, delta, lev + 1
+                tails = tails or {}
+                return {
+                    m: QuadratureResult(v.real, abs(v.imag), delta, lev + 1, tails.get(m))
+                    for m, v in cur.items()
+                }
         prev = cur
     raise ConvergenceError(delta, spec.levels)
 
@@ -323,13 +331,7 @@ def _mellin_quad(integrand, T: float, tol: float, relative: bool = False) -> flo
         t, w = _panel_axis(0.0, T, panels, spec.nodes)
         return {0: float(np.dot(w, integrand(t)))}
 
-    vals, _, _ = _converge(level, spec, relative)
-    return vals[0]
-
-
-def _re_interval(k: int, z: float) -> tuple[float, float]:
-    """Range of the denominator's real part at w = 0 over the u-cube."""
-    return z - k / 2.0, z - 0.5
+    return _converge(level, spec, relative=relative)[0].value
 
 
 def negative_moment_batch(
@@ -346,29 +348,20 @@ def negative_moment_batch(
     if not ms or any(m < 1 for m in ms):
         raise ValueError("moment orders must be >= 1")
     spec = spec or default_spec(k)
-    lo, hi = _re_interval(k, z)
+    lo, hi = z - k / 2.0, z - 0.5  # the denominator's real part at w = 0 over the u-cube
     if hi > -_RE_GUARD and lo < _RE_GUARD:
         raise ValueError(
             f"z = {z} puts the denominator's real part within {_RE_GUARD} of zero "
             f"(interval [{lo}, {hi}]); the integrand is singular or near-singular"
         )
     min_abs_re = min(abs(lo), abs(hi))
-    vals, delta, levels = _converge(
+    tail = k * _sech_tail_mass(spec.w_cutoff)
+    res = _converge(
         lambda panels: _moment_level(k, ms, panels, spec, const=z, inner_shift=0.0),
         spec,
+        {m: tail * min_abs_re ** (-m) for m in ms},
     )
-    tail = k * _sech_tail_mass(spec.w_cutoff)
-    out = {}
-    for m in ms:
-        v = vals[m]
-        out[m] = QuadratureResult(
-            value=v.real,
-            imag_residue=abs(v.imag),
-            convergence_delta=delta,
-            levels_used=levels,
-            tail_bound=tail * min_abs_re ** (-m),
-        )
-    return out
+    return {m: res[m] for m in ms}  # in the caller's order
 
 
 def negative_moment(
@@ -396,9 +389,7 @@ def bernoulli_moment_quadrature(n: int, spec: QuadratureSpec | None = None) -> Q
             cur = cur * base
         return {0: complex(np.dot(W, cur))}
 
-    vals, delta, levels = _converge(level, spec)
-    v = vals[0]
-    return QuadratureResult(v.real, abs(v.imag), delta, levels)
+    return _converge(level, spec)[0]
 
 
 def telescoping_check(
@@ -414,13 +405,12 @@ def telescoping_check(
     if k < 2:
         raise ValueError("telescoping check requires k >= 2")
     spec = spec or default_spec(k)
-    vals, delta, levels = _converge(
+    tail = k * _sech_tail_mass(spec.w_cutoff) * 2.0  # |den| >= 1/2 on the shifted kernel
+    first = _converge(
         lambda panels: _moment_level(k, [1], panels, spec, const=1.0, inner_shift=1.0),
         spec,
-    )
-    v = vals[1]
-    tail = k * _sech_tail_mass(spec.w_cutoff) * 2.0  # |den| >= 1/2 on the shifted kernel
-    first = QuadratureResult(v.real, abs(v.imag), delta, levels, tail_bound=tail)
+        {1: tail},
+    )[1]
     base = negative_moment(k, 1, 0.0, spec)
     return first, replace(base, value=-base.value)
 
@@ -444,10 +434,7 @@ def zeta_star_3_1_double(spec: QuadratureSpec | None = None) -> QuadratureResult
         vals = 1.0 / (A * (A + B))
         return {0: _weighted_sum(vals, [W, W])}
 
-    vals, delta, levels = _converge(level, spec)
-    v = vals[0]
-    tail = 2 * _sech_tail_mass(spec.w_cutoff) * 4.0
-    return QuadratureResult(v.real, abs(v.imag), delta, levels, tail_bound=tail)
+    return _converge(level, spec, {0: 2 * _sech_tail_mass(spec.w_cutoff) * 4.0})[0]
 
 
 # ---------------------------------------------------------------------------
@@ -759,18 +746,13 @@ def barnes_zeta_sech(
                 shape = [1] * k
                 shape[slot] = len(vals)
                 den = den - 1j * vals.reshape(shape)
-            r = 1.0 / den
-            cur = r
-            for _ in range(power - 1):
-                cur = cur * r
+            cur = _recip_powers(den, [power])[power]
             weights = [w_first[lo : lo + rows]] + [wt for _, wt in rest]
             parts.append(_weighted_sum(cur, weights))
         return {0: pref * _fsum_complex(parts)}
 
-    vals, delta, levels = _converge(level, spec)
-    v = vals[0]
     tail = k * _sech_tail_mass(spec.w_cutoff) * w ** (-power) * pref
-    return QuadratureResult(v.real, abs(v.imag), delta, levels, tail_bound=tail)
+    return _converge(level, spec, {0: tail})[0]
 
 
 # ---------------------------------------------------------------------------

@@ -227,32 +227,6 @@ def test_route_disagreement_witness():
     assert bad["umbral"] == bad["stirling"] == numbers[4] - 1
 
 
-def test_transform_route_tables():
-    from akzeta.polybernoulli import cube_table, simplex_table
-
-    ref = poly_bernoulli_series(5, 3, "B")
-    ct = cube_table(5, 3)
-    st = simplex_table(5, 3)
-    assert ct.route == "barnes-cube" and st.route == "barnes-simplex"
-    for n in range(6):
-        assert ct.value(n) == ref.value(n)
-        assert st.value(n) == ref.value(n)
-
-
-@pytest.mark.parametrize("route", ["cube", "simplex"])
-def test_transform_tables_reject_non_lifts(monkeypatch, route):
-    """A transform polynomial whose z-coefficients do not follow from its
-    constant terms must raise, not be reduced to its constant terms."""
-    from akzeta import polybernoulli as pb
-
-    name = "barnes_transform_cube" if route == "cube" else "simplex_transform"
-    real = getattr(pb, name)
-    monkeypatch.setattr(pb, name, lambda n, k: real(n, k) + ZPolynomial([0, 1]))
-    build = pb.cube_table if route == "cube" else pb.simplex_table
-    with pytest.raises(pb.InternalInvariantError):
-        build(3, 2)
-
-
 def test_deep_routes_agree_entrywise():
     # n = 40, k <= 6: series, Stirling and both binomial conversions, as polynomials
     for k in range(1, 7):
@@ -265,12 +239,15 @@ def test_deep_routes_agree_entrywise():
         assert stirling_table(40, k, "C").entries == tc.entries
 
 
-def test_table_serialization():
-    t = poly_bernoulli_series(3, 2, "B")
-    csv = t.to_csv()
-    lines = csv.strip().splitlines()
+def test_table_serialization(capsys):
+    from akzeta.cli import EXIT_OK, main
+
+    code = main(["table", "--n-max", "3", "--k-min", "2", "--k-max", "2", "--format", "csv"])
+    assert code == EXIT_OK
+    lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "n,k,variant,num,den"
     assert lines[2] == "1,2,B,1,4"
+    t = poly_bernoulli_series(3, 2, "B")
     obj = t.to_json()
     assert obj["k"] == 2 and obj["variant"] == "B" and obj["route"] == "series"
     # coefficient arrays are low-to-high

@@ -232,6 +232,8 @@ def test_moment_kernel_matches_tensor_sum(k, const, shift):
     V = C + shift
     UL, WUL = _unit_rule(40)
     got = _moment_level(k, [1, 2, 3], spec.panels, spec, const, shift)
+    # each order alone: the kernel then makes only the G_j that order needs
+    alone = {m: _moment_level(k, [m], spec.panels, spec, const, shift)[m] for m in (1, 2, 3)}
     for m in (1, 2, 3):
         if k == 2:  # axes (w_1, w_2, u_1): const + C_2 + u_1 V_1
             den = const + C[None, :, None] + UL[None, None, :] * V[:, None, None]
@@ -243,29 +245,33 @@ def test_moment_kernel_matches_tensor_sum(k, const, shift):
                 den = const + C[None, None, :, None] + UL[None, None, None, :] * p
                 ref += wu1 * np.einsum("abcd,a,b,c,d->", den**-m, WX, WX, WX, WUL)
         assert abs(got[m] - ref) < 1e-12, (m, got[m], ref)
+        assert abs(alone[m] - ref) < 1e-12, (m, alone[m], ref)
 
 
-def test_k3_level_chunking_is_invisible(monkeypatch):
-    # one pair of (w_1, w_2) rows per chunk moves every chunk boundary
-    spec = default_spec(3)
+@pytest.mark.parametrize("k", [2, 3])
+def test_moment_level_chunking_is_invisible(monkeypatch, k):
+    # one row of end points per chunk moves every chunk boundary
+    spec = default_spec(k)
     for const, shift in ((0.0, 0.0), (1.0, 1.0)):
-        ref = _moment_level(3, [1, 2, 3], spec.panels, spec, const, shift)
+        ref = _moment_level(k, [1, 2, 3], spec.panels, spec, const, shift)
         with monkeypatch.context() as mp:
             mp.setattr(zetanum, "_CHUNK", 1)
-            got = _moment_level(3, [1, 2, 3], spec.panels, spec, const, shift)
+            got = _moment_level(k, [1, 2, 3], spec.panels, spec, const, shift)
         for m in (1, 2, 3):
             assert abs(got[m] - ref[m]) <= 1e-15, (const, m, got[m], ref[m])
 
 
-def test_k3_level_memory_stays_chunked():
-    # 160 nodes per axis: a grid over all pairs would need 33 MB per complex
-    # array; the chunked kernel holds about 1 MB
-    spec = default_spec(3)
-    panels = 160 // spec.nodes
-    _moment_level(3, [1, 2, 3], panels, spec, 0.0, 0.0)  # caches filled
+@pytest.mark.parametrize("k", [2, 3])
+def test_moment_level_memory_stays_chunked(k):
+    # a full grid needs 16 MB per complex array at k = 2 with 1024 nodes per
+    # axis, and 33 MB over all (w_1, w_2) pairs at k = 3 with 160; the
+    # chunked kernel holds about 1.5 MB
+    spec = default_spec(k)
+    panels = {2: 1024, 3: 160}[k] // spec.nodes
+    _moment_level(k, [1, 2, 3], panels, spec, 0.0, 0.0)  # caches filled
     tracemalloc.start()
     try:
-        _moment_level(3, [1, 2, 3], panels, spec, 0.0, 0.0)
+        _moment_level(k, [1, 2, 3], panels, spec, 0.0, 0.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -499,6 +505,8 @@ def test_bit_reproducible():
         assert a[m].value == b[m].value
         assert a[m].imag_residue == b[m].imag_residue
         assert a[m].convergence_delta == b[m].convergence_delta
+    # the k = 2 level with its a-only term at Q = 0 in the same kernel call
+    assert telescoping_check(2) == telescoping_check(2)
     x = ak_zeta_mellin(2, 1)
     y = ak_zeta_mellin(2, 1)
     assert x == y
