@@ -35,8 +35,6 @@ from .umbral import (
     uniform_symbol,
 )
 from .polybernoulli import (
-    BarnesParameters,
-    BarnesPolynomial,
     PolyBernoulliTable,
     barnes_transform_cube,
     bc_convert,

@@ -239,8 +239,7 @@ def _cmd_mzv(args, spec) -> int:
         raise ValueError(f"bad signature {args.sig!r}") from e
     if args.terms > MAX_TERMS:
         raise ValueError(f"need terms <= {MAX_TERMS}")
-    sig = zetanum.MzSignature(exponents, args.starred)
-    value, bound = zetanum.mz_truncated(sig, args.terms)
+    value, bound = zetanum.mz_truncated(exponents, args.terms, args.starred)
     star = "*" if args.starred else ""
     _emit(
         args.format,

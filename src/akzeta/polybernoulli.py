@@ -7,8 +7,11 @@ the unit cube and on the ordered simplex.
 The series route composes and divides integer EGF numerators; the symbolic
 route evaluates the nested symbol S_k = 1 + C_k through its moment
 sequences (umbral_numbers); the transforms still expand their integrands in
-the sparse symbol algebra of the umbral module.  Every route yields the
-z = 0 numbers, and the polynomials are their Appell lifts
+the sparse symbol algebra of the umbral module.  On the cube the weight
+cancels the Barnes prefactor, so that transform is the one expansion
+E[(z + 1 + C_k)^n]; on the simplex the variables are integrated out one at
+a time.  bernoulli_barnes itself takes rational parameters.  Every route
+yields the z = 0 numbers, and the polynomials are their Appell lifts
 (exact.appell_polynomial).
 
 Route agreement across all of these is the central correctness invariant of
@@ -36,14 +39,13 @@ from .umbral import (
     UmbralExpression,
     Z,
     bernoulli_symbol,
+    c_symbol,
     expr_power,
     uniform_symbol,
 )
 
 __all__ = [
     "PolyBernoulliTable",
-    "BarnesParameters",
-    "BarnesPolynomial",
     "poly_bernoulli_series",
     "poly_bernoulli_umbral",
     "poly_bernoulli_stirling",
@@ -231,106 +233,42 @@ def bc_convert(table: PolyBernoulliTable, direction: str) -> PolyBernoulliTable:
     return PolyBernoulliTable(table.k, new_variant, table.route, numbers)
 
 
-@dataclass
-class BarnesParameters:
-    """Parameters of the Bernoulli-Barnes generating function e^{zt} prod t/(e^{a_i t}-1).
-
-    Each a_i is a positive rational or a monomial in the uniform symbols;
-    z is a rational shift or None for the formal variable.
-    """
-
-    a: list
-    z: Union[Fraction, None] = None
-
-    def __post_init__(self):
-        if not self.a:
-            raise ValueError("parameter list must be nonempty")
-        for ai in self.a:
-            if isinstance(ai, UmbralExpression):
-                coeff = ai.monomial_coefficient()
-                if coeff is None:
-                    raise ValueError("symbolic parameters must be single monomials")
-                if coeff <= 0 or any(s.kind != "U" for s in ai.symbols()):
-                    raise ValueError("symbolic parameters must be monomials in the u-variables")
-            elif Fraction(ai) == 0:
-                raise ValueError("parameters must be nonzero")
-
-
-@dataclass
-class BarnesPolynomial:
-    """A Bernoulli-Barnes polynomial with the 1/prod(a_i) prefactor tracked
-    symbolically: value = numerator / denominator, where denominator is a
-    single u-monomial (possibly 1)."""
-
-    numerator: UmbralExpression
-    denominator: UmbralExpression
-
-    def as_polynomial(self) -> ZPolynomial:
-        """Collapse to a polynomial in z; only valid when the denominator is 1."""
-        if self.denominator != UmbralExpression.constant(1):
-            raise ValueError("denominator is symbolic; cannot collapse")
-        return self.numerator.expect()
-
-
-def bernoulli_barnes(n: int, params: BarnesParameters) -> BarnesPolynomial:
-    """(1/prod a_i) * E[(z + sum a_i B_i)^n] over independent Bernoulli symbols.
-
-    The Bernoulli expectation is applied immediately, so the numerator is a
-    polynomial in z and the u-variables only.
+def bernoulli_barnes(n: int, a: list) -> ZPolynomial:
+    """The Bernoulli-Barnes polynomial (1/prod a_i) E[(z + sum a_i B_i)^n] over
+    independent Bernoulli symbols: n! times the t^n coefficient of
+    e^{zt} prod t/(e^{a_i t} - 1), for a nonempty list of nonzero rationals a.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    k = len(params.a)
-    if params.z is None:
-        base = UmbralExpression.symbol(Z)
-    else:
-        base = UmbralExpression.constant(params.z)
-    scalar = Fraction(1)
-    denom = UmbralExpression.constant(1)
-    for i, ai in enumerate(params.a, start=1):
-        bi = UmbralExpression.symbol(bernoulli_symbol(i))
-        if isinstance(ai, UmbralExpression):
-            base = base + ai * bi
-            denom = denom * ai
-        else:
-            q = Fraction(ai)
-            base = base + bi * q
-            scalar *= q
-    numerator = expr_power(base, n).expect_kind("B") * (Fraction(1) / scalar)
-    return BarnesPolynomial(numerator, denom)
-
-
-def _u_weight_monomial(k: int) -> UmbralExpression:
-    """u_1 u_2^2 ... u_{k-1}^{k-1}, the unit-cube transform weight."""
-    expos = {uniform_symbol(j): j for j in range(1, k)}
-    return UmbralExpression.monomial(expos) if expos else UmbralExpression.constant(1)
+    if not a:
+        raise ValueError("parameter list must be nonempty")
+    a = [Fraction(ai) for ai in a]
+    if 0 in a:
+        raise ValueError("parameters must be nonzero")
+    base = UmbralExpression.symbol(Z)
+    for i, ai in enumerate(a, start=1):
+        base = base + UmbralExpression.symbol(bernoulli_symbol(i)) * ai
+    return expr_power(base, n).expect() * (1 / math.prod(a))
 
 
 def barnes_transform_cube(n: int, k: int, z: Union[Fraction, None] = None):
     """Exact unit-cube integral transform of the Bernoulli-Barnes polynomial:
 
-    integrates 𝔅_n^{(k)}(u_{k-1}...u_1, ..., u_{k-1}, 1; z+1) u_1 u_2^2 ... u_{k-1}^{k-1}
-    over [0,1]^{k-1}; the prefactor 1/prod(a_i) cancels the weight exactly and
-    each u-monomial integrates to 1/(exponent+1).  Returns B_n^{(k)}(z) as a
-    polynomial for z=None, else the rational value.
+    integrates 𝔅_n^{(k)}(a; z+1) u_1 u_2^2 ... u_{k-1}^{k-1} over [0,1]^{k-1},
+    with a_i = u_i ... u_{k-1} (a_k = 1).  The weight is prod a_i, so it
+    cancels the 1/prod(a_i) prefactor exactly and leaves
+    E[(z + 1 + sum a_i B_i)^n], where sum a_i B_i is the companion symbol
+    C_k; one expectation then evaluates the B and the u-variables together
+    (each u-monomial integrates to 1/(exponent+1)).  Returns B_n^{(k)}(z) as
+    a polynomial for z=None, else the rational value.
     """
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
-    a = []
-    for i in range(1, k + 1):
-        expos = {uniform_symbol(j): 1 for j in range(i, k)}
-        a.append(UmbralExpression.monomial(expos) if expos else UmbralExpression.constant(1))
-    shift = None if z is None else Fraction(z) + 1
-    bp = bernoulli_barnes(n, BarnesParameters(a, shift))
-    weight = _u_weight_monomial(k)
-    if bp.denominator != weight:
-        raise InternalInvariantError("cube weight does not cancel the Barnes prefactor")
-    integrated = bp.numerator.expect()  # weight/denominator == 1
     if z is None:
-        # the formal route built the argument as bare z; the transform needs
-        # z+1, and the shift commutes with integrating out the u-variables
-        return integrated.shift(1)
-    return integrated.coefficient(0)
+        # a constant in the base would add a term to every power: expand with
+        # the bare z and shift afterwards, which commutes with the expectation
+        return expr_power(UmbralExpression.symbol(Z) + c_symbol(k), n).expect().shift(1)
+    return expr_power(c_symbol(k) + (Fraction(z) + 1), n).expect().coefficient(0)
 
 
 def simplex_transform(n: int, k: int, z: Union[Fraction, None] = None):

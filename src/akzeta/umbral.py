@@ -175,13 +175,6 @@ class UmbralExpression(_Numerators):
         c = Fraction(coeff)
         return cls({key: c.numerator}, c.denominator)
 
-    def monomial_coefficient(self) -> Fraction | None:
-        """The coefficient of a one-term expression; None for any other."""
-        if len(self.terms) != 1:
-            return None
-        (c,) = self.terms.values()
-        return Fraction(c, self.den)
-
     def __mul__(self, other):
         out = super().__mul__(other)
         if out is not NotImplemented:
@@ -271,9 +264,6 @@ class UmbralExpression(_Numerators):
         the z symbol survives as the variable."""
         r = self.expect_kind("B", "U")  # keys are now z-degrees
         return ZPolynomial(r.terms, r.den)
-
-    def symbols(self) -> set[Symbol]:
-        return {s for s, _ in _decode(functools.reduce(or_, self.terms, 0))}
 
     def render(self) -> str:
         """Canonical text form: monomials sorted, exponents explicit."""

@@ -30,7 +30,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -779,9 +779,7 @@ class MzSignature:
         return len(self.exponents)
 
 
-def mz_truncated(
-    sig: Union[MzSignature, Sequence[int]], N: int, starred: bool | None = None
-) -> tuple[float, float]:
+def mz_truncated(exponents: Sequence[int], N: int, starred: bool = False) -> tuple[float, float]:
     """Truncated multiple zeta (starred) value with a conservative tail bound.
 
     The nested sum is evaluated with outer index n_1 <= N by cumulative prefix
@@ -795,13 +793,7 @@ def mz_truncated(
     so the returned bound is N^{1-s_1}/(s_1 - 1) * (H_N + 2)^{depth-1}.
     The true value lies within value +- bound.
     """
-    if isinstance(sig, MzSignature):
-        exps = sig.exponents
-        star = sig.starred if starred is None else starred
-    else:
-        exps = tuple(int(s) for s in sig)
-        star = bool(starred)
-        sig = MzSignature(exps, star)
+    exps = MzSignature(tuple(exponents), starred).exponents  # validates them
     if N < 1:
         raise ValueError("N must be >= 1")
     n = np.arange(0, N + 1, dtype=np.float64)
@@ -812,7 +804,7 @@ def mz_truncated(
         f[0] = 0.0
         if cum is not None:
             inner = np.cumsum(cum)
-            if star:
+            if starred:
                 f = f * inner  # indices n_{d+1} <= n_d
             else:
                 f = f * np.concatenate(([0.0], inner[:-1]))  # strict <

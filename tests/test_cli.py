@@ -254,6 +254,20 @@ def test_verify_exit_codes(capsys):
     assert code == EXIT_VERIFY_FAIL
 
 
+def test_verify_small_grids_and_negative_bounds(capsys):
+    # the refuted variant's counterexample sits at n = 1, k = 2, so grids
+    # below that still scan it rather than report a false failure
+    for argv in (["--max-n", "3", "--max-k", "1"], ["--max-n", "0", "--max-k", "2"]):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "recurrence", *argv)
+        assert code == EXIT_OK, argv
+        assert not json.loads(out)["totals"]["fail"]
+    # negative bounds are usage errors before any check runs
+    for argv in (["--max-n", "-1"], ["--max-k", "0"], ["--max-m", "-1"]):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == EXIT_USAGE, argv
+        assert out == "" and ">=" in err
+
+
 def test_json_round_trip_byte_identical(capsys):
     for argv in (
         ["num", "--n", "1", "--k", "2"],

@@ -1,6 +1,10 @@
-"""Package surface: every name a module exports resolves."""
+"""Package surface: every name a module exports resolves, and every global
+a module reads is defined."""
+import builtins
 import importlib
 import pkgutil
+import symtable
+from pathlib import Path
 
 import pytest
 
@@ -17,3 +21,25 @@ def test_modules_found():
 def test_all_names_resolve(name):
     module = importlib.import_module(f"akzeta.{name}")
     assert [n for n in getattr(module, "__all__", []) if not hasattr(module, n)] == []
+
+
+def _global_reads(table: symtable.SymbolTable):
+    """Names read as globals anywhere in the table and its nested scopes."""
+    for sym in table.get_symbols():
+        if sym.is_global() and sym.is_referenced():
+            yield sym.get_name()
+    for child in table.get_children():
+        yield from _global_reads(child)
+
+
+@pytest.mark.parametrize("name", MODULES + ["__init__"])
+def test_no_undefined_globals(name):
+    # a global that is neither assigned nor imported raises NameError only
+    # when its line runs; this finds it without running the module's code
+    module = importlib.import_module("akzeta" if name == "__init__" else f"akzeta.{name}")
+    path = Path(akzeta.__file__).with_name(f"{name}.py")
+    table = symtable.symtable(path.read_text(), str(path), "exec")
+    undefined = {
+        g for g in _global_reads(table) if not hasattr(module, g) and not hasattr(builtins, g)
+    }
+    assert undefined == set()

@@ -10,7 +10,6 @@ import pytest
 
 from akzeta.exact import ZPolynomial, bernoulli_numbers, bernoulli_polynomial, binomial
 from akzeta.polybernoulli import (
-    BarnesParameters,
     PolyBernoulliTable,
     barnes_transform_cube,
     bc_convert,
@@ -30,7 +29,6 @@ from akzeta.umbral import (
     c_symbol,
     expr_power,
     poly_symbol,
-    uniform_symbol,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -145,38 +143,38 @@ def test_companion_is_shift():
 
 def test_bernoulli_barnes_classical():
     for n in range(8):
-        bp = bernoulli_barnes(n, BarnesParameters([Fraction(1)], None))
-        assert bp.as_polynomial() == bernoulli_polynomial(n)
+        assert bernoulli_barnes(n, [Fraction(1)]) == bernoulli_polynomial(n)
+    with pytest.raises(ValueError):
+        bernoulli_barnes(1, [])
+    with pytest.raises(ValueError):
+        bernoulli_barnes(1, [Fraction(0)])
+    with pytest.raises(ValueError):
+        bernoulli_barnes(1, [Fraction(1), 0])
+    with pytest.raises(ValueError):
+        bernoulli_barnes(-1, [Fraction(1)])
 
 
 def test_bernoulli_barnes_prefactor_only():
-    u1 = UmbralExpression.symbol(uniform_symbol(1))
-    bp = bernoulli_barnes(0, BarnesParameters([u1, Fraction(1)], Fraction(0)))
-    assert bp.numerator == UmbralExpression.constant(1)
-    assert bp.denominator == u1
+    # at n = 0 only the prefactor 1/prod(a_i) is left
+    assert bernoulli_barnes(0, [2, Fraction(1, 3)]) == Fraction(3, 2)
+    assert bernoulli_barnes(0, [-1]) == -1
 
 
-def test_barnes_parameters_validation():
-    from akzeta.umbral import bernoulli_symbol
-
-    with pytest.raises(ValueError):
-        BarnesParameters([])
-    with pytest.raises(ValueError):
-        BarnesParameters([Fraction(0)])
-    u1 = UmbralExpression.symbol(uniform_symbol(1))
-    with pytest.raises(ValueError):
-        BarnesParameters([u1 + 1])  # two monomials
-    with pytest.raises(ValueError):
-        BarnesParameters([UmbralExpression.symbol(bernoulli_symbol(1))])
+def test_bernoulli_barnes_non_unit_parameter():
+    # t/(e^{at}-1) = (1/a) (at)/(e^{at}-1), so B_n([a]; z) = a^{n-1} B_n(z/a)
+    z = ZPolynomial.variable()
+    for a in (Fraction(2), Fraction(1, 3), Fraction(-1)):
+        for n in range(9):
+            expected = bernoulli_polynomial(n)(z * (1 / a)) * a ** (n - 1)
+            assert bernoulli_barnes(n, [a]) == expected
 
 
 def test_bernoulli_barnes_two_parameters_matches_series():
     # E[(B_1 + B_2)^n] against n! [t^n] (t/(e^t-1))^2 = sum_j C(n,j) B_j B_{n-j}
     B = bernoulli_numbers(8)
     for n in range(9):
-        bp = bernoulli_barnes(n, BarnesParameters([Fraction(1), Fraction(1)], Fraction(0)))
         square = sum(binomial(n, j) * B[j] * B[n - j] for j in range(n + 1))
-        assert bp.as_polynomial().coefficient(0) == square
+        assert bernoulli_barnes(n, [Fraction(1), Fraction(1)]).coefficient(0) == square
 
 
 def test_cube_transform():

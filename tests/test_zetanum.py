@@ -433,6 +433,8 @@ def test_mz_signature_validation():
     with pytest.raises(ValueError):
         MzSignature((2, 0))
     assert MzSignature((3, 1), True).depth == 2
+    with pytest.raises(ValueError):
+        mz_truncated((1, 2), 10)  # the tuple form is validated through MzSignature
 
 
 def test_mz_truncated_values():
@@ -455,13 +457,6 @@ def test_mz_bound_is_conservative():
         v_small, bound = mz_truncated(sig, 2000, starred)
         v_large, _ = mz_truncated(sig, 400000, starred)
         assert abs(v_large - v_small) <= bound
-
-
-def test_mz_signature_object_roundtrip():
-    sig = MzSignature((3, 1), starred=True)
-    v1, b1 = mz_truncated(sig, 1000)
-    v2, b2 = mz_truncated((3, 1), 1000, True)
-    assert v1 == v2 and b1 == b2
 
 
 # --- telescoping and the reduced double integral ------------------------------------
