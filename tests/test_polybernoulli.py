@@ -144,6 +144,10 @@ def test_companion_is_shift():
 def test_bernoulli_barnes_classical():
     for n in range(8):
         assert bernoulli_barnes(n, [Fraction(1)]) == bernoulli_polynomial(n)
+
+
+def test_barnes_parameters_validation():
+    # the parameters must be a nonempty list of nonzero rationals, and n >= 0
     with pytest.raises(ValueError):
         bernoulli_barnes(1, [])
     with pytest.raises(ValueError):
