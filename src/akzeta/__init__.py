@@ -30,6 +30,7 @@ from .umbral import (
     Z,
     bernoulli_symbol,
     c_symbol,
+    expect_power,
     expr_power,
     poly_symbol,
     uniform_symbol,

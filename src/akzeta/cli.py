@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -57,10 +58,16 @@ MAX_VERIFY_M = 10
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with the usage-error exit code fixed at 64."""
+    """argparse with the usage-error exit code fixed at 64, reading a
+    negative rational such as -1/2 as a value, not as an option."""
 
     # dest -> (action, default) of each setting; filled by build_parser
     settings: dict
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern admits only integers and decimals like -0.5
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -323,7 +330,7 @@ def build_parser() -> _Parser:
     num.add_argument("--variant", choices=("B", "C"), default="B")
     num.add_argument("--method", choices=("series", "umbral", "stirling"), default="series")
     num.add_argument("--poly", action="store_true", help="print polynomial coefficients, low to high")
-    num.add_argument("--z", help="evaluate the polynomial at this rational (e.g. 1/2)")
+    num.add_argument("--z", help="evaluate the polynomial at this rational (e.g. -1/2)")
     num.set_defaults(func=_cmd_num)
 
     table = sub.add_parser("table", parents=[common], help="tables of values, cross-checked along all three routes")

@@ -6,11 +6,13 @@ the unit cube and on the ordered simplex.
 
 The series route composes and divides integer EGF numerators; the symbolic
 route evaluates the nested symbol S_k = 1 + C_k through its moment
-sequences (umbral_numbers); the transforms still expand their integrands in
-the sparse symbol algebra of the umbral module.  On the cube the weight
-cancels the Barnes prefactor, so that transform is the one expansion
-E[(z + 1 + C_k)^n]; on the simplex the variables are integrated out one at
-a time.  bernoulli_barnes itself takes rational parameters.  Every route
+sequences (umbral_numbers), on integer numerators; the transforms expand
+their integrands in the sparse symbol algebra of the umbral module, whose
+expect_power evaluates each symbol during the expansion.  On the cube the
+weight cancels the Barnes prefactor, so that transform is the one
+expectation E[(z + 1 + C_k)^n]; on the simplex the Bernoulli symbols are
+evaluated during the expansion and the variables integrated out one at a
+time.  bernoulli_barnes itself takes rational parameters.  Every route
 yields the z = 0 numbers, and the polynomials are their Appell lifts
 (exact.appell_polynomial).
 
@@ -28,7 +30,7 @@ from typing import Union
 from .exact import (
     ZPolynomial,
     appell_polynomial,
-    bernoulli_number,
+    bernoulli_numbers,
     binomial,
     egf_compose,
     egf_divide,
@@ -40,7 +42,7 @@ from .umbral import (
     Z,
     bernoulli_symbol,
     c_symbol,
-    expr_power,
+    expect_power,
     uniform_symbol,
 )
 
@@ -137,6 +139,9 @@ def umbral_numbers(n_max: int, k: int, variant: str = "B") -> list[Fraction]:
 
       E[C_k^j] = sum_i C(j,i) B_{j-i} E[C_{k-1}^i] / (i+1),
       E[S_k^j] = E[(1 + C_k)^j] = sum_i C(j,i) E[C_k^i].
+
+    The convolution runs on integer numerators over one denominator: the
+    Bernoulli numerators over d, and 1/(i+1) as (L/(i+1))/L, L = lcm(1..n+1).
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -144,19 +149,21 @@ def umbral_numbers(n_max: int, k: int, variant: str = "B") -> list[Fraction]:
         raise ValueError("k must be >= 1")
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    bern = [bernoulli_number(j) for j in range(n_max + 1)]
-    moments = bern
+    bern, d = integer_numerators(bernoulli_numbers(n_max))
+    lcm = math.lcm(*range(1, n_max + 2))
+    moments, den = bern, d
     for _ in range(2, k + 1):
-        lowered = [m / (i + 1) for i, m in enumerate(moments)]
+        lowered = [x * (lcm // (i + 1)) for i, x in enumerate(moments)]
         moments = [
-            sum(binomial(j, i) * bern[j - i] * lowered[i] for i in range(j + 1))
+            sum(math.comb(j, i) * bern[j - i] * lowered[i] for i in range(j + 1))
             for j in range(n_max + 1)
         ]
-    if variant == "C":
-        return moments
-    return [
-        sum(binomial(j, i) * moments[i] for i in range(j + 1)) for j in range(n_max + 1)
-    ]
+        den *= d * lcm
+        g = math.gcd(den, *moments)
+        moments, den = [x // g for x in moments], den // g
+    if variant == "B":
+        moments = [sum(math.comb(j, i) * moments[i] for i in range(j + 1)) for j in range(n_max + 1)]
+    return [Fraction(x, den) for x in moments]
 
 
 def poly_bernoulli_umbral(n: int, k: int, variant: str = "B") -> ZPolynomial:
@@ -248,7 +255,7 @@ def bernoulli_barnes(n: int, a: list) -> ZPolynomial:
     base = UmbralExpression.symbol(Z)
     for i, ai in enumerate(a, start=1):
         base = base + UmbralExpression.symbol(bernoulli_symbol(i)) * ai
-    return expr_power(base, n).expect() * (1 / math.prod(a))
+    return expect_power(base, n).expect() * (1 / math.prod(a))
 
 
 def barnes_transform_cube(n: int, k: int, z: Union[Fraction, None] = None):
@@ -259,16 +266,14 @@ def barnes_transform_cube(n: int, k: int, z: Union[Fraction, None] = None):
     cancels the 1/prod(a_i) prefactor exactly and leaves
     E[(z + 1 + sum a_i B_i)^n], where sum a_i B_i is the companion symbol
     C_k; one expectation then evaluates the B and the u-variables together
-    (each u-monomial integrates to 1/(exponent+1)).  Returns B_n^{(k)}(z) as
-    a polynomial for z=None, else the rational value.
+    (each u-monomial integrates to 1/(exponent+1)), during the expansion.
+    Returns B_n^{(k)}(z) as a polynomial for z=None, else the rational value.
     """
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
-    if z is None:
-        # a constant in the base would add a term to every power: expand with
-        # the bare z and shift afterwards, which commutes with the expectation
-        return expr_power(UmbralExpression.symbol(Z) + c_symbol(k), n).expect().shift(1)
-    return expr_power(c_symbol(k) + (Fraction(z) + 1), n).expect().coefficient(0)
+    zt = UmbralExpression.symbol(Z) if z is None else UmbralExpression.constant(z)
+    poly = expect_power(c_symbol(k) + zt + 1, n).expect()
+    return poly if z is None else poly.coefficient(0)
 
 
 def simplex_transform(n: int, k: int, z: Union[Fraction, None] = None):
@@ -291,13 +296,11 @@ def simplex_transform(n: int, k: int, z: Union[Fraction, None] = None):
         base = base + UmbralExpression.monomial(
             {uniform_symbol(l): 1, bernoulli_symbol(l): 1}
         )
-    expr = expr_power(base, n).expect_kind("B")  # polynomial in v's (U symbols) and z
+    expr = expect_power(base, n, ("B",))  # polynomial in v's (U symbols) and z
     for j in range(1, k):
         # int_0^{v_{j+1}} v_j^{e-1} dv_j, the 1/v_j density from j = 2 on; v_k = 1
         upper = uniform_symbol(j + 1) if j < k - 1 else None
         expr = expr.integrate(uniform_symbol(j), upper, inverse_power=int(j >= 2))
     poly = expr.expect()
-    if z is None:
-        return poly
-    return poly.coefficient(0)
+    return poly if z is None else poly.coefficient(0)
 

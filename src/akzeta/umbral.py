@@ -22,9 +22,11 @@ CLI's inputs reach is a few dozen.
 
 Expressions are immutable once built and all operations are pure functions;
 the only module state is the memo of integer moment rows, a functools.cache,
-which is thread-safe.  expr_power refuses an expansion whose predicted
-monomial count exceeds its cap argument (DEFAULT_EXPANSION_CAP unless given)
-with ExpansionCapError.
+which is thread-safe.  expr_power and expect_power share one breadth-first
+expansion; expect_power evaluates each symbol as soon as its exponent is
+final, so the full power is never built.  Both refuse an expansion whose
+predicted monomial count exceeds their cap argument (DEFAULT_EXPANSION_CAP
+unless given) with ExpansionCapError.
 Negative symbol powers are not representable here; negative moments are the
 business of the numerical layer.
 """
@@ -47,6 +49,7 @@ __all__ = [
     "ExpansionCapError",
     "DEFAULT_EXPANSION_CAP",
     "expect",
+    "expect_power",
     "expr_power",
     "poly_symbol",
     "c_symbol",
@@ -153,6 +156,39 @@ def _moment_row(kind: str, top: int) -> tuple[tuple[int, ...], int]:
     return tuple(row), d
 
 
+def _moments(kinds, bounds) -> tuple[list, int]:
+    """The (field offset, moment row) pairs of the symbols of the given kinds
+    among the (field, exponent bound) pairs, and the product of the rows'
+    denominators.  A row reaches 2^b - 1 for a b-bit bound, so the memo holds
+    at most 16 rows per kind."""
+    if not kinds or not set(kinds) <= {"B", "U"}:
+        raise ValueError("kinds must be 'B', 'U' or both")
+    rows, den = [], 1
+    for field, bound in bounds:
+        if _kind(field) in kinds:
+            row, d = _moment_row(_kind(field), (1 << bound.bit_length()) - 1)
+            rows.append((field * _WIDTH, row))
+            den *= d
+    return rows, den
+
+
+def _evaluate(terms: dict[int, int], rows: list) -> dict[int, int]:
+    """Multiply each numerator by the moments that its key selects from the
+    (field offset, moment row) pairs, and clear those fields: zero terms drop
+    out and equal keys merge."""
+    clear = ~sum(_MASK << off for off, _ in rows)
+    out: dict[int, int] = {}
+    for m, c in terms.items():
+        for off, row in rows:
+            c *= row[(m >> off) & _MASK]
+            if not c:
+                break
+        else:
+            m &= clear
+            out[m] = out.get(m, 0) + c
+    return out
+
+
 class UmbralExpression(_Numerators):
     """Sparse polynomial in Bernoulli/uniform symbols and z over the rationals:
     terms maps packed monomials to integer numerators over the denominator den."""
@@ -232,32 +268,8 @@ class UmbralExpression(_Numerators):
         numerators by its kind's integer moment row and the denominator by
         that row's common denominator.
         """
-        if not kinds or not set(kinds) <= {"B", "U"}:
-            raise ValueError("kinds must be 'B', 'U' or both")
-        den = self.den
-        rows = []  # (field offset, moment numerators) per evaluated symbol
-        clear = 0  # the evaluated symbols' fields
-        # each field of the OR of all keys bounds that symbol's exponents; a
-        # row reaches 2^b - 1 for a b-bit bound, so the memo holds at most 16
-        # rows per kind
-        for field, seen in _fields(functools.reduce(or_, self.terms, 0)):
-            kind = _kind(field)
-            if kind in kinds:
-                row, d = _moment_row(kind, (1 << seen.bit_length()) - 1)
-                off = field * _WIDTH
-                rows.append((off, row))
-                clear |= _MASK << off
-                den *= d
-        out: dict[int, int] = {}
-        for m, c in self.terms.items():
-            for off, row in rows:
-                c *= row[(m >> off) & _MASK]
-                if not c:
-                    break
-            else:
-                m &= ~clear
-                out[m] = out.get(m, 0) + c
-        return UmbralExpression(out, den)
+        rows, d = _moments(kinds, _fields(functools.reduce(or_, self.terms, 0)))
+        return UmbralExpression(_evaluate(self.terms, rows), self.den * d)
 
     def expect(self) -> ZPolynomial:
         """Apply the linear evaluation functional B_i^n -> B_n, U_j^n -> 1/(n+1);
@@ -287,51 +299,68 @@ class UmbralExpression(_Numerators):
         return self.render()
 
 
-def expr_power(expr: UmbralExpression, n: int, cap: int = DEFAULT_EXPANSION_CAP) -> UmbralExpression:
-    """expr**n by multinomial expansion over the sparse term list.
-
-    The predicted worst-case term count C(n + t - 1, t - 1) for a t-term base
-    is checked against the cap (default 5e6 monomials) before any work
-    happens, and n times the base's largest exponent against MAX_EXPONENT.
-    Multiplying packed monomials is adding ints, and the numerators of the
-    power are integers over den**n.
-    """
+def _expand(expr: UmbralExpression, n: int, kinds: tuple, cap: int) -> UmbralExpression:
+    """expr**n with the symbols of the given kinds evaluated, by one
+    breadth-first multinomial expansion: a state is a partial monomial with
+    the power left, the terms are taken one at a time (fewer formal symbols
+    first) and states of equal key merge.  After the last term holding an
+    evaluated symbol, the states take its moments and lose its field, so
+    zero moments (B_j, odd j >= 3) drop out.  The cap and exponent checks
+    are the full expansion's, made before any work."""
     if n < 0:
         raise ValueError("negative expression power")
     if n == 0:
         return UmbralExpression.constant(1)
-    items = list(expr.terms.items())
-    t = len(items)
+    t = len(expr.terms)
     if t == 0:
         return UmbralExpression()
     if math.comb(n + t - 1, t - 1) > cap:
         raise ExpansionCapError(
             f"expansion of a {t}-term expression to power {n} exceeds cap {cap}"
         )
-    if n * max((e for m, _ in items for _, e in _fields(m)), default=0) > MAX_EXPONENT:
+    if n * max((e for m in expr.terms for _, e in _fields(m)), default=0) > MAX_EXPONENT:
         raise OverflowError(f"a symbol exponent exceeds {MAX_EXPONENT}")
-    # per term: monomial and numerator raised to 0..n
-    mono_pows = [[m * e for e in range(n + 1)] for m, _ in items]
-    coef_pows = [[c**e for e in range(n + 1)] for _, c in items]
-    rows: dict[int, list[int]] = {}  # binomial rows, built as the descent reaches them
-    last = t - 1
-    out: dict[int, int] = {}
+    # a symbol's exponents reach n times its largest exponent in the base
+    seen = _fields(functools.reduce(or_, expr.terms, 0))
+    tops = ((f, n * max(m >> f * _WIDTH & _MASK for m in expr.terms)) for f, _ in seen)
+    rows, d = _moments(kinds, tops) if kinds else ([], 1)
+    held = sum(_MASK << off for off, _ in rows)
+    items = sorted(
+        expr.terms.items(),
+        key=lambda mc: (len(list(_fields(mc[0] & ~held))), not mc[0] & held, mc[0]),
+    )
+    closing = [[] for _ in items]  # the rows to apply right after items[i]
+    for off, row in rows:
+        closing[max(i for i, (m, _) in enumerate(items) if (m >> off) & _MASK)].append((off, row))
+    frontier = {n: {0: 1}}  # power left -> {partial monomial: numerator}
+    for i, (m, c) in enumerate(items):
+        powers = [c**e for e in range(n + 1)]
+        step: dict[int, dict[int, int]] = {}
+        for rem, states in frontier.items():
+            # the last term takes all the power left, the others 0..rem of it
+            for e in range(rem if i == t - 1 else 0, rem + 1):
+                add, mult = m * e, math.comb(rem, e) * powers[e]
+                out = step.setdefault(rem - e, {})
+                for key, coef in states.items():
+                    key += add
+                    out[key] = out.get(key, 0) + coef * mult
+        frontier = {r: _evaluate(s, closing[i]) for r, s in step.items()} if closing[i] else step
+    return UmbralExpression(frontier[0], expr.den**n * d)
 
-    def descend(i: int, rem: int, coef: int, key: int):
-        if i == last:
-            key += mono_pows[i][rem]
-            out[key] = out.get(key, 0) + coef * coef_pows[i][rem]
-            return
-        mp = mono_pows[i]
-        cp = coef_pows[i]
-        row = rows.get(rem)
-        if row is None:
-            row = rows[rem] = [math.comb(rem, e) for e in range(rem + 1)]
-        for e in range(rem + 1):
-            descend(i + 1, rem - e, coef * row[e] * cp[e], key + mp[e])
 
-    descend(0, n, 1, 0)
-    return UmbralExpression(out, expr.den**n)
+def expr_power(expr: UmbralExpression, n: int, cap: int = DEFAULT_EXPANSION_CAP) -> UmbralExpression:
+    """expr**n, fully expanded.  Raises ExpansionCapError when the predicted
+    count C(n + t - 1, t - 1) of a t-term base's monomials exceeds the cap,
+    OverflowError when n times an exponent would exceed MAX_EXPONENT."""
+    return _expand(expr, n, (), cap)
+
+
+def expect_power(expr: UmbralExpression, n: int, kinds=("B", "U"), cap: int = DEFAULT_EXPANSION_CAP):
+    """expr_power(expr, n, cap).expect_kind(*kinds), exactly and with the same
+    checks, without building the full power.  With both kinds the keys are
+    z-degrees, and .expect() reads the result as a ZPolynomial."""
+    _moments(kinds, ())  # rejects kinds other than 'B' and 'U' before any work
+    return _expand(expr, n, tuple(kinds), cap)
 
 
 # the evaluation functional as a function; the acceptance criteria import it

@@ -73,6 +73,14 @@ def test_num_z_evaluation(capsys):
     assert out.strip() == "1/6"  # B_2(0)
 
 
+@pytest.mark.parametrize("z", ["-1/2", "-5/3"])
+def test_num_z_negative_rational_as_separate_word(capsys, z):
+    attached = run_cli(capsys, "num", "--n", "3", "--k", "2", f"--z={z}", "--format", "plain")
+    separate = run_cli(capsys, "num", "--n", "3", "--k", "2", "--z", z, "--format", "plain")
+    assert attached[0] == EXIT_OK
+    assert separate == attached
+
+
 def test_num_usage_errors(capsys):
     code, _, _ = run_cli(capsys, "num", "--n", "-1", "--k", "2")
     assert code == EXIT_USAGE

@@ -8,7 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from akzeta.exact import ZPolynomial, bernoulli_numbers, bernoulli_polynomial, binomial
+from akzeta.exact import (
+    ZPolynomial,
+    bernoulli_number,
+    bernoulli_numbers,
+    bernoulli_polynomial,
+    binomial,
+)
 from akzeta.polybernoulli import (
     PolyBernoulliTable,
     barnes_transform_cube,
@@ -87,6 +93,28 @@ def test_umbral_moments_match_sparse_expansion():
             for n in range(13):
                 want = expr_power(zs + sym, n).expect()
                 assert poly_bernoulli_umbral(n, k, variant) == want
+
+
+def umbral_numbers_oracle(n_max, k, variant):
+    """The Fraction recursion that the integer numerators replaced."""
+    bern = [bernoulli_number(j) for j in range(n_max + 1)]
+    moments = bern
+    for _ in range(2, k + 1):
+        lowered = [m / (i + 1) for i, m in enumerate(moments)]
+        moments = [
+            sum(binomial(j, i) * bern[j - i] * lowered[i] for i in range(j + 1))
+            for j in range(n_max + 1)
+        ]
+    if variant == "C":
+        return moments
+    return [sum(binomial(j, i) * moments[i] for i in range(j + 1)) for j in range(n_max + 1)]
+
+
+@pytest.mark.parametrize("variant", ["B", "C"])
+def test_umbral_numbers_match_fraction_oracle(variant):
+    for k in range(1, 7):
+        for n_max in (0, 1, 2, 3, 7, 30):
+            assert umbral_numbers(n_max, k, variant) == umbral_numbers_oracle(n_max, k, variant)
 
 
 def test_route_agreement_grid():
@@ -207,6 +235,11 @@ def test_simplex_transform():
             assert simplex_transform(n, k) == ref.value(n)
     with pytest.raises(ValueError):
         simplex_transform(2, 1)
+
+
+def test_transforms_at_larger_sizes_match_series():
+    assert barnes_transform_cube(24, 6) == poly_bernoulli_series(24, 6, "B").value(24)
+    assert simplex_transform(14, 5) == poly_bernoulli_series(14, 5, "B").value(14)
 
 
 def test_stirling_table_lift():

@@ -1,6 +1,7 @@
 """Symbol algebra: evaluation rules, the poly-Bernoulli symbol, expansion."""
 import copy
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from akzeta.umbral import (
     Z,
     bernoulli_symbol,
     c_symbol,
+    expect_power,
     expr_power,
     poly_symbol,
     uniform_symbol,
@@ -272,6 +274,63 @@ def test_expect_matches_fraction_reference(terms):
     assert e.expect_kind("B") == expect_kind_reference(terms, "B")
     assert e.expect_kind("U") == expect_kind_reference(terms, "U")
     assert e.expect_kind("B", "U").expect() == e.expect()
+
+
+def shared_term_lists():
+    """Term lists over few symbols, so that terms share symbols and the
+    expansions hold odd B powers >= 3."""
+    mono = st.dictionaries(
+        st.sampled_from([bernoulli_symbol(1), bernoulli_symbol(2), uniform_symbol(1), Z]),
+        st.integers(min_value=1, max_value=3),
+        max_size=3,
+    )
+    return st.lists(st.tuples(mono, small_fractions), min_size=1, max_size=4)
+
+
+KIND_SETS = [("B",), ("U",), ("B", "U"), ("U", "B")]
+
+
+@settings(max_examples=80, deadline=None)
+@given(shared_term_lists(), st.integers(min_value=0, max_value=6))
+def test_expect_power_matches_expanded_power(terms, n):
+    e = from_terms(terms)
+    full = expr_power(e, n)
+    for kinds in KIND_SETS:
+        assert expect_power(e, n, kinds) == full.expect_kind(*kinds)
+    assert expect_power(e, n).expect() == full.expect()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_power_independent_of_term_order(data):
+    terms = data.draw(shared_term_lists())
+    n = data.draw(st.integers(min_value=0, max_value=5))
+    shuffled = data.draw(st.permutations(terms))
+    e, f = from_terms(terms), from_terms(shuffled)
+    assert expr_power(e, n) == expr_power(f, n)
+    for kinds in KIND_SETS:
+        assert expect_power(e, n, kinds) == expect_power(f, n, kinds)
+
+
+def test_expect_power_cap_and_overflow_parity():
+    b = bernoulli_symbol(1)
+    for expr, n, cap in (
+        (poly_symbol(4), 40, 100),
+        (ZS + poly_symbol(4), 20, 50),
+        (B1 + U1, MAX_EXPONENT + 1, 10**6),
+        (UmbralExpression.monomial({b: 2}) + 1, MAX_EXPONENT // 2 + 1, 10**6),
+    ):
+        with pytest.raises((ExpansionCapError, OverflowError)) as full:
+            expr_power(expr, n, cap)
+        for kinds in KIND_SETS:
+            with pytest.raises(full.type, match=f"^{re.escape(str(full.value))}$"):
+                expect_power(expr, n, kinds, cap)
+    for kinds in ((), ("z",), ("B", "z")):
+        for n in (0, 2):
+            with pytest.raises(ValueError):
+                expect_power(B1, n, kinds)
+    with pytest.raises(ValueError):
+        expect_power(B1, -1)
 
 
 def test_canonical_form():
