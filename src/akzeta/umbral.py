@@ -303,10 +303,10 @@ def _expand(expr: UmbralExpression, n: int, kinds: tuple, cap: int) -> UmbralExp
     """expr**n with the symbols of the given kinds evaluated, by one
     breadth-first multinomial expansion: a state is a partial monomial with
     the power left, the terms are taken one at a time (fewer formal symbols
-    first) and states of equal key merge.  After the last term holding an
-    evaluated symbol, the states take its moments and lose its field, so
-    zero moments (B_j, odd j >= 3) drop out.  The cap and exponent checks
-    are the full expansion's, made before any work."""
+    first, then those holding an evaluated one) and states of equal key
+    merge.  After the last term holding an evaluated symbol, the states take
+    its moments and lose its field, so zero moments (B_j, odd j >= 3) drop
+    out.  The cap and exponent checks are the full expansion's, made first."""
     if n < 0:
         raise ValueError("negative expression power")
     if n == 0:
