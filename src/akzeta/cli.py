@@ -66,8 +66,10 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse's own pattern admits only integers and decimals like -0.5
-        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+        # argparse up to 3.12 takes -1/2 for an option (3.13's private pattern
+        # reads it as a number already): add -p/q, narrowing nothing upstream
+        upstream = self._negative_number_matcher.pattern
+        self._negative_number_matcher = re.compile(upstream + r"|^-\d+/\d+$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -25,8 +25,8 @@ the only module state is the memo of integer moment rows, a functools.cache,
 which is thread-safe.  expr_power and expect_power share one breadth-first
 expansion; expect_power evaluates each symbol as soon as its exponent is
 final, so the full power is never built.  Both refuse an expansion whose
-predicted monomial count exceeds their cap argument (DEFAULT_EXPANSION_CAP
-unless given) with ExpansionCapError.
+predicted monomial count exceeds the cap (expr_power's argument,
+DEFAULT_EXPANSION_CAP for expect_power) with ExpansionCapError.
 Negative symbol powers are not representable here; negative moments are the
 business of the numerical layer.
 """
@@ -156,13 +156,16 @@ def _moment_row(kind: str, top: int) -> tuple[tuple[int, ...], int]:
     return tuple(row), d
 
 
+def _check_kinds(kinds) -> None:
+    if not kinds or not set(kinds) <= {"B", "U"}:
+        raise ValueError("kinds must be 'B', 'U' or both")
+
+
 def _moments(kinds, bounds) -> tuple[list, int]:
     """The (field offset, moment row) pairs of the symbols of the given kinds
     among the (field, exponent bound) pairs, and the product of the rows'
     denominators.  A row reaches 2^b - 1 for a b-bit bound, so the memo holds
     at most 16 rows per kind."""
-    if not kinds or not set(kinds) <= {"B", "U"}:
-        raise ValueError("kinds must be 'B', 'U' or both")
     rows, den = [], 1
     for field, bound in bounds:
         if _kind(field) in kinds:
@@ -268,6 +271,7 @@ class UmbralExpression(_Numerators):
         numerators by its kind's integer moment row and the denominator by
         that row's common denominator.
         """
+        _check_kinds(kinds)
         rows, d = _moments(kinds, _fields(functools.reduce(or_, self.terms, 0)))
         return UmbralExpression(_evaluate(self.terms, rows), self.den * d)
 
@@ -309,21 +313,19 @@ def _expand(expr: UmbralExpression, n: int, kinds: tuple, cap: int) -> UmbralExp
     out.  The cap and exponent checks are the full expansion's, made first."""
     if n < 0:
         raise ValueError("negative expression power")
-    if n == 0:
-        return UmbralExpression.constant(1)
     t = len(expr.terms)
-    if t == 0:
-        return UmbralExpression()
+    if n == 0 or t == 0:  # x^0 = 1, 0^n = 0
+        return UmbralExpression.constant(1 if n == 0 else 0)
     if math.comb(n + t - 1, t - 1) > cap:
         raise ExpansionCapError(
             f"expansion of a {t}-term expression to power {n} exceeds cap {cap}"
         )
-    if n * max((e for m in expr.terms for _, e in _fields(m)), default=0) > MAX_EXPONENT:
-        raise OverflowError(f"a symbol exponent exceeds {MAX_EXPONENT}")
     # a symbol's exponents reach n times its largest exponent in the base
     seen = _fields(functools.reduce(or_, expr.terms, 0))
-    tops = ((f, n * max(m >> f * _WIDTH & _MASK for m in expr.terms)) for f, _ in seen)
-    rows, d = _moments(kinds, tops) if kinds else ([], 1)
+    tops = [(f, n * max(m >> f * _WIDTH & _MASK for m in expr.terms)) for f, _ in seen]
+    if max((top for _, top in tops), default=0) > MAX_EXPONENT:
+        raise OverflowError(f"a symbol exponent exceeds {MAX_EXPONENT}")
+    rows, d = _moments(kinds, tops)
     held = sum(_MASK << off for off, _ in rows)
     items = sorted(
         expr.terms.items(),
@@ -355,12 +357,12 @@ def expr_power(expr: UmbralExpression, n: int, cap: int = DEFAULT_EXPANSION_CAP)
     return _expand(expr, n, (), cap)
 
 
-def expect_power(expr: UmbralExpression, n: int, kinds=("B", "U"), cap: int = DEFAULT_EXPANSION_CAP):
-    """expr_power(expr, n, cap).expect_kind(*kinds), exactly and with the same
+def expect_power(expr: UmbralExpression, n: int, kinds=("B", "U")) -> UmbralExpression:
+    """expr_power(expr, n).expect_kind(*kinds), exactly and with the same
     checks, without building the full power.  With both kinds the keys are
     z-degrees, and .expect() reads the result as a ZPolynomial."""
-    _moments(kinds, ())  # rejects kinds other than 'B' and 'U' before any work
-    return _expand(expr, n, tuple(kinds), cap)
+    _check_kinds(kinds)
+    return _expand(expr, n, kinds, DEFAULT_EXPANSION_CAP)
 
 
 # the evaluation functional as a function; the acceptance criteria import it
