@@ -53,7 +53,6 @@ __version__ = "0.1.0"
 # The numeric routes load numpy with zetanum, on first use (PEP 562), so
 # the exact commands never import it.
 _ZETANUM_NAMES = (
-    "MzSignature",
     "ak_zeta_mellin",
     "ak_zeta_moment",
     "barnes_zeta_mellin",

@@ -340,7 +340,10 @@ def check_divided_difference(n_max: int, k_max: int) -> IdentityCheck:
     """
     chk = IdentityCheck("divided-difference-extension", {"n_max": n_max, "k_max": k_max})
     zsym = UmbralExpression.symbol(Z)
-    zp1 = zsym + UmbralExpression.constant(1)
+    zp1 = zsym + 1
+    zp1_pow = [UmbralExpression.constant(1)]  # (z + 1)^e for e < n_max
+    for _ in range(n_max - 1):
+        zp1_pow.append(zp1_pow[-1] * zp1)
     for k in range(2, k_max + 1):
         sk = poly_symbol(k)
         comp = c_symbol(k - 1)
@@ -351,8 +354,7 @@ def check_divided_difference(n_max: int, k_max: int) -> IdentityCheck:
             lhs = expect_power(zsym + sk + 1, n).expect() - expect_power(zsym + sk, n).expect()
             quotient = UmbralExpression()
             for j in range(1, n + 1):
-                yj = expr_power(zp1, n - j)
-                quotient = quotient + yj * comp_pow[j - 1] * Fraction(binomial(n, j))
+                quotient = quotient + zp1_pow[n - j] * comp_pow[j - 1] * Fraction(binomial(n, j))
             rhs = quotient.expect()
             if lhs != rhs:
                 return chk.fail({"n": n, "k": k}, lhs, rhs)

@@ -16,9 +16,11 @@ are integrated in closed form, so only the k sech^2 axes are summed.  At
 k = 2 and k = 3 the closed forms are sums of the antiderivatives
 G_1(q) = log(s q) and G_j(q) = q^{1-j}/(1-j) at end points, which one
 kernel (_g_sums) evaluates for both; only the k = 3, m = 1 term goes
-through a complex dilogarithm instead.  Weighted rows are combined with
-fsum, so results are bit-reproducible, and chunking moves them by rounding
-only.
+through a complex dilogarithm instead.  The same kernel sums the other
+multi-axis sech^2 integrals, Barnes zeta (barnes_zeta_sech) and the
+weight-(3,1) double integral (zeta_star_3_1_double).  Weighted rows are
+combined with fsum, so results are bit-reproducible, and chunking moves
+them by rounding only.
 
 The settings, result and error types (QuadratureSpec, default_spec,
 QuadratureResult, ConvergenceError) live in the numpy-free `quadspec` module
@@ -29,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -41,7 +43,6 @@ __all__ = [
     "QuadratureSpec",
     "QuadratureResult",
     "ConvergenceError",
-    "MzSignature",
     "default_spec",
     "negative_moment",
     "negative_moment_batch",
@@ -88,14 +89,6 @@ def _sech_tail_mass(cutoff: float) -> float:
     to 0 nor overflows for large W."""
     e = math.exp(-2.0 * math.pi * cutoff)
     return 2.0 * e / (1.0 + e)
-
-
-def _weighted_sum(arr: np.ndarray, weights: Sequence[np.ndarray]) -> complex:
-    """Contract a tensor against separable per-axis weight vectors (last axis first)."""
-    v = arr
-    for wv in reversed(weights):
-        v = np.tensordot(v, wv, axes=([-1], [0]))
-    return complex(v)
 
 
 def _fsum_complex(parts: Sequence[complex] | np.ndarray) -> complex:
@@ -158,7 +151,7 @@ def _moment_level(
     ms = sorted(set(powers))
     if k == 1:
         pw = _recip_powers(A, ms)
-        return {m: _weighted_sum(pw[m], [WX]) for m in ms}
+        return {m: complex(np.dot(pw[m], WX)) for m in ms}
     if k > 3:
         raise ValueError(
             "moment quadrature is limited to k <= 3: beyond that the unit axes "
@@ -420,19 +413,18 @@ def zeta_star_3_1_double(spec: QuadratureSpec | None = None) -> QuadratureResult
 
     Integrating the unit-interval variable of E[(B_2 + U_1 B_1)^{-2}] in
     closed form (int_0^1 (A + uB)^{-2} du = 1/(A(A+B))) collapses the triple
-    integral to two w-axes.  The moment kernel applies the same reduction, so
-    negative_moment(2, 2) is a second implementation of this integral, not an
-    independent quadrature of it.
+    integral to two w-axes.  With (A + B)^{-1} = -G_2(A + B), that is one
+    call of the G-sum kernel (_g_sums): rows B = C_r with weights W_r,
+    columns A = C_c with weights -W_c/C_c.  The moment kernel applies the
+    same reduction, so negative_moment(2, 2) is a second implementation of
+    this integral, not an independent quadrature of it.
     """
     spec = spec or default_spec(2)
 
     def level(panels: int) -> dict[int, complex]:
         X, W = _sech_axis(spec.w_cutoff, panels, spec.nodes)
         C = 1j * X - 0.5
-        A = C[None, :]
-        B = C[:, None]
-        vals = 1.0 / (A * (A + B))
-        return {0: _weighted_sum(vals, [W, W])}
+        return {0: _g_sums(C, C, W, {2: (slice(0, 1), (-W / C)[None, :])}, 1)[0]}
 
     return _converge(level, spec, {0: 2 * _sech_tail_mass(spec.w_cutoff) * 4.0})[0]
 
@@ -717,9 +709,11 @@ def barnes_zeta_sech(
       (pi/2)^k Gamma(m-k)/Gamma(m) int prod (1/a_n^2) sech^2(pi u_n / a_n)
                                         (w - i sum u_n)^{-(m-k)} du.
 
-    Requires m - k >= 1 and w > 0; each axis is rescaled by its a_n.  The
-    first axis is walked in blocks of about _CHUNK // N^{k-1} rows, and the
-    blocks' sums are combined with fsum, so no level holds its full tensor.
+    Requires m - k >= 1 and w > 0; each axis is rescaled by its a_n.  With
+    q^{-(m-k)} = (1-j) G_j(q) for j = m - k + 1, a level is one call of the
+    G-sum kernel (_g_sums): its rows Q are the sums -i sum_{n<k} a_n u_n over
+    the first k - 1 axes, weighted by prod W_n/a_n, and its columns
+    A = w - i a_k u_k are the last axis, weighted by -(m-k) W_k/a_k.
     """
     k = len(a)
     if k == 0:
@@ -733,23 +727,13 @@ def barnes_zeta_sech(
     pref = math.factorial(m - k - 1) / math.factorial(m - 1)
 
     def level(panels: int) -> dict[int, complex]:
-        axes = []
-        for an in a:
-            x, wt = _sech_axis(spec.w_cutoff, panels, spec.nodes)
-            axes.append((an * x, wt / an))
-        (first, w_first), rest = axes[0], axes[1:]
-        rows = max(1, _CHUNK // math.prod(len(vals) for vals, _ in rest))
-        parts = []
-        for lo in range(0, len(first), rows):
-            den = w - 1j * first[lo : lo + rows].reshape([-1] + [1] * (k - 1))
-            for slot, (vals, _) in enumerate(rest, 1):
-                shape = [1] * k
-                shape[slot] = len(vals)
-                den = den - 1j * vals.reshape(shape)
-            cur = _recip_powers(den, [power])[power]
-            weights = [w_first[lo : lo + rows]] + [wt for _, wt in rest]
-            parts.append(_weighted_sum(cur, weights))
-        return {0: pref * _fsum_complex(parts)}
+        x, wt = _sech_axis(spec.w_cutoff, panels, spec.nodes)
+        Q, wgt = np.zeros(1, dtype=complex), np.ones(1)
+        for an in a[:-1]:
+            Q = (Q[:, None] - 1j * an * x).ravel()
+            wgt = (wgt[:, None] * (wt / an)).ravel()
+        mats = {power + 1: (slice(0, 1), (-power / a[-1]) * wt[None, :])}
+        return {0: pref * _g_sums(w - 1j * a[-1] * x, Q, wgt, mats, 1)[0]}
 
     tail = k * _sech_tail_mass(spec.w_cutoff) * w ** (-power) * pref
     return _converge(level, spec, {0: tail})[0]
@@ -757,26 +741,6 @@ def barnes_zeta_sech(
 
 # ---------------------------------------------------------------------------
 # truncated multiple zeta sums
-
-
-@dataclass(frozen=True)
-class MzSignature:
-    """Exponent signature (s_1, ..., s_d) of a multiple zeta (starred) value."""
-
-    exponents: tuple[int, ...]
-    starred: bool = False
-
-    def __post_init__(self):
-        if not self.exponents:
-            raise ValueError("signature must be nonempty")
-        if any(int(s) != s or s < 1 for s in self.exponents):
-            raise ValueError("exponents must be positive integers")
-        if self.exponents[0] < 2:
-            raise ValueError("admissibility requires s_1 >= 2")
-
-    @property
-    def depth(self) -> int:
-        return len(self.exponents)
 
 
 def mz_truncated(exponents: Sequence[int], N: int, starred: bool = False) -> tuple[float, float]:
@@ -793,7 +757,13 @@ def mz_truncated(exponents: Sequence[int], N: int, starred: bool = False) -> tup
     so the returned bound is N^{1-s_1}/(s_1 - 1) * (H_N + 2)^{depth-1}.
     The true value lies within value +- bound.
     """
-    exps = MzSignature(tuple(exponents), starred).exponents  # validates them
+    exps = tuple(exponents)
+    if not exps:
+        raise ValueError("signature must be nonempty")
+    if any(int(s) != s or s < 1 for s in exps):
+        raise ValueError("exponents must be positive integers")
+    if exps[0] < 2:
+        raise ValueError("admissibility requires s_1 >= 2")
     if N < 1:
         raise ValueError("N must be >= 1")
     n = np.arange(0, N + 1, dtype=np.float64)

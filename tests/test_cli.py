@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -360,6 +361,7 @@ def test_expansion_cap_error_is_usage_error(capsys, monkeypatch):
 # this one has numpy loaded already.
 NUMPY_PROBE = """
 import sys
+from pathlib import Path
 from akzeta.cli import main
 main(sys.argv[1:])
 print('numpy' in sys.modules)
@@ -398,3 +400,22 @@ def test_package_import_is_numpy_free_until_a_numeric_name_is_used():
     assert akzeta.QuadratureSpec is akzeta.zetanum.QuadratureSpec
     with pytest.raises(AttributeError):
         akzeta.no_such_name
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("num_umbral_poly.txt", "num --n 14 --k 4 --method umbral --poly"),
+        ("num_umbral_C_z.txt", "num --n 12 --k 3 --method umbral --variant C --z 3/7"),
+        ("table_csv.txt", "table --n-max 12 --k-max 4 --format csv"),
+        ("verify_zeta.json", "verify --suite zeta --format json"),
+    ],
+)
+def test_golden_output_is_byte_identical(capsys, name, argv):
+    # rational and pass/fail output only: float values depend on the libm
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == EXIT_OK
+    assert out == (GOLDEN / name).read_text()

@@ -13,7 +13,6 @@ import pytest
 from akzeta.exact import bernoulli_number
 from akzeta.zetanum import (
     ConvergenceError,
-    MzSignature,
     QuadratureSpec,
     ak_zeta_mellin,
     ak_zeta_moment,
@@ -401,40 +400,40 @@ def test_barnes_sech_scaled_axes():
 
 
 def test_barnes_sech_chunking_is_invisible(monkeypatch):
-    # one row of the first axis per block moves every block boundary
-    for m, w, a in ((3, 1.0, [1.0]), (5, 0.5, [1.0, 2.0])):
-        ref = barnes_zeta_sech(m, w, a)
+    # one G-sum row per chunk moves every chunk boundary
+    cases = [
+        (barnes_zeta_sech, (m, w, a))
+        for m, w, a in ((3, 1.0, [1.0]), (5, 0.5, [1.0, 2.0]), (6, 0.75, [1.0, 1.0, 1.0]))
+    ] + [(zeta_star_3_1_double, ())]
+    for fn, args in cases:
+        ref = fn(*args)
         with monkeypatch.context() as mp:
             mp.setattr(zetanum, "_CHUNK", 1)
-            got = barnes_zeta_sech(m, w, a)
-        assert abs(got.value - ref.value) <= 1e-15, (m, w, a, got.value, ref.value)
+            got = fn(*args)
+        assert abs(got.value - ref.value) <= 1e-15, (fn.__name__, args, got.value, ref.value)
         assert got.levels_used == ref.levels_used
 
 
 def test_barnes_sech_memory_stays_chunked():
     # a full 512 x 512 tensor of the last level takes 4 MB per complex array
-    tracemalloc.start()
-    try:
-        barnes_zeta_sech(4, 0.5, [1.0, 1.0])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20, peak
+    for fn, args in ((barnes_zeta_sech, (4, 0.5, [1.0, 1.0])), (zeta_star_3_1_double, ())):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, (fn.__name__, peak)
 
 
 # --- multiple zeta sums -------------------------------------------------------------
 
 
 def test_mz_signature_validation():
-    with pytest.raises(ValueError):
-        MzSignature((1, 2))
-    with pytest.raises(ValueError):
-        MzSignature(())
-    with pytest.raises(ValueError):
-        MzSignature((2, 0))
-    assert MzSignature((3, 1), True).depth == 2
-    with pytest.raises(ValueError):
-        mz_truncated((1, 2), 10)  # the tuple form is validated through MzSignature
+    for bad in ((1, 2), (), (2, 0), (2.5,)):
+        with pytest.raises(ValueError):
+            mz_truncated(bad, 10)
+    mz_truncated((3, 1), 10, True)  # admissible starred signatures pass
 
 
 def test_mz_truncated_values():
