@@ -366,7 +366,7 @@ def build_parser() -> _Parser:
     verify.add_argument("--max-k", dest="max_k", type=int, default=4,
                         help=f"largest order, at most {MAX_VERIFY_K}")
     verify.add_argument("--max-m", dest="max_m", type=int, default=5,
-                        help=f"largest zeta argument, at most {MAX_VERIFY_M}")
+                        help=f"largest multistep-difference step m, at most {MAX_VERIFY_M}")
     verify.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     verify.set_defaults(func=_cmd_verify)
     return p

@@ -52,8 +52,9 @@ SUITES = ("all", "umbral", "recurrence", "transforms", "zeta")
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Grid bounds for the identity checks; defaults keep the full run under
-    a couple of minutes."""
+    """Grid bounds for the identity checks; the full run at the defaults
+    takes about a second.  m_max bounds only the step m of the
+    multistep-difference check: the zeta checks run fixed grids."""
 
     n_max: int = 15
     k_max: int = 4

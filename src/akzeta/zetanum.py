@@ -12,14 +12,16 @@ outside, which is reported as an analytic tail bound) and integrated by
 composite Gauss-Legendre panels; refinement doubles the panel count per
 w-axis, and convergence is declared when successive refinement levels agree
 within the target tolerance.  The unit-interval axes of a negative moment
-are integrated in closed form, so only the k sech^2 axes are summed.  At
-k = 2 and k = 3 the closed forms are sums of the antiderivatives
-G_1(q) = log(s q) and G_j(q) = q^{1-j}/(1-j) at end points, which one
-kernel (_g_sums) evaluates for both; only the k = 3, m = 1 term goes
-through a complex dilogarithm instead.  The same kernel sums the other
-multi-axis sech^2 integrals, Barnes zeta (barnes_zeta_sech) and the
-weight-(3,1) double integral (zeta_star_3_1_double).  Weighted rows are
-combined with fsum, so results are bit-reproducible, and chunking moves
+are integrated in closed form, so only the k sech^2 axes are summed, and
+the closed forms are sums of the antiderivatives G_1(q) = log(s q) and
+G_j(q) = q^{1-j}/(1-j) at end points q = A_c + Q_r, with c a node of the
+last axis.  One kernel (_g_sums) returns, for each j, the vector over c of
+sum_r wgt_r G_j(A_c + Q_r), walking the rows in chunks in O(len(A))
+memory; each caller contracts it with its own column weights.
+Only the k = 3, m = 1 term goes through a complex dilogarithm instead.
+The same kernel sums the other multi-axis sech^2 integrals, Barnes zeta
+(barnes_zeta_sech) and the weight-(3,1) double integral
+(zeta_star_3_1_double).  Results are bit-reproducible, and chunking moves
 them by rounding only.
 
 The settings, result and error types (QuadratureSpec, default_spec,
@@ -32,7 +34,7 @@ import functools
 import math
 import sys
 from dataclasses import replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -98,23 +100,8 @@ def _fsum_complex(parts: Sequence[complex] | np.ndarray) -> complex:
     return complex(math.fsum(v.real.tolist()), math.fsum(v.imag.tolist()))
 
 
-def _recip_powers(z: np.ndarray, ps: Sequence[int]) -> dict[int, np.ndarray]:
-    """z^{-p} for every p in ps (ascending, >= 1), by repeated multiplication."""
-    r = 1.0 / z
-    out = {}
-    cur = r
-    last = 1
-    for p in ps:
-        for _ in range(p - last):
-            cur = cur * r
-        last = p
-        out[p] = cur
-    return out
-
-
-# Complex elements per (rows, w-nodes) temporary of the moment kernel (128 KB):
-# cache-resident, yet large enough that per-chunk Python overhead is
-# negligible; the fastest of 2^10..2^16 for the k = 3 default spec.
+# Complex elements per (rows, columns) temporary of the G-sum kernel (128 KB):
+# cache-resident, yet large enough that per-chunk Python overhead is small.
 _CHUNK = 1 << 13
 
 
@@ -130,6 +117,9 @@ def _moment_level(
     every m in `powers`, where V_l = (i w_l - 1/2) + inner_shift for l < k,
     V_k = i w_k - 1/2 and p_l = prod_{j=l}^{k-1} u_j.
 
+    Every level is one call of the G-sum kernel (_g_sums), whose per-column
+    sums it contracts with the last axis's weights W.  At k = 1,
+    a^{-m} = -m G_{m+1}(a) with a = const + V_1, at the one end point Q = 0.
     For k >= 2 the denominator is linear in the outermost unit variable,
     a + u_{k-1} p with a = const + V_k, and p = V_1 at k = 2 and
     V_2 + u_1 V_1 at k = 3; that axis is integrated in closed form,
@@ -139,19 +129,18 @@ def _moment_level(
     with G_1(q) = log(s q), G_m(q) = q^{1-m}/(1-m) and s = sign(const - 1/2),
     the constant sign of Re(a + up) (the negative_moment guard ensures it;
     telescoping_check has Re >= 1/2).  For inner_shift 0 or 1,
-    |Re V_l| >= 1/2, so no division by p cancels anything.  At k = 2 both
-    terms go to the G-sum kernel (_g_sums) in one call: the end point at
-    Q = V_1 with weights W_1/V_1, the a-only term at Q = 0 with the weight
-    -sum_1 W_1/V_1.  k = 3 integrates u_1 in closed form too
-    (_moment_level_k3), and sums its G_j through the same kernel.
+    |Re V_l| >= 1/2, so no division by p cancels anything.  At k = 2 the
+    end points are Q = V_1 with weights W_1/V_1 and Q = 0 with the weight
+    -sum_1 W_1/V_1, and the m-th value is sum_c W_c S_m[c].  k = 3
+    integrates u_1 in closed form too (_moment_level_k3).
     """
     X, WX = _sech_axis(spec.w_cutoff, panels, spec.nodes)
     C = 1j * X - 0.5
     A = const + C
     ms = sorted(set(powers))
     if k == 1:
-        pw = _recip_powers(A, ms)
-        return {m: complex(np.dot(pw[m], WX)) for m in ms}
+        S = _g_sums(A, np.zeros(1), np.ones(1), [m + 1 for m in ms])
+        return {m: -m * complex(np.dot(WX, S[m + 1])) for m in ms}
     if k > 3:
         raise ValueError(
             "moment quadrature is limited to k <= 3: beyond that the unit axes "
@@ -161,8 +150,8 @@ def _moment_level(
     if k == 3:
         return _moment_level_k3(ms, A, V, WX)
     wgt = np.append(WX / V, -complex(np.dot(WX, 1.0 / V)))
-    mats = {m: (slice(col, col + 1), WX[None, :]) for col, m in enumerate(ms)}
-    return dict(zip(ms, _g_sums(A, np.append(V, 0.0), wgt, mats, len(ms))))
+    S = _g_sums(A, np.append(V, 0.0), wgt, ms)
+    return {m: complex(np.dot(WX, S[m])) for m in ms}
 
 
 def _moment_level_k3(
@@ -184,10 +173,9 @@ def _moment_level_k3(
     weight -W_2 sum_1 W_1/V_1; the (V_1 + V_2)-endpoint term depends on
     w_1 + w_2 only, so it is summed over unordered pairs {w_1, w_2} with
     weight W_1 W_2 (1/V_1 + 1/V_2) (W_1^2/V_1 on the diagonal).  Both end
-    points form one list of rows Q.  The factors a^{-(m-j)}/(m-1) of T_m
-    depend on the w_3 column only, so they are folded into one
-    column-weight matrix per j, over the m > j that need G_j, for the G-sum
-    kernel.
+    points form one list of rows Q.  For m >= 2 one G-sum kernel call gives
+    S_j for every j < max m, and the m-th value contracts each S_j with the
+    column weights W a^{-(m-j)}/(m-1), summed over j < m.
     """
     n = len(V)
     rv = 1.0 / V
@@ -206,85 +194,70 @@ def _moment_level_k3(
             li = _li2(-Q[lo : lo + step, None] / A)
             parts.append(_fsum_complex(wgt[lo : lo + step] * np.einsum("ra,a->r", li, W)))
         out[1] = -_fsum_complex(parts)
-    higher = ms[1:] if ms[0] == 1 else ms
-    if higher:
-        pw = _recip_powers(A, range(1, higher[-1]))
-        mats = {}
-        for j in range(1, higher[-1]):
-            first = next(col for col, m in enumerate(higher) if m > j)
-            cols = [W * pw[m - j] * (1.0 / (m - 1)) for m in higher[first:]]
-            mats[j] = (slice(first, None), np.stack(cols))
-        out.update(zip(higher, _g_sums(A, Q, wgt, mats, len(higher))))
+    if ms[-1] > 1:
+        S = _g_sums(A, Q, wgt, range(1, ms[-1]))
+        ra = 1.0 / A
+        for m in ms:
+            if m > 1:
+                col = sum(ra ** (m - j) * S[j] for j in range(1, m))
+                out[m] = complex(np.dot(W, col)) / (m - 1)
     return out
 
 
 def _g_sums(
-    A: np.ndarray,
-    Q: np.ndarray,
-    wgt: np.ndarray,
-    mats: dict[int, tuple[slice, np.ndarray]],
-    cols: int,
-) -> list[complex]:
-    """The G-sum kernel: for every column col < cols,
+    A: np.ndarray, Q: np.ndarray, wgt: np.ndarray, js: Iterable[int]
+) -> dict[int, np.ndarray]:
+    """The G-sum kernel: for every j in js, the vector over columns c of
 
-      sum_r wgt_r sum_c sum_j G_j(A_c + Q_r) M_j[col, c],
+      S_j[c] = sum_r wgt_r G_j(A_c + Q_r),
 
-    G_1(q) = log(s q), G_j(q) = q^{1-j}/(1-j), with s the sign of Re q,
-    which must not vanish: log|q| + i arctan(Im q / Re q) is that
-    logarithm, off its branch cut.  mats maps each j that some column needs
-    to the slice of columns that need it and M_j on those columns, one row
-    per column.  Walked in chunks of Q rows: each makes G_1 only if j = 1 is
-    needed, then the powers (a+q)^{-1}, (a+q)^{-2}, ... up to the largest j,
-    one at a time in place.  The weighted rows of all chunks are summed with
-    one fsum per column, so the result is reproducible bit for bit.
+    G_1(q) = log(s q) = log|q| + i arctan(Im q / Re q), G_j(q) = q^{1-j}/(1-j),
+    with s the sign of Re q, which must not vanish.  The rows are walked in
+    chunks of about _CHUNK elements; each makes G_1 only if j = 1 is asked
+    for, then the powers (a+q)^{-1}, (a+q)^{-2}, ... one at a time in place,
+    and adds its weighted row sums to S_j in order.  Memory is O(len(A))
+    whatever len(Q) is, and the result is reproducible bit for bit.
 
-    The products run in einsum, not BLAS: at this size multithreaded BLAS
+    The row sums run in einsum, not BLAS: at this size multithreaded BLAS
     gains nothing, and its spinning threads doubled the CPU time and slowed
-    the kernel on a loaded two-core host.  Weights stored one row per
-    column contract about twice as fast as columns.  log|q| and arg(s q)
-    stay real, contiguous arrays, contracted against the rows of Re M_1 and
-    Im M_1: the log and arctan run much slower on the strided parts of a
-    complex array, and a complex contraction of real data converts it."""
-    top = max(mats)
-    # complex weights for the powers: einsum would convert real ones on every call
-    scaled = {j: (sl, mat * complex(1.0 / (1 - j))) for j, (sl, mat) in mats.items() if j > 1}
-    if 1 in mats:
-        sl1, m1 = mats[1]
-        # the rows of Re M_1, then those of Im M_1 unless M_1 is real
-        re_im = np.concatenate([m1.real, m1.imag]) if np.iscomplexobj(m1) else m1
-        c1 = len(m1)
+    the kernel on a loaded two-core host.  They contract real arrays (a
+    complex one through its real view) against Re wgt and Im wgt, and
+    log|q| and arg(s q) stay real and contiguous: the log and arctan run
+    much slower on the strided parts of a complex array."""
+    js = set(js)
+    top = max(js)
+    cx = np.iscomplexobj(wgt)
+    wri = np.ascontiguousarray(wgt).view(float).reshape(-1, 2).T if cx else wgt[None, :]
+    # per j, the running row sums of the real view of G_j against Re wgt (and Im wgt)
+    acc = {j: np.zeros((len(wri), 2 * len(A))) for j in js}
     rows = max(1, _CHUNK // len(A))
-    out = np.zeros((len(Q), cols), dtype=complex)
     for lo in range(0, len(Q), rows):
-        q = Q[lo : lo + rows, None]
-        d = np.empty((len(q), len(A)), dtype=complex)
+        w = wri[:, lo : lo + rows]
+        d = np.empty((w.shape[1], len(A)), dtype=complex)
         d[...] = A  # a + q in place: a broadcasting add would buffer both operands
-        d += q
-        acc = out[lo : lo + rows]
-        if 1 in mats:
+        d += Q[lo : lo + rows, None]
+        if 1 in js:
             x, y = d.real, d.imag
             mag = x * x
             mag += y * y
-            np.log(mag, out=mag)
-            lg = np.einsum("ra,ka->rk", mag, re_im) * 0.5  # mag is log |q|^2
+            np.log(mag, out=mag)  # log |q|^2
             arg = np.divide(y, x)
             np.arctan(arg, out=arg)  # arg(s q), as Re(s q) > 0
-            th = np.einsum("ra,ka->rk", arg, re_im)
-            if len(re_im) > c1:
-                lg, th = lg[:, :c1] - th[:, c1:], lg[:, c1:] + th[:, :c1]
-            acc.real[:, sl1] = lg
-            acc.imag[:, sl1] = th
+            acc[1][:, 0::2] += 0.5 * np.einsum("kr,ra->ka", w, mag)
+            acc[1][:, 1::2] += np.einsum("kr,ra->ka", w, arg)
         if top > 1:
             r = np.reciprocal(d, out=d)
             cur = r.copy() if top > 2 else r
             for j in range(2, top + 1):
                 if j > 2:
                     cur *= r
-                if j in scaled:
-                    sl, mat = scaled[j]
-                    acc[:, sl] += np.einsum("ra,ka->rk", cur, mat)
-    out *= wgt[:, None]
-    return [_fsum_complex(out[:, col]) for col in range(cols)]
+                if j in js:
+                    acc[j] += np.einsum("kr,ra->ka", w, cur.view(float))
+    S = {}
+    for j, p in acc.items():
+        p = p[:, 0::2] + 1j * p[:, 1::2]  # sum_r Re wgt_r G_j, sum_r Im wgt_r G_j
+        S[j] = (p[0] + 1j * p[1] if cx else p[0]) * (1.0 if j == 1 else 1.0 / (1 - j))
+    return S
 
 
 def _converge(
@@ -413,10 +386,10 @@ def zeta_star_3_1_double(spec: QuadratureSpec | None = None) -> QuadratureResult
 
     Integrating the unit-interval variable of E[(B_2 + U_1 B_1)^{-2}] in
     closed form (int_0^1 (A + uB)^{-2} du = 1/(A(A+B))) collapses the triple
-    integral to two w-axes.  With (A + B)^{-1} = -G_2(A + B), that is one
-    call of the G-sum kernel (_g_sums): rows B = C_r with weights W_r,
-    columns A = C_c with weights -W_c/C_c.  The moment kernel applies the
-    same reduction, so negative_moment(2, 2) is a second implementation of
+    integral to two w-axes.  With (A + B)^{-1} = -G_2(A + B), a level is one
+    call of the G-sum kernel (_g_sums), with rows B = C_r weighted by W_r and
+    columns A = C_c, whose sums S_2 it contracts with -W_c/C_c.  The moment
+    kernel applies the same reduction, so negative_moment(2, 2) is a second implementation of
     this integral, not an independent quadrature of it.
     """
     spec = spec or default_spec(2)
@@ -424,7 +397,7 @@ def zeta_star_3_1_double(spec: QuadratureSpec | None = None) -> QuadratureResult
     def level(panels: int) -> dict[int, complex]:
         X, W = _sech_axis(spec.w_cutoff, panels, spec.nodes)
         C = 1j * X - 0.5
-        return {0: _g_sums(C, C, W, {2: (slice(0, 1), (-W / C)[None, :])}, 1)[0]}
+        return {0: complex(np.dot(-W / C, _g_sums(C, C, W, [2])[2]))}
 
     return _converge(level, spec, {0: 2 * _sech_tail_mass(spec.w_cutoff) * 4.0})[0]
 
@@ -713,7 +686,8 @@ def barnes_zeta_sech(
     q^{-(m-k)} = (1-j) G_j(q) for j = m - k + 1, a level is one call of the
     G-sum kernel (_g_sums): its rows Q are the sums -i sum_{n<k} a_n u_n over
     the first k - 1 axes, weighted by prod W_n/a_n, and its columns
-    A = w - i a_k u_k are the last axis, weighted by -(m-k) W_k/a_k.
+    A = w - i a_k u_k are the last axis, whose sums S_j it contracts with
+    -(m-k) W_k/a_k.
     """
     k = len(a)
     if k == 0:
@@ -732,8 +706,8 @@ def barnes_zeta_sech(
         for an in a[:-1]:
             Q = (Q[:, None] - 1j * an * x).ravel()
             wgt = (wgt[:, None] * (wt / an)).ravel()
-        mats = {power + 1: (slice(0, 1), (-power / a[-1]) * wt[None, :])}
-        return {0: pref * _g_sums(w - 1j * a[-1] * x, Q, wgt, mats, 1)[0]}
+        S = _g_sums(w - 1j * a[-1] * x, Q, wgt, [power + 1])[power + 1]
+        return {0: pref * complex(np.dot(-power / a[-1] * wt, S))}
 
     tail = k * _sech_tail_mass(spec.w_cutoff) * w ** (-power) * pref
     return _converge(level, spec, {0: tail})[0]

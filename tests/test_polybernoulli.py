@@ -1,10 +1,6 @@
 """Route agreement and the integral-transform representations."""
 import json
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -36,8 +32,6 @@ from akzeta.umbral import (
     expr_power,
     poly_symbol,
 )
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def stirling_oracle(n, k):
@@ -308,19 +302,3 @@ def test_table_validation():
         poly_bernoulli_series(-1, 2)
     with pytest.raises(ValueError):
         poly_bernoulli_series(3, 0)
-
-
-@pytest.mark.parametrize("variant", ["B", "C"])
-def test_tables_script(variant):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "polybernoulli_tables.py"),
-         "--n-max", "8", "--k-max", "3", "--variant", variant],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1].startswith("all values cross-checked")

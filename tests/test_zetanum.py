@@ -1,11 +1,7 @@
 """Numerical layer: special functions, quadrature realization, zeta routes."""
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,8 +27,6 @@ from akzeta.zetanum import (
 )
 from akzeta import zetanum
 from akzeta.zetanum import _li2, _li_exp, _moment_level, _sech_axis
-
-ROOT = Path(__file__).resolve().parents[1]
 
 ZETA2 = math.pi**2 / 6
 ZETA3 = 1.2020569031595942854
@@ -247,7 +241,7 @@ def test_moment_kernel_matches_tensor_sum(k, const, shift):
         assert abs(alone[m] - ref) < 1e-12, (m, alone[m], ref)
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_moment_level_chunking_is_invisible(monkeypatch, k):
     # one row of end points per chunk moves every chunk boundary
     spec = default_spec(k)
@@ -275,6 +269,74 @@ def test_moment_level_memory_stays_chunked(k):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20, peak
+
+
+def _g_sums_reference(A, Q, wgt, j):
+    # dense sum_r wgt_r G_j(A_c + Q_r) over the full rows x columns grid
+    q = A[None, :] + Q[:, None]
+    g = np.log(np.sign(q.real) * q) if j == 1 else q ** (1 - j) / (1 - j)
+    return (wgt[:, None] * g).sum(axis=0)
+
+
+@pytest.mark.parametrize("chunk", [None, 20, 1])
+@pytest.mark.parametrize("js", [[1], [2, 4], [1, 2, 3]])
+@pytest.mark.parametrize("complex_weights", [False, True])
+def test_g_sums_matches_dense_reference(monkeypatch, chunk, js, complex_weights):
+    rng = np.random.default_rng(7)
+    # |Re A| in [1, 2] with both signs, |Re Q| <= 1/2: Re q takes both signs
+    # across the grid and stays at least 1/2 away from zero
+    A = np.resize([1.0, -1.0], 7) * rng.uniform(1.0, 2.0, 7) + 1j * rng.normal(size=7)
+    Q = rng.uniform(-0.5, 0.5, 11) + 1j * rng.normal(size=11)
+    wgt = rng.normal(size=11)
+    if complex_weights:
+        wgt = wgt + 1j * rng.normal(size=11)
+    q = A[None, :] + Q[:, None]
+    assert (q.real > 0).any() and (q.real < 0).any()
+    if chunk is not None:  # 20 // 7 = 2 rows per chunk leaves a ragged last chunk
+        monkeypatch.setattr(zetanum, "_CHUNK", chunk)
+    got = zetanum._g_sums(A, Q, wgt, js)
+    assert sorted(got) == sorted(js)
+    for j in js:
+        ref = _g_sums_reference(A, Q, wgt, j)
+        assert got[j].shape == (len(A),)
+        assert np.abs(got[j] - ref).max() <= 1e-13 * np.abs(ref).max(), (j, got[j], ref)
+
+
+def test_g_sums_memory_does_not_grow_with_rows():
+    # a per-row result would hold 200,000 complex values, 3 MB, for each j;
+    # the kernel keeps one vector over the 64 columns per j and one chunk
+    rng = np.random.default_rng(3)
+    A = rng.uniform(1.0, 2.0, 64) + 1j * rng.normal(size=64)
+    Q = rng.uniform(-0.5, 0.5, 200_000) + 1j * rng.normal(size=200_000)
+    wgt = rng.normal(size=200_000) + 1j * rng.normal(size=200_000)
+    zetanum._g_sums(A, Q[:100], wgt[:100], [1, 2, 3])  # caches filled
+    tracemalloc.start()
+    try:
+        zetanum._g_sums(A, Q, wgt, [1, 2, 3])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+def test_each_level_is_one_kernel_call(monkeypatch):
+    calls = []
+    kernel = zetanum._g_sums
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(zetanum, "_g_sums", counted)
+    for k, ms in ((1, [1, 2, 3]), (2, [1, 2, 3]), (3, [2, 3]), (3, [1, 2, 3])):
+        spec = default_spec(k)
+        calls.clear()
+        _moment_level(k, ms, spec.panels, spec, 0.0, 0.0)
+        assert len(calls) == 1, (k, ms, len(calls))
+    for fn, args in ((barnes_zeta_sech, (5, 0.5, [1.0, 2.0])), (zeta_star_3_1_double, ())):
+        calls.clear()
+        res = fn(*args)
+        assert len(calls) == res.levels_used, (fn.__name__, len(calls), res.levels_used)
 
 
 def test_negative_moment_k3_closed_forms():
@@ -504,24 +566,3 @@ def test_bit_reproducible():
     x = ak_zeta_mellin(2, 1)
     y = ak_zeta_mellin(2, 1)
     assert x == y
-
-
-# --- scripts --------------------------------------------------------------------------
-
-
-def test_zeta_values_script_k3():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    script = ROOT / "scripts" / "zeta_values.py"
-    proc = subprocess.run(
-        [sys.executable, str(script), "--k-max", "3", "--terms", "20000"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    rows = [line.split() for line in proc.stdout.splitlines() if line.split()[:1] in (["2"], ["3"])]
-    assert [(r[0], r[1]) for r in rows] == [(k, m) for k in "23" for m in "123"]
-    for r in rows:
-        assert float(r[5]) < 1e-6, r  # |mom-mel|
