@@ -1,6 +1,6 @@
 """Exact arithmetic layer: rationals, polynomials, the two integer kernels of
-the series route, and the combinatorial generators (Bernoulli numbers,
-Stirling numbers, binomials) everything else is built from.
+the series route, the Appell lift, and the combinatorial generators
+(Bernoulli numbers, Stirling rows, binomials) everything else is built from.
 
 Polynomials in z and the umbral module's symbol expressions share one
 layout, the _Numerators base class defined here: a dict from int keys
@@ -14,7 +14,8 @@ with n! c_n = x_n / d for one d > 0, passed around as the pair (x, d).
 Products of EGFs are binomial convolutions, so they stay integral, and
 1 - e^{-t} and e^t - 1 have numerators 0, +-1 over d = 1; only the outer
 Li_k coefficients of a composition need scaling, by lcm(1..n)^k.
-egf_compose and egf_divide are the two operations the series route needs.
+egf_compose and egf_divide are the two operations the series route needs,
+and appell_polynomial lifts numbers given as the same (x, d) pair.
 
 All values are immutable after construction and every operation is a pure
 function; the Bernoulli and Stirling caches grow under a lock, so
@@ -36,6 +37,7 @@ __all__ = [
     "appell_polynomial",
     "binomial",
     "stirling2",
+    "stirling_row",
     "egf_compose",
     "egf_divide",
     "rational_to_json",
@@ -93,19 +95,21 @@ def _next_bernoulli(vals: list[Fraction]) -> Fraction:
     return -s / (n + 1)
 
 
-def stirling2(n: int, m: int) -> int:
-    """Stirling number of the second kind S(n, m).
-
-    Built by the triangular recurrence S(n,m) = m*S(n-1,m) + S(n-1,m-1);
-    returns 0 when m < 0 or m > n.
+def stirling_row(n: int) -> tuple[int, ...]:
+    """The Stirling numbers of the second kind S(n, 0..n), copied from the
+    shared cache, built by the triangular recurrence S(n,m) = m*S(n-1,m) + S(n-1,m-1).
     """
     if n < 0:
-        raise ValueError("stirling2 requires n >= 0")
-    if m < 0 or m > n:
-        return 0
+        raise ValueError("n must be >= 0")
     if n >= len(_STIRLING_ROWS):
         _grow(_STIRLING_ROWS, n, _next_stirling_row)
-    return _STIRLING_ROWS[n][m]
+    return tuple(_STIRLING_ROWS[n])
+
+
+def stirling2(n: int, m: int) -> int:
+    """Stirling number of the second kind S(n, m); 0 when m < 0 or m > n."""
+    row = stirling_row(n)
+    return row[m] if 0 <= m <= n else 0
 
 
 def bernoulli_numbers(n_max: int) -> list[Fraction]:
@@ -384,12 +388,14 @@ def egf_divide(
     return f, dn * growth
 
 
-def appell_polynomial(numbers: Sequence, n: int) -> ZPolynomial:
-    """sum_m C(n,m) b_m z^{n-m} for the rationals b = numbers[:n+1]: n! [t^n]
-    of e^{zt} sum b_m t^m / m!, built on the numerators of b_0..b_n over one
-    denominator."""
-    nums, d = integer_numerators(numbers[: n + 1])
-    return ZPolynomial({n - m: math.comb(n, m) * x for m, x in enumerate(nums)}, d)
+def appell_polynomial(numbers: tuple[Sequence[int], int], n: int) -> ZPolynomial:
+    """sum_m C(n,m) b_m z^{n-m}, n! [t^n] of e^{zt} sum b_m t^m / m!, for
+    b_m = x_m / d given as the integer_numerators pair (x, d); needs
+    0 <= n < len(x), and reads x_0..x_n only."""
+    x, d = numbers
+    if not 0 <= n < len(x):
+        raise IndexError(f"n = {n} outside 0..{len(x) - 1}")
+    return ZPolynomial({n - m: math.comb(n, m) * x[m] for m in range(n + 1)}, d)
 
 
 def bernoulli_polynomial(n: int) -> ZPolynomial:
@@ -399,4 +405,4 @@ def bernoulli_polynomial(n: int) -> ZPolynomial:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return appell_polynomial(bernoulli_numbers(n), n)
+    return appell_polynomial(integer_numerators(bernoulli_numbers(n)), n)

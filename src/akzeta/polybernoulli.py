@@ -6,7 +6,8 @@ the unit cube and on the ordered simplex.
 
 The series route composes and divides integer EGF numerators; the symbolic
 route evaluates the nested symbol S_k = 1 + C_k through its moment
-sequences (umbral_numbers), on integer numerators; the transforms expand
+sequences (umbral_numbers), on integer numerators; the Stirling route sums
+integers over one denominator lcm(1..n_max+1)^k; the transforms expand
 their integrands in the sparse symbol algebra of the umbral module, whose
 expect_power evaluates each symbol during the expansion.  On the cube the
 weight cancels the Barnes prefactor, so that transform is the one
@@ -14,7 +15,7 @@ expectation E[(z + 1 + C_k)^n]; on the simplex the Bernoulli symbols are
 evaluated during the expansion and the variables integrated out one at a
 time.  bernoulli_barnes itself takes rational parameters.  Every route
 yields the z = 0 numbers, and the polynomials are their Appell lifts
-(exact.appell_polynomial).
+(exact.appell_polynomial), read off the table's shared integer numerators.
 
 Route agreement across all of these is the central correctness invariant of
 the package.
@@ -22,10 +23,11 @@ the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Union
+from typing import Sequence, Union
 
 from .exact import (
     ZPolynomial,
@@ -35,7 +37,7 @@ from .exact import (
     egf_compose,
     egf_divide,
     integer_numerators,
-    stirling2,
+    stirling_row,
 )
 from .umbral import (
     UmbralExpression,
@@ -67,14 +69,16 @@ ROUTES = ("series", "umbral", "stirling")
 @dataclass
 class PolyBernoulliTable:
     """The z = 0 numbers for n = 0..n_max of one (k, variant), tagged with
-    their route; the polynomials are their lifts through the e^{zt} factor."""
+    their route; the polynomials are their lifts through the e^{zt} factor.
+    The numbers are kept as a tuple, so the cached lifts cannot go stale."""
 
     k: int
     variant: str
     route: str
-    numbers: list[Fraction] = field(default_factory=list)
+    numbers: tuple[Fraction, ...] = ()
 
     def __post_init__(self):
+        self.numbers = tuple(self.numbers)
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.route not in ROUTES:
@@ -85,16 +89,23 @@ class PolyBernoulliTable:
         return len(self.numbers) - 1
 
     @cached_property
+    def numerators(self) -> tuple[list[int], int]:
+        """The numbers as integer numerators over one denominator, built once."""
+        return integer_numerators(self.numbers)
+
+    @cached_property
     def entries(self) -> list[ZPolynomial]:
         """The polynomials, entry_n(z) = sum_m C(n,m) b_m z^{n-m}, built once."""
         return [self.value(n) for n in range(len(self.numbers))]
 
     def value(self, n: int) -> ZPolynomial:
-        """Entry n alone, lifted from the numbers."""
-        return appell_polynomial(self.numbers, n)
+        """Entry n alone, lifted from the shared numerators; 0 <= n <= n_max."""
+        return appell_polynomial(self.numerators, n)
 
     def number(self, n: int) -> Fraction:
-        """The number at z = 0 (B_n^{(k)} for the B variant, C_n^{(k)} for C)."""
+        """The number at z = 0 (B_n^{(k)} or C_n^{(k)}), 0 <= n <= n_max."""
+        if not 0 <= n <= self.n_max:
+            raise IndexError(f"n = {n} outside 0..{self.n_max}")
         return self.numbers[n]
 
     def to_json(self) -> dict:
@@ -171,25 +182,35 @@ def poly_bernoulli_umbral(n: int, k: int, variant: str = "B") -> ZPolynomial:
     lifted from the symbol's moments."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return appell_polynomial(umbral_numbers(n, k, variant), n)
+    return appell_polynomial(integer_numerators(umbral_numbers(n, k, variant)), n)
+
+
+def _stirling_numbers(n_max: int, k: int, ns: Sequence[int]) -> list[Fraction]:
+    """B_n^{(k)} for each n <= n_max in ns by the closed form on integers:
+    (-1)^n sum_m w_m S(n,m) over one denominator L = lcm(1..n_max+1)^k,
+    with the weights w_m = (-1)^m m! L/(m+1)^k."""
+    lk = math.lcm(*range(1, n_max + 2)) ** k
+    w = [(-1) ** m * math.factorial(m) * (lk // (m + 1) ** k) for m in range(n_max + 1)]
+    return [Fraction((-1) ** n * sum(map(operator.mul, w, stirling_row(n))), lk) for n in ns]
 
 
 def poly_bernoulli_stirling(n: int, k: int) -> Fraction:
-    """Closed form B_n^{(k)} = (-1)^n sum_m (-1)^m m! S(n,m) / (m+1)^k."""
+    """Closed form B_n^{(k)} = (-1)^n sum_m (-1)^m m! S(n,m) / (m+1)^k, one
+    O(n) integer sum over lcm(1..n+1)^k."""
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
-    s = Fraction(0)
-    for m in range(n + 1):
-        s += Fraction((-1) ** m * math.factorial(m) * stirling2(n, m), (m + 1) ** k)
-    return (-1) ** n * s
+    return _stirling_numbers(n, k, [n])[0]
 
 
 def stirling_table(n_max: int, k: int, variant: str = "B") -> PolyBernoulliTable:
-    """The Stirling closed form for n <= n_max; the C variant through bc_convert."""
+    """The Stirling closed form for n <= n_max, every number an integer sum
+    over the one denominator lcm(1..n_max+1)^k with one shared weight row;
+    the C variant through bc_convert."""
+    if n_max < 0 or k < 1:
+        raise ValueError("need n_max >= 0 and k >= 1")
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    numbers = [poly_bernoulli_stirling(n, k) for n in range(n_max + 1)]
-    table = PolyBernoulliTable(k, "B", "stirling", numbers)
+    table = PolyBernoulliTable(k, "B", "stirling", _stirling_numbers(n_max, k, range(n_max + 1)))
     return bc_convert(table, "B->C") if variant == "C" else table
 
 
@@ -220,24 +241,17 @@ def bc_convert(table: PolyBernoulliTable, direction: str) -> PolyBernoulliTable:
     product with e^{zt}, so the two commute: the transform runs on the z = 0
     numbers, over one common denominator, in O(n^2) integer operations.
     """
-    if direction == "B->C":
-        if table.variant != "B":
-            raise ValueError("B->C conversion needs a B-variant table")
-        sign = -1
-        new_variant = "C"
-    elif direction == "C->B":
-        if table.variant != "C":
-            raise ValueError("C->B conversion needs a C-variant table")
-        sign = 1
-        new_variant = "B"
-    else:
+    if direction not in ("B->C", "C->B"):
         raise ValueError("direction must be 'B->C' or 'C->B'")
-    ints, d = integer_numerators(table.numbers)
+    if table.variant != direction[0]:
+        raise ValueError(f"{direction} conversion needs a {direction[0]}-variant table")
+    sign = -1 if direction == "B->C" else 1
+    ints, d = table.numerators
     numbers = [
         Fraction(sum(binomial(n, l) * sign ** (n - l) * ints[l] for l in range(n + 1)), d)
         for n in range(len(ints))
     ]
-    return PolyBernoulliTable(table.k, new_variant, table.route, numbers)
+    return PolyBernoulliTable(table.k, direction[-1], table.route, numbers)
 
 
 def bernoulli_barnes(n: int, a: list) -> ZPolynomial:

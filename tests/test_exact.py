@@ -23,6 +23,7 @@ from akzeta.exact import (
     integer_numerators,
     rational_to_json,
     stirling2,
+    stirling_row,
 )
 from akzeta.umbral import UmbralExpression, Z
 
@@ -233,6 +234,9 @@ def test_stirling_examples():
             if 0 < m:
                 assert stirling2(n, m) == partitions_into_blocks(n, m)
     assert stirling2(3, 5) == 0
+    assert stirling_row(4) == (0, 1, 7, 6, 1)
+    with pytest.raises(ValueError):
+        stirling_row(-1)
 
 
 def test_binomial():

@@ -6,6 +6,7 @@ import pytest
 
 from akzeta.exact import (
     ZPolynomial,
+    appell_polynomial,
     bernoulli_number,
     bernoulli_numbers,
     bernoulli_polynomial,
@@ -67,6 +68,58 @@ def test_stirling_route_examples():
     for n in range(9):
         for k in range(1, 4):
             assert poly_bernoulli_stirling(n, k) == stirling_oracle(n, k)
+
+
+def test_stirling_table_matches_oracle():
+    for k in (1, 4, 9):
+        assert stirling_table(30, k).numbers == tuple(stirling_oracle(n, k) for n in range(31))
+
+
+def test_single_stirling_number_matches_table():
+    for n in range(13):
+        for k in range(1, 6):
+            assert poly_bernoulli_stirling(n, k) == stirling_table(n, k).number(n)
+
+
+def test_stirling_route_calls_no_series_or_umbral_code(monkeypatch):
+    import akzeta.polybernoulli as pb
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Stirling route must stay independent")
+
+    ref_b, ref_c = poly_bernoulli_series(8, 3, "B"), poly_bernoulli_series(8, 3, "C")
+    names = ("egf_compose", "egf_divide", "poly_bernoulli_series", "umbral_numbers", "expect_power")
+    for name in names:
+        monkeypatch.setattr(pb, name, forbidden)
+    assert stirling_table(8, 3, "C").entries == ref_c.entries
+    assert poly_bernoulli_stirling(8, 3) == ref_b.number(8)
+
+
+def test_lift_reads_shared_numerators():
+    # mixed denominators: the shared d = 84 is no entry's own denominator
+    numbers = [Fraction(*q) for q in ((1, 2), (-2, 3), (5, 7), (0, 1), (3, 4), (-11, 6))]
+    t = PolyBernoulliTable(2, "B", "series", numbers)
+    assert t.numerators[1] == 84
+    with pytest.raises(TypeError):
+        t.numbers[1] += 1  # the lifts are cached, so the numbers are frozen
+    for n in range(len(numbers)):
+        ref = [binomial(n, m) * numbers[m] for m in range(n, -1, -1)]  # z^0 first
+        assert list(t.value(n).coeffs) == list(t.entries[n].coeffs) == ref
+        conv = sum(binomial(n, l) * (-1) ** (n - l) * numbers[l] for l in range(n + 1))
+        assert bc_convert(t, "B->C").number(n) == conv
+
+
+def test_table_index_out_of_range_raises():
+    t = poly_bernoulli_series(10, 2, "B")
+    for n in (-1, 11, 12):
+        with pytest.raises(IndexError):
+            t.value(n)
+        with pytest.raises(IndexError):
+            t.number(n)
+    assert t.number(10) == t.numbers[-1] and t.value(10) == t.entries[-1]
+    with pytest.raises(IndexError):
+        appell_polynomial(([1, 2], 1), 2)
+    assert appell_polynomial(([1, 2], 1), 1) == ZPolynomial([2, 1])
 
 
 def test_umbral_route_examples():
@@ -245,6 +298,10 @@ def test_stirling_table_lift():
         assert t.route == "stirling" and t.variant == variant
     with pytest.raises(ValueError):
         stirling_table(8, 2, "D")
+    with pytest.raises(ValueError, match="n_max >= 0"):
+        stirling_table(-1, 2)
+    with pytest.raises(ValueError, match="k >= 1"):
+        stirling_table(3, 0)
 
 
 def test_route_disagreement_witness():
