@@ -155,6 +155,19 @@ class _Numerators:
         c = Fraction(c)
         return cls({0: c.numerator}, c.denominator)
 
+    @classmethod
+    def combination(cls, pairs):
+        """sum c * p over the (p, c) pairs, p of this class and c an int or Fraction,
+        summed over one lcm of the denominators and reduced by one gcd."""
+        pairs = [(p, c) for p, c in pairs if c]
+        den = math.lcm(*(p.den * c.denominator for p, c in pairs))
+        out: dict[int, int] = {}
+        for p, c in pairs:
+            scale = c.numerator * (den // (p.den * c.denominator))
+            for m, x in p.terms.items():
+                out[m] = out.get(m, 0) + x * scale
+        return cls(out, den)
+
     def _coerce(self, other):
         """other in self's ring: a constant for an int or Fraction, None for
         anything that is not of self's class."""

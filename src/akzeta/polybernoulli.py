@@ -13,7 +13,8 @@ expect_power evaluates each symbol during the expansion.  On the cube the
 weight cancels the Barnes prefactor, so that transform is the one
 expectation E[(z + 1 + C_k)^n]; on the simplex the Bernoulli symbols are
 evaluated during the expansion and the variables integrated out one at a
-time.  bernoulli_barnes itself takes rational parameters.  Every route
+time; their _row forms give every n <= n_max from one all-powers expansion
+(umbral.expect_powers).  bernoulli_barnes takes rational parameters.  Every route
 yields the z = 0 numbers, and the polynomials are their Appell lifts
 (exact.appell_polynomial), read off the table's shared integer numerators.
 
@@ -45,6 +46,7 @@ from .umbral import (
     bernoulli_symbol,
     c_symbol,
     expect_power,
+    expect_powers,
     uniform_symbol,
 )
 
@@ -59,7 +61,9 @@ __all__ = [
     "bc_convert",
     "bernoulli_barnes",
     "barnes_transform_cube",
+    "barnes_transform_cube_row",
     "simplex_transform",
+    "simplex_transform_row",
 ]
 
 VARIANTS = ("B", "C")
@@ -141,19 +145,8 @@ def poly_bernoulli_series(n_max: int, k: int, variant: str = "B") -> PolyBernoul
     return PolyBernoulliTable(k, variant, "series", numbers)
 
 
-def umbral_numbers(n_max: int, k: int, variant: str = "B") -> list[Fraction]:
-    """E[S_k^n] (B variant) or E[C_k^n] (C variant) for n = 0..n_max.
-
-    The companion symbol nests as C_1 = B_1, C_k = B_k + U_{k-1} C_{k-1} over
-    independent symbols, so the evaluation functional factorizes and the
-    moments follow by binomial convolution, in O(k n^2) exact operations:
-
-      E[C_k^j] = sum_i C(j,i) B_{j-i} E[C_{k-1}^i] / (i+1),
-      E[S_k^j] = E[(1 + C_k)^j] = sum_i C(j,i) E[C_k^i].
-
-    The convolution runs on integer numerators over one denominator: the
-    Bernoulli numerators over d, and 1/(i+1) as (L/(i+1))/L, L = lcm(1..n+1).
-    """
+def _umbral_moments(n_max: int, k: int, variant: str) -> tuple[list[int], int]:
+    """umbral_numbers as integer numerators over one denominator."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if k < 1:
@@ -174,15 +167,32 @@ def umbral_numbers(n_max: int, k: int, variant: str = "B") -> list[Fraction]:
         moments, den = [x // g for x in moments], den // g
     if variant == "B":
         moments = [sum(math.comb(j, i) * moments[i] for i in range(j + 1)) for j in range(n_max + 1)]
+    return moments, den
+
+
+def umbral_numbers(n_max: int, k: int, variant: str = "B") -> list[Fraction]:
+    """E[S_k^n] (B variant) or E[C_k^n] (C variant) for n = 0..n_max.
+
+    The companion symbol nests as C_1 = B_1, C_k = B_k + U_{k-1} C_{k-1} over
+    independent symbols, so the evaluation functional factorizes and the
+    moments follow by binomial convolution, in O(k n^2) exact operations:
+
+      E[C_k^j] = sum_i C(j,i) B_{j-i} E[C_{k-1}^i] / (i+1),
+      E[S_k^j] = E[(1 + C_k)^j] = sum_i C(j,i) E[C_k^i].
+
+    The convolution runs on integer numerators over one denominator: the
+    Bernoulli numerators over d, and 1/(i+1) as (L/(i+1))/L, L = lcm(1..n+1).
+    """
+    moments, den = _umbral_moments(n_max, k, variant)
     return [Fraction(x, den) for x in moments]
 
 
 def poly_bernoulli_umbral(n: int, k: int, variant: str = "B") -> ZPolynomial:
     """B_n^{(k)}(z) or C_n^{(k)}(z) as the expectation of (z + symbol)^n,
-    lifted from the symbol's moments."""
+    lifted from the symbol's moment numerators."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return appell_polynomial(integer_numerators(umbral_numbers(n, k, variant)), n)
+    return appell_polynomial(_umbral_moments(n, k, variant), n)
 
 
 def _stirling_numbers(n_max: int, k: int, ns: Sequence[int]) -> list[Fraction]:
@@ -290,6 +300,37 @@ def barnes_transform_cube(n: int, k: int, z: Union[Fraction, None] = None):
     return poly if z is None else poly.coefficient(0)
 
 
+def barnes_transform_cube_row(n_max: int, k: int, z: Union[Fraction, None] = None) -> list:
+    """barnes_transform_cube(n, k, z) for n = 0..n_max, from one all-powers
+    expansion of z + 1 + C_k."""
+    if n_max < 0 or k < 1:
+        raise ValueError("need n_max >= 0 and k >= 1")
+    zt = UmbralExpression.symbol(Z) if z is None else UmbralExpression.constant(z)
+    polys = [e.expect() for e in expect_powers(c_symbol(k) + zt + 1, n_max)]
+    return polys if z is None else [p.coefficient(0) for p in polys]
+
+
+def _simplex_base(k: int, z) -> UmbralExpression:
+    """1 + z + B_k + v_{k-1} B_{k-1} + ... + v_1 B_1, the v's as U symbols."""
+    if k < 2:
+        raise ValueError("simplex transform requires k >= 2")
+    zt = UmbralExpression.symbol(Z) if z is None else UmbralExpression.constant(z)
+    base = UmbralExpression.constant(1) + zt + UmbralExpression.symbol(bernoulli_symbol(k))
+    for l in range(1, k):
+        base = base + UmbralExpression.monomial({uniform_symbol(l): 1, bernoulli_symbol(l): 1})
+    return base
+
+
+def _simplex_value(expr: UmbralExpression, k: int, z):
+    """The iterated simplex integral of expr, a polynomial in the v's and z."""
+    for j in range(1, k):
+        # int_0^{v_{j+1}} v_j^{e-1} dv_j, the 1/v_j density from j = 2 on; v_k = 1
+        upper = uniform_symbol(j + 1) if j < k - 1 else None
+        expr = expr.integrate(uniform_symbol(j), upper, inverse_power=int(j >= 2))
+    poly = expr.expect()
+    return poly if z is None else poly.coefficient(0)
+
+
 def simplex_transform(n: int, k: int, z: Union[Fraction, None] = None):
     """Exact ordered-simplex representation: iterated integral over
     0 <= v_1 <= ... <= v_{k-1} <= 1 of
@@ -302,19 +343,12 @@ def simplex_transform(n: int, k: int, z: Union[Fraction, None] = None):
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if k < 2:
-        raise ValueError("simplex transform requires k >= 2")
-    zt = UmbralExpression.symbol(Z) if z is None else UmbralExpression.constant(z)
-    base = UmbralExpression.constant(1) + zt + UmbralExpression.symbol(bernoulli_symbol(k))
-    for l in range(1, k):
-        base = base + UmbralExpression.monomial(
-            {uniform_symbol(l): 1, bernoulli_symbol(l): 1}
-        )
-    expr = expect_power(base, n, ("B",))  # polynomial in v's (U symbols) and z
-    for j in range(1, k):
-        # int_0^{v_{j+1}} v_j^{e-1} dv_j, the 1/v_j density from j = 2 on; v_k = 1
-        upper = uniform_symbol(j + 1) if j < k - 1 else None
-        expr = expr.integrate(uniform_symbol(j), upper, inverse_power=int(j >= 2))
-    poly = expr.expect()
-    return poly if z is None else poly.coefficient(0)
+    return _simplex_value(expect_power(_simplex_base(k, z), n, ("B",)), k, z)
 
+
+def simplex_transform_row(n_max: int, k: int, z: Union[Fraction, None] = None) -> list:
+    """simplex_transform(n, k, z) for n = 0..n_max, the Bernoulli symbols
+    evaluated in one all-powers expansion."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    return [_simplex_value(e, k, z) for e in expect_powers(_simplex_base(k, z), n_max, ("B",))]

@@ -22,11 +22,12 @@ CLI's inputs reach is a few dozen.
 
 Expressions are immutable once built and all operations are pure functions;
 the only module state is the memo of integer moment rows, a functools.cache,
-which is thread-safe.  expr_power and expect_power share one breadth-first
-expansion; expect_power evaluates each symbol as soon as its exponent is
-final, so the full power is never built.  Both refuse an expansion whose
-predicted monomial count exceeds the cap (expr_power's argument,
-DEFAULT_EXPANSION_CAP for expect_power) with ExpansionCapError.
+which is thread-safe.  expr_power, expect_power and expect_powers share one
+breadth-first expansion; expect_power evaluates each symbol as soon as its
+exponent is final, so the full power is never built, and expect_powers
+gives every power expr^0 .. expr^n_max from one pass.  All refuse an
+expansion whose predicted monomial count for the top power exceeds the cap
+(expr_power's argument, DEFAULT_EXPANSION_CAP otherwise) with ExpansionCapError.
 Negative symbol powers are not representable here; negative moments are the
 business of the numerical layer.
 """
@@ -50,6 +51,7 @@ __all__ = [
     "DEFAULT_EXPANSION_CAP",
     "expect",
     "expect_power",
+    "expect_powers",
     "expr_power",
     "poly_symbol",
     "c_symbol",
@@ -232,10 +234,10 @@ class UmbralExpression(_Numerators):
         for m, c in self.terms.items():
             e = (m >> off) & _MASK
             by_power.setdefault(e, {})[m - (e << off)] = c
-        out = UmbralExpression()
-        for e, rest in by_power.items():
-            out = out + UmbralExpression(rest, self.den) * expr_power(replacement, e)
-        return out
+        powers = list(expect_powers(replacement, max(by_power, default=0), ()))
+        return UmbralExpression.combination(
+            (UmbralExpression(rest, self.den) * powers[e], 1) for e, rest in by_power.items()
+        )
 
     def integrate(
         self, var: Symbol, upper: Symbol | None = None, inverse_power: int = 0
@@ -303,19 +305,22 @@ class UmbralExpression(_Numerators):
         return self.render()
 
 
-def _expand(expr: UmbralExpression, n: int, kinds: tuple, cap: int) -> UmbralExpression:
-    """expr**n with the symbols of the given kinds evaluated, by one
-    breadth-first multinomial expansion: a state is a partial monomial with
-    the power left, the terms are taken one at a time (fewer formal symbols
-    first, then those holding an evaluated one) and states of equal key
-    merge.  After the last term holding an evaluated symbol, the states take
-    its moments and lose its field, so zero moments (B_j, odd j >= 3) drop
-    out.  The cap and exponent checks are the full expansion's, made first."""
+def _expand(expr: UmbralExpression, n: int, kinds: tuple, cap: int, every: bool = False):
+    """An iterator over expr**n (every=True: expr**0 .. expr**n), the given
+    kinds evaluated, by one breadth-first multinomial expansion: a state is a
+    partial monomial with the power u used so far, the terms are taken one at
+    a time (fewer formal symbols first, then those holding an evaluated one),
+    a term raised to e carries C(u + e, e), and equal keys merge.  After the
+    last term holding an evaluated symbol, the states take its moments and
+    lose its field, so zero moments (B_j, odd j >= 3) drop out.  The last term
+    takes all the power left, for one power at a time.  The cap and exponent
+    checks, the full expansion's of expr**n, run before the return."""
     if n < 0:
         raise ValueError("negative expression power")
+    wanted = range(n + 1) if every else (n,)
     t = len(expr.terms)
     if n == 0 or t == 0:  # x^0 = 1, 0^n = 0
-        return UmbralExpression.constant(1 if n == 0 else 0)
+        return (UmbralExpression.constant(1 if v == 0 else 0) for v in wanted)
     if math.comb(n + t - 1, t - 1) > cap:
         raise ExpansionCapError(
             f"expansion of a {t}-term expression to power {n} exceeds cap {cap}"
@@ -334,27 +339,39 @@ def _expand(expr: UmbralExpression, n: int, kinds: tuple, cap: int) -> UmbralExp
     closing = [[] for _ in items]  # the rows to apply right after items[i]
     for off, row in rows:
         closing[max(i for i, (m, _) in enumerate(items) if (m >> off) & _MASK)].append((off, row))
-    frontier = {n: {0: 1}}  # power left -> {partial monomial: numerator}
-    for i, (m, c) in enumerate(items):
+    frontier = {0: {0: 1}}  # power used -> {partial monomial: numerator}
+    for (m, c), close in zip(items[:-1], closing):
         powers = [c**e for e in range(n + 1)]
         step: dict[int, dict[int, int]] = {}
-        for rem, states in frontier.items():
-            # the last term takes all the power left, the others 0..rem of it
-            for e in range(rem if i == t - 1 else 0, rem + 1):
-                add, mult = m * e, math.comb(rem, e) * powers[e]
-                out = step.setdefault(rem - e, {})
+        for used, states in frontier.items():
+            for e in range(n - used + 1):
+                add, mult = m * e, math.comb(used + e, e) * powers[e]
+                out = step.setdefault(used + e, {})
                 for key, coef in states.items():
                     key += add
                     out[key] = out.get(key, 0) + coef * mult
-        frontier = {r: _evaluate(s, closing[i]) for r, s in step.items()} if closing[i] else step
-    return UmbralExpression(frontier[0], expr.den**n * d)
+        frontier = {u: _evaluate(s, close) for u, s in step.items()} if close else step
+    (m, c), close = items[-1], closing[-1]
+    powers = [c**e for e in range(n + 1)]
+
+    def power(v: int) -> UmbralExpression:
+        out: dict[int, int] = {}
+        for used, states in frontier.items():
+            if used <= v:
+                add, mult = m * (v - used), math.comb(v, used) * powers[v - used]
+                for key, coef in states.items():
+                    key += add
+                    out[key] = out.get(key, 0) + coef * mult
+        return UmbralExpression(_evaluate(out, close) if close else out, expr.den**v * d)
+
+    return map(power, wanted)
 
 
 def expr_power(expr: UmbralExpression, n: int, cap: int = DEFAULT_EXPANSION_CAP) -> UmbralExpression:
     """expr**n, fully expanded.  Raises ExpansionCapError when the predicted
     count C(n + t - 1, t - 1) of a t-term base's monomials exceeds the cap,
     OverflowError when n times an exponent would exceed MAX_EXPONENT."""
-    return _expand(expr, n, (), cap)
+    return next(_expand(expr, n, (), cap))
 
 
 def expect_power(expr: UmbralExpression, n: int, kinds=("B", "U")) -> UmbralExpression:
@@ -362,7 +379,16 @@ def expect_power(expr: UmbralExpression, n: int, kinds=("B", "U")) -> UmbralExpr
     checks, without building the full power.  With both kinds the keys are
     z-degrees, and .expect() reads the result as a ZPolynomial."""
     _check_kinds(kinds)
-    return _expand(expr, n, kinds, DEFAULT_EXPANSION_CAP)
+    return next(_expand(expr, n, kinds, DEFAULT_EXPANSION_CAP))
+
+
+def expect_powers(expr: UmbralExpression, n_max: int, kinds=("B", "U")):
+    """An iterator over expect_power(expr, n, kinds), n = 0..n_max, from one
+    expansion (with kinds empty, over expr_power(expr, n)); each power is built
+    when reached.  Raises at the call what expect_power(expr, n_max) raises."""
+    if kinds:
+        _check_kinds(kinds)
+    return _expand(expr, n_max, kinds, DEFAULT_EXPANSION_CAP, every=True)
 
 
 # the evaluation functional as a function; the acceptance criteria import it
@@ -376,18 +402,15 @@ def poly_symbol(k: int) -> UmbralExpression:
     independent copy must re-index through UmbralExpression.substitute.  For k = 1 the
     empty product is 1 and the result is 1 + B_1.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    out = UmbralExpression.constant(1)
-    for l in range(1, k + 1):
-        expos = {bernoulli_symbol(l): 1}
-        for j in range(l, k):
-            expos[uniform_symbol(j)] = 1
-        out = out + UmbralExpression.monomial(expos)
-    return out
+    return UmbralExpression({0: 1, **c_symbol(k).terms})
 
 
 def c_symbol(k: int) -> UmbralExpression:
     """The companion symbol: poly_symbol(k) - 1; satisfies
-    c_symbol(k) = B_k + U_{k-1} * c_symbol(k-1) with c_symbol(1) = B_1."""
-    return poly_symbol(k) - UmbralExpression.constant(1)
+    c_symbol(k) = B_k + U_{k-1} * c_symbol(k-1) with c_symbol(1) = B_1.  The
+    packed terms B_l U_l ... U_{k-1} are written directly."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    bs = [1 << _offset(bernoulli_symbol(l)) for l in range(1, k + 1)]
+    us = [1 << _offset(uniform_symbol(j)) for j in range(1, k)]
+    return UmbralExpression({bs[i] + sum(us[i:]): 1 for i in range(k)})

@@ -6,6 +6,8 @@ transform is run either as an exact coefficient-wise polynomial comparison
 comparison within an explicitly recorded tolerance.  Results aggregate into a
 structured report whose JSON rendering is byte-stable for a fixed
 configuration.
+Sums of polynomials are one combination over one denominator, and the symbol
+checks expand each base once for all the powers they compare (expect_powers).
 """
 from __future__ import annotations
 
@@ -22,11 +24,11 @@ from .exact import (
 )
 from .polybernoulli import (
     PolyBernoulliTable,
-    barnes_transform_cube,
+    barnes_transform_cube_row,
     bc_convert,
     poly_bernoulli_series,
     route_disagreement,
-    simplex_transform,
+    simplex_transform_row,
 )
 from .umbral import (
     UmbralExpression,
@@ -34,7 +36,7 @@ from .umbral import (
     bernoulli_symbol,
     c_symbol,
     expect_power,
-    expr_power,
+    expect_powers,
     poly_symbol,
     uniform_symbol,
 )
@@ -53,7 +55,7 @@ SUITES = ("all", "umbral", "recurrence", "transforms", "zeta")
 @dataclass(frozen=True)
 class VerifyConfig:
     """Grid bounds for the identity checks; the full run at the defaults
-    takes about a second.  m_max bounds only the step m of the
+    takes about half a second.  m_max bounds only the step m of the
     multistep-difference check: the zeta checks run fixed grids."""
 
     n_max: int = 15
@@ -150,6 +152,19 @@ def _tables(n_max: int, k_max: int, variant: str) -> list[PolyBernoulliTable]:
     return [poly_bernoulli_series(n_max, k, variant) for k in range(1, k_max + 1)]
 
 
+def _gathered(polys: list, table: PolyBernoulliTable, n: int, l_sign: bool) -> ZPolynomial:
+    """sum_m C(n,m) b_{n-m} sum_l C(m,l) s polys[l] / (n-l+1), b the table's numbers and
+    s = (-1)^(m-l) if l_sign else (-1)^m: one combination, each polys[l] an integer m-sum."""
+    x, d = table.numerators
+    return ZPolynomial.combination(
+        (polys[l], Fraction(sum(
+            binomial(n, m) * binomial(m, l) * (-1) ** (m - l * l_sign) * x[n - m]
+            for m in range(l, n + 1)
+        ), d * (n - l + 1)))
+        for l in range(n + 1)
+    )
+
+
 def check_order_reduction(n_max: int, k_max: int) -> IdentityCheck:
     """The order-lowering recurrence expressing B_n^{(k)}(z) through the
     (k-1)-family and shifted Bernoulli polynomials, plus its companion form:
@@ -163,21 +178,16 @@ def check_order_reduction(n_max: int, k_max: int) -> IdentityCheck:
     bshift = [bernoulli_polynomial(l).shift(1) for l in range(n_max + 1)]
     bpoly = [bernoulli_polynomial(l) for l in range(n_max + 1)]
     for k in range(2, k_max + 1):
+        xc, dc = tc[k - 2].numerators
         for n in range(n_max + 1):
-            rhs = ZPolynomial()
-            for m in range(n + 1):
-                inner = ZPolynomial()
-                for l in range(m + 1):
-                    c = Fraction(binomial(m, l) * (-1) ** (m - l), n - l + 1)
-                    inner = inner + bshift[l] * c
-                rhs = rhs + inner * (binomial(n, m) * tb[k - 2].number(n - m))
+            rhs = _gathered(bshift, tb[k - 2], n, True)
             lhs = tb[k - 1].entries[n]
             if lhs != rhs:
                 return chk.fail({"variant": "B", "n": n, "k": k}, lhs, rhs)
-            rhs_c = ZPolynomial()
-            for m in range(n + 1):
-                c = Fraction(binomial(n, m), n - m + 1) * tc[k - 2].number(n - m)
-                rhs_c = rhs_c + bpoly[m] * c
+            rhs_c = ZPolynomial.combination(
+                (bpoly[m], Fraction(binomial(n, m) * xc[n - m], dc * (n - m + 1)))
+                for m in range(n + 1)
+            )
             lhs_c = tc[k - 1].entries[n]
             if lhs_c != rhs_c:
                 return chk.fail({"variant": "C", "n": n, "k": k}, lhs_c, rhs_c)
@@ -205,14 +215,8 @@ def check_refuted_variant(n_max: int = 6, k_max: int = 3) -> IdentityCheck:
         found = None
         for k in range(2, k_max + 1):
             for n in range(n_max + 1):
-                rhs = ZPolynomial()
-                for m in range(n + 1):
-                    inner = ZPolynomial()
-                    for l in range(m + 1):
-                        sign = (-1) ** l if reading == 1 else 1
-                        c = Fraction(binomial(m, l) * sign, n - l + 1)
-                        inner = inner + bpoly[l] * c
-                    rhs = rhs + inner * (binomial(n, m) * (-1) ** m * tb[k - 2].number(n - m))
+                # reading 1's sign (-1)^m (-1)^l is (-1)^(m-l); reading 2's is (-1)^m
+                rhs = _gathered(bpoly, tb[k - 2], n, reading == 1)
                 if tb[k - 1].entries[n] != rhs:
                     found = {"n": n, "k": k, "got": str(rhs), "expected": str(tb[k - 1].entries[n])}
                     break
@@ -238,14 +242,12 @@ def check_connection(n_max: int, k_max: int) -> IdentityCheck:
     bshift = [bernoulli_polynomial(l).shift(1) for l in range(n_max + 1)]
     bpoly = [bernoulli_polynomial(l) for l in range(n_max + 1)]
     for k in range(2, k_max + 1):
-        prev_at_m1 = [tb[k - 2].entries[l](Fraction(-1)) for l in range(n_max + 1)]
+        at_m1 = [tb[k - 2].entries[l](Fraction(-1)) for l in range(n_max + 1)]
+        prev_c = tc[k - 2].numbers
         for n in range(n_max + 1):
-            rhs = ZPolynomial()
-            rhs_c = ZPolynomial()
-            for l in range(n + 1):
-                c = Fraction(binomial(n + 1, l + 1), n + 1)
-                rhs = rhs + bshift[n - l] * (c * prev_at_m1[l])
-                rhs_c = rhs_c + bpoly[n - l] * (c * tc[k - 2].number(l))
+            cs = [Fraction(binomial(n + 1, l + 1), n + 1) for l in range(n + 1)]
+            rhs = ZPolynomial.combination((bshift[n - l], c * at_m1[l]) for l, c in enumerate(cs))
+            rhs_c = ZPolynomial.combination((bpoly[n - l], c * prev_c[l]) for l, c in enumerate(cs))
             if tb[k - 1].entries[n] != rhs:
                 return chk.fail({"variant": "B", "n": n, "k": k}, tb[k - 1].entries[n], rhs)
             if tc[k - 1].entries[n] != rhs_c:
@@ -294,33 +296,32 @@ def check_multistep_difference(n_max: int, k_max: int, m_max: int) -> IdentityCh
     # Faulhaber sub-check, z formal.  Its right sides are the B-variant steps
     # of the identity above; the C-variant steps are those polynomials at z - 1.
     step_b, step_c = {}, {}
+    bases = [ZPolynomial({0: 1 + i, 1: 1}) for i in range(m_max)]
+    powers = [ZPolynomial.constant(1)] * m_max  # (1 + z + i)^p
     for p in range(n_max + 1):
         bp1 = bernoulli_polynomial(p + 1)
         for mm in range(m_max + 1):
-            lhs = ZPolynomial()
-            for i in range(mm):
-                lhs = lhs + ZPolynomial([Fraction(1 + i), Fraction(1)]) ** p
+            lhs = ZPolynomial.combination((w, 1) for w in powers[:mm])
             rhs = (bp1.shift(mm + 1) - bp1.shift(1)) * Fraction(1, p + 1)
             if lhs != rhs:
                 return chk.fail({"sub": "faulhaber", "p": p, "m": mm}, lhs, rhs)
             step_b[p, mm] = rhs
             step_c[p, mm] = (bp1.shift(mm) - bp1) * Fraction(1, p + 1)
+        powers = [w * b for w, b in zip(powers, bases)]
     tb = _tables(n_max, k_max, "B")
     tc = _tables(n_max, k_max, "C")
     for k in range(2, k_max + 1):
         prev_at_m1 = [tb[k - 2].entries[l](Fraction(-1)) for l in range(n_max + 1)]
         for n in range(n_max + 1):
+            cb = [binomial(n, l) * prev_at_m1[l - 1] for l in range(1, n + 1)]
+            cc = [binomial(n, l) * tc[k - 2].number(l - 1) for l in range(1, n + 1)]
             for mm in range(m_max + 1):
                 lhs = tb[k - 1].entries[n].shift(mm) - tb[k - 1].entries[n]
-                rhs = ZPolynomial()
-                for l in range(1, n + 1):
-                    rhs = rhs + step_b[n - l, mm] * (binomial(n, l) * prev_at_m1[l - 1])
+                rhs = ZPolynomial.combination((step_b[n - l, mm], c) for l, c in enumerate(cb, 1))
                 if lhs != rhs:
                     return chk.fail({"variant": "B", "n": n, "k": k, "m": mm}, lhs, rhs)
                 lhs_c = tc[k - 1].entries[n].shift(mm) - tc[k - 1].entries[n]
-                rhs_c = ZPolynomial()
-                for l in range(1, n + 1):
-                    rhs_c = rhs_c + step_c[n - l, mm] * (binomial(n, l) * tc[k - 2].number(l - 1))
+                rhs_c = ZPolynomial.combination((step_c[n - l, mm], c) for l, c in enumerate(cc, 1))
                 if lhs_c != rhs_c:
                     return chk.fail({"variant": "C", "n": n, "k": k, "m": mm}, lhs_c, rhs_c)
     return chk
@@ -338,24 +339,23 @@ def check_divided_difference(n_max: int, k_max: int) -> IdentityCheck:
     expanded before the evaluation functional is applied.  As X -> 0 the
     right side degenerates to f'(z); the k = 1 form E[f(1+z+B)] - E[f(z+B)]
     = f'(z) is checked on n = 3.
+    Both left sides and the powers of X (once, those of y = z + 1) are
+    expanded once per k for all n; the scan runs k outer, n inner.
     """
     chk = IdentityCheck("divided-difference-extension", {"n_max": n_max, "k_max": k_max})
     zsym = UmbralExpression.symbol(Z)
-    zp1 = zsym + 1
-    zp1_pow = [UmbralExpression.constant(1)]  # (z + 1)^e for e < n_max
-    for _ in range(n_max - 1):
-        zp1_pow.append(zp1_pow[-1] * zp1)
+    top = max(n_max - 1, 0)  # the largest power of y = z + 1 and of X in the quotient
+    zp1_pow = list(expect_powers(zsym + 1, top, ()))
     for k in range(2, k_max + 1):
         sk = poly_symbol(k)
-        comp = c_symbol(k - 1)
-        comp_pow = [UmbralExpression.constant(1)]
-        for _ in range(n_max):
-            comp_pow.append(comp_pow[-1] * comp)
+        comp_pow = list(expect_powers(c_symbol(k - 1), top, ()))
+        upper = list(expect_powers(zsym + sk + 1, n_max))
+        lower = list(expect_powers(zsym + sk, n_max))
         for n in range(n_max + 1):
-            lhs = expect_power(zsym + sk + 1, n).expect() - expect_power(zsym + sk, n).expect()
-            quotient = UmbralExpression()
-            for j in range(1, n + 1):
-                quotient = quotient + zp1_pow[n - j] * comp_pow[j - 1] * Fraction(binomial(n, j))
+            lhs = upper[n].expect() - lower[n].expect()
+            quotient = UmbralExpression.combination(
+                (zp1_pow[n - j] * comp_pow[j - 1], binomial(n, j)) for j in range(1, n + 1)
+            )
             rhs = quotient.expect()
             if lhs != rhs:
                 return chk.fail({"n": n, "k": k}, lhs, rhs)
@@ -410,8 +410,8 @@ def check_cancellation(n_max: int = 30) -> IdentityCheck:
     base = UmbralExpression.symbol(uniform_symbol(1)) + UmbralExpression.symbol(
         bernoulli_symbol(1)
     )
-    for n in range(n_max + 1):
-        got = expect_power(base, n).expect()
+    for n, power in enumerate(expect_powers(base, n_max)):
+        got = power.expect()
         want = ZPolynomial.constant(1 if n == 0 else 0)
         if got != want:
             return chk.fail({"n": n}, got, want)
@@ -423,12 +423,13 @@ def check_periodicity(n_max: int = 30) -> IdentityCheck:
     substitution B -> -B."""
     chk = IdentityCheck("umbral-periodicity", {"n_max": n_max})
     b1 = UmbralExpression.symbol(bernoulli_symbol(1))
+    shifted, plain = list(expect_powers(b1 + 1, n_max)), list(expect_powers(b1, n_max, ()))
     for n in range(n_max + 1):
-        lhs = expect_power(b1 + 1, n).expect()
-        rhs = expect_power(b1, n).expect() * Fraction((-1) ** n)
+        lhs = shifted[n].expect()
+        rhs = plain[n].expect() * Fraction((-1) ** n)
         if lhs != rhs:
             return chk.fail({"n": n, "form": "direct"}, lhs, rhs)
-        neg = expr_power(b1, n).substitute(bernoulli_symbol(1), -b1).expect()
+        neg = plain[n].substitute(bernoulli_symbol(1), -b1).expect()
         if lhs != neg:
             return chk.fail({"n": n, "form": "substitution"}, lhs, neg)
     return chk
@@ -533,32 +534,35 @@ def check_monic_degree(n_max: int, k_max: int) -> IdentityCheck:
     return chk
 
 
-def _check_transform(name: str, transform, k_first: int, n_max: int, k_max: int) -> IdentityCheck:
-    """transform(n, k) against the series table, for formal z and at z in
-    {0, 1, -1}, over k_first <= k <= k_max and n <= n_max."""
+def _check_transform(name: str, row, k_first: int, n_max: int, k_max: int) -> IdentityCheck:
+    """row(n_max, k, z), the transform for every n <= n_max from one
+    expansion, against the series table for formal z and at z in {0, 1, -1},
+    over k_first <= k <= k_max; the scan runs n outer, then formal z, 0, 1,
+    -1, so it reports the failure that a per-n scan would."""
     chk = IdentityCheck(name, {"n_max": n_max, "k_max": k_max})
+    points = (Fraction(0), Fraction(1), Fraction(-1))
     for k in range(k_first, k_max + 1):
         ref = poly_bernoulli_series(n_max, k, "B")
+        formal = row(n_max, k)
+        values = [row(n_max, k, z) for z in points]
         for n in range(n_max + 1):
-            got = transform(n, k)
-            if got != ref.entries[n]:
-                return chk.fail({"n": n, "k": k, "z": "formal"}, got, ref.entries[n])
-            for z in (Fraction(0), Fraction(1), Fraction(-1)):
-                gz = transform(n, k, z)
-                if gz != ref.entries[n](z):
-                    return chk.fail({"n": n, "k": k, "z": str(z)}, gz, ref.entries[n](z))
+            if formal[n] != ref.entries[n]:
+                return chk.fail({"n": n, "k": k, "z": "formal"}, formal[n], ref.entries[n])
+            for z, gz in zip(points, values):
+                if gz[n] != ref.entries[n](z):
+                    return chk.fail({"n": n, "k": k, "z": str(z)}, gz[n], ref.entries[n](z))
     return chk
 
 
 def check_cube_transform(n_max: int = 12, k_max: int = 4) -> IdentityCheck:
     """Unit-cube Bernoulli-Barnes transform reproduces B_n^{(k)}(z), exactly,
     for formal z and at z in {0, 1, -1}."""
-    return _check_transform("cube-transform", barnes_transform_cube, 1, n_max, k_max)
+    return _check_transform("cube-transform", barnes_transform_cube_row, 1, n_max, k_max)
 
 
 def check_simplex_transform(n_max: int = 10, k_max: int = 4) -> IdentityCheck:
     """Ordered-simplex representation reproduces B_n^{(k)}(z), exactly."""
-    return _check_transform("simplex-transform", simplex_transform, 2, n_max, k_max)
+    return _check_transform("simplex-transform", simplex_transform_row, 2, n_max, k_max)
 
 
 # ---------------------------------------------------------------------------

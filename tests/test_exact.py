@@ -300,6 +300,36 @@ def test_zpolynomial_and_symbol_expressions_never_mix():
             op(z_expr, z_poly)
 
 
+def loop_sum(cls, pairs):
+    acc = cls()
+    for p, c in pairs:
+        acc = acc + p * c
+    return acc
+
+
+def test_combination_equals_loop_sum():
+    zs = UmbralExpression.symbol(Z)
+    polys = [
+        ZPolynomial([Fraction(1, 6), -1, 1]),
+        ZPolynomial([Fraction(3, 4), 0, 0, Fraction(-5, 9)]),
+        ZPolynomial([2, 7]),
+        ZPolynomial(),
+    ]
+    exprs = [zs * Fraction(2, 3) + 1, zs * zs * Fraction(-1, 10), UmbralExpression.constant(Fraction(5, 14))]
+    coeffs = [Fraction(7, 15), 0, -3, Fraction(-22, 21), 1, Fraction(0, 5)]
+    for cls, items in ((ZPolynomial, polys), (UmbralExpression, exprs)):
+        pairs = [(items[i % len(items)], c) for i, c in enumerate(coeffs)]
+        for cut in range(len(pairs) + 1):
+            got, ref = cls.combination(pairs[:cut]), loop_sum(cls, pairs[:cut])
+            assert type(got) is cls
+            assert (got.terms, got.den) == (ref.terms, ref.den)
+        assert cls.combination([]) == cls() and cls.combination(iter([])).den == 1
+    # terms that cancel leave the canonical zero
+    p = polys[0]
+    zero = ZPolynomial.combination([(p, Fraction(1, 3)), (p * 2, Fraction(-1, 6))])
+    assert (zero.terms, zero.den) == ({}, 1)
+
+
 def test_zpolynomial_degree_multiplicative():
     for a in range(4):
         for b in range(4):
@@ -317,6 +347,18 @@ def test_zpolynomial_json_roundtrip():
 poly_coeffs = st.lists(
     st.fractions(min_value=-4, max_value=4, max_denominator=12), min_size=0, max_size=6
 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(poly_coeffs, st.fractions(min_value=-4, max_value=4, max_denominator=12)),
+        max_size=5,
+    )
+)
+def test_combination_matches_loop_sum(raw):
+    pairs = [(ZPolynomial(a), c) for a, c in raw]
+    assert ZPolynomial.combination(pairs) == loop_sum(ZPolynomial, pairs)
 
 
 @settings(max_examples=100, deadline=None)

@@ -15,6 +15,7 @@ from akzeta.exact import (
 from akzeta.polybernoulli import (
     PolyBernoulliTable,
     barnes_transform_cube,
+    barnes_transform_cube_row,
     bc_convert,
     bernoulli_barnes,
     poly_bernoulli_series,
@@ -22,6 +23,7 @@ from akzeta.polybernoulli import (
     poly_bernoulli_umbral,
     route_disagreement,
     simplex_transform,
+    simplex_transform_row,
     stirling_table,
     umbral_numbers,
 )
@@ -287,6 +289,44 @@ def test_simplex_transform():
 def test_transforms_at_larger_sizes_match_series():
     assert barnes_transform_cube(24, 6) == poly_bernoulli_series(24, 6, "B").value(24)
     assert simplex_transform(14, 5) == poly_bernoulli_series(14, 5, "B").value(14)
+
+
+def test_transform_rows_match_single_transforms():
+    for z in (None, Fraction(0), Fraction(-1), Fraction(5, 3)):
+        for k in (1, 2, 3, 4):
+            assert barnes_transform_cube_row(7, k, z) == [barnes_transform_cube(n, k, z) for n in range(8)]
+            if k >= 2:
+                assert simplex_transform_row(7, k, z) == [simplex_transform(n, k, z) for n in range(8)]
+    assert barnes_transform_cube_row(0, 3) == [1] and simplex_transform_row(0, 2, Fraction(2)) == [1]
+    for bad in ((-1, 2), (3, 0)):
+        with pytest.raises(ValueError):
+            barnes_transform_cube_row(*bad)
+    for bad in ((-1, 2), (3, 1)):
+        with pytest.raises(ValueError):
+            simplex_transform_row(*bad)
+
+
+def test_transform_rows_call_no_series_stirling_or_moment_code(monkeypatch):
+    import akzeta.polybernoulli as pb
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the symbol expansion must stay independent of the other routes")
+
+    ref = poly_bernoulli_series(8, 3, "B")
+    names = (
+        "egf_compose",
+        "egf_divide",
+        "poly_bernoulli_series",
+        "umbral_numbers",
+        "_umbral_moments",
+        "stirling_table",
+        "_stirling_numbers",
+        "stirling_row",
+    )
+    for name in names:
+        monkeypatch.setattr(pb, name, forbidden)
+    assert barnes_transform_cube_row(8, 3) == ref.entries
+    assert simplex_transform_row(8, 3, Fraction(1, 2)) == [p(Fraction(1, 2)) for p in ref.entries]
 
 
 def test_stirling_table_lift():

@@ -18,6 +18,7 @@ from akzeta.umbral import (
     bernoulli_symbol,
     c_symbol,
     expect_power,
+    expect_powers,
     expr_power,
     poly_symbol,
     uniform_symbol,
@@ -333,6 +334,62 @@ def test_expect_power_cap_and_overflow_parity():
                 expect_power(B1, n, kinds)
     with pytest.raises(ValueError):
         expect_power(B1, -1)
+
+
+# the all-powers expansion is compared with one single-power expansion per n,
+# kinds () meaning no symbol evaluated
+POWERS_KINDS = [(), ("B",), ("U",), ("B", "U")]
+
+
+def single_power(e, n, kinds):
+    return expect_power(e, n, kinds) if kinds else expr_power(e, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_expressions(), st.integers(min_value=0, max_value=6), st.sampled_from(POWERS_KINDS))
+def test_expect_powers_match_single_powers(e, n_max, kinds):
+    powers = list(expect_powers(e, n_max, kinds))
+    assert powers == [single_power(e, n, kinds) for n in range(n_max + 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(shared_term_lists(), st.integers(min_value=0, max_value=6))
+def test_expect_powers_match_single_powers_on_shared_symbols(terms, n_max):
+    e = from_terms(terms)
+    for kinds in POWERS_KINDS:
+        assert list(expect_powers(e, n_max, kinds)) == [
+            single_power(e, n, kinds) for n in range(n_max + 1)
+        ]
+
+
+def test_expect_powers_edge_cases():
+    zero, three = UmbralExpression(), UmbralExpression.constant(3)
+    for kinds in POWERS_KINDS:
+        assert list(expect_powers(zero, 3, kinds)) == [1, 0, 0, 0]
+        assert list(expect_powers(zero, 0, kinds)) == [1]
+        assert list(expect_powers(three, 3, kinds)) == [1, 3, 9, 27]
+        assert list(expect_powers(ZS + poly_symbol(3), 0, kinds)) == [1]
+    assert list(expect_powers(ZS + B1, 2)) == [1, ZS - Fraction(1, 2), ZS * ZS - ZS + Fraction(1, 6)]
+
+
+def test_expect_powers_cap_and_overflow_parity():
+    b = bernoulli_symbol(1)
+    for expr, n, error in (
+        (poly_symbol(4), 120, ExpansionCapError),
+        (ZS + poly_symbol(4), 60, ExpansionCapError),
+        (B1 + U1, MAX_EXPONENT + 1, OverflowError),
+        (UmbralExpression.monomial({b: 2}) + 1, MAX_EXPONENT // 2 + 1, OverflowError),
+    ):
+        for kinds in POWERS_KINDS:
+            with pytest.raises(error) as single:
+                single_power(expr, n, kinds)
+            with pytest.raises(error, match=f"^{re.escape(str(single.value))}$"):
+                expect_powers(expr, n, kinds)
+    for kinds in (("z",), ("B", "z")):
+        with pytest.raises(ValueError):
+            expect_powers(B1, 2, kinds)
+    with pytest.raises(ValueError):
+        expect_powers(B1, -1)
 
 
 def test_canonical_form():

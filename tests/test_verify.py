@@ -1,9 +1,13 @@
 """Verification suite behavior: checks pass, the negative controls fail,
 reports are deterministic and schema-stable."""
 import json
+from fractions import Fraction
 
 import pytest
 
+from akzeta import umbral, verify
+from akzeta.polybernoulli import PolyBernoulliTable
+from akzeta.umbral import UmbralExpression, bernoulli_symbol, c_symbol
 from akzeta.verify import (
     VerifyConfig,
     check_connection,
@@ -111,3 +115,121 @@ def test_text_rendering():
     text = rep.to_text()
     assert "PASS" in text
     assert "passed" in text.splitlines()[-1]
+
+
+# Negative controls for the rewritten checks: the series table of one
+# (k, variant) gets number n raised by delta, and each check must fail with
+# the witness, and print the two sides, that the per-n scans reported.
+PERTURBED_CHECKS = {
+    "order": lambda: check_order_reduction(6, 4),
+    "connection": lambda: check_connection(6, 4),
+    "difference": lambda: check_difference(6, 4),
+    "multistep": lambda: check_multistep_difference(6, 4, 3),
+    "cube": lambda: check_cube_transform(6, 4),
+    "simplex": lambda: check_simplex_transform(6, 4),
+}
+B34 = "z^4 + 1/2*z^3 - 11/36*z^2 - 1/72*z + "
+C25 = "z^5 - 15/4*z^4 + 85/18*z^3 - 25/12*z^2 + 7/90*z + "
+C26 = "6*z^5 - 15/2*z^4 + 10/3*z^3 - 1/5*z"
+PERTURBED_WITNESSES = {
+    (3, "B", 4, Fraction(1)): {
+        "order": ({"variant": "B", "n": 4, "k": 3}, B34 + "55243/54000", B34 + "1243/54000"),
+        "connection": ({"variant": "B", "n": 4, "k": 3}, B34 + "55243/54000", B34 + "1243/54000"),
+        "difference": (
+            {"variant": "B", "n": 5, "k": 3},
+            "5*z^4 - 15/2*z^3 + 85/18*z^2 - 25/24*z + 2257/450",
+            "5*z^4 - 15/2*z^3 + 85/18*z^2 - 25/24*z + 7/450",
+        ),
+        "multistep": (
+            {"variant": "B", "n": 5, "k": 3, "m": 1},
+            "5*z^4 + 25/2*z^3 + 110/9*z^2 + 425/72*z + 11153/1800",
+            "5*z^4 + 25/2*z^3 + 110/9*z^2 + 425/72*z + 2153/1800",
+        ),
+        "cube": ({"n": 4, "k": 3, "z": "formal"}, B34 + "1243/54000", B34 + "55243/54000"),
+        "simplex": ({"n": 4, "k": 3, "z": "formal"}, B34 + "1243/54000", B34 + "55243/54000"),
+    },
+    (2, "C", 5, Fraction(1, 3)): {
+        "order": ({"variant": "C", "n": 5, "k": 2}, C25 + "47/120", C25 + "7/120"),
+        "connection": ({"variant": "C", "n": 5, "k": 2}, C25 + "47/120", C25 + "7/120"),
+        "difference": ({"variant": "C", "n": 6, "k": 2}, C26 + " + 2", C26),
+        "multistep": ({"variant": "C", "n": 6, "k": 2, "m": 1}, C26 + " + 2", C26),
+        "cube": None,
+        "simplex": None,
+    },
+    (1, "B", 1, Fraction(1, 4)): {
+        "order": ({"variant": "B", "n": 1, "k": 2}, "z + 1/4", "z + 3/8"),
+        "connection": ({"variant": "B", "n": 1, "k": 2}, "z + 1/4", "z + 3/8"),
+        "difference": ({"variant": "B", "n": 2, "k": 2}, "2*z - 1/2", "2*z - 1/4"),
+        "multistep": ({"variant": "B", "n": 2, "k": 2, "m": 1}, "2*z + 3/2", "2*z + 7/4"),
+        "cube": ({"n": 1, "k": 1, "z": "formal"}, "z + 1/2", "z + 3/4"),
+        "simplex": None,
+    },
+}
+
+
+@pytest.mark.parametrize("perturbation", list(PERTURBED_WITNESSES))
+def test_perturbed_table_gives_the_per_n_witnesses(monkeypatch, perturbation):
+    k0, variant0, n0, delta = perturbation
+    series = verify.poly_bernoulli_series
+
+    def perturbed(n_max, k, variant="B"):
+        table = series(n_max, k, variant)
+        if (k, variant) != (k0, variant0) or n0 > n_max:
+            return table
+        numbers = list(table.numbers)
+        numbers[n0] += delta
+        return PolyBernoulliTable(k, variant, table.route, numbers)
+
+    monkeypatch.setattr(verify, "poly_bernoulli_series", perturbed)
+    for name, expected in PERTURBED_WITNESSES[perturbation].items():
+        chk = PERTURBED_CHECKS[name]()
+        if expected is None:
+            assert chk.status == "pass", name
+        else:
+            assert (chk.status, chk.witness, chk.lhs, chk.rhs) == ("fail", *expected), name
+    # the refuting counterexamples move only when the k = 1 row moves
+    got = {1: "z - 3/4", 2: "-z + 1/4"} if k0 > 1 else {1: "z - 5/8", 2: "-z + 3/8"}
+    refuted = check_refuted_variant(6, 3)
+    assert refuted.status == "pass"
+    assert refuted.witness == {
+        f"reading_{r}": {"n": 1, "k": 2, "got": g, "expected": "z + 1/4"} for r, g in got.items()
+    }
+
+
+B9_CUBED = UmbralExpression.monomial({bernoulli_symbol(9): 3})
+
+
+def test_perturbed_companion_symbol_gives_the_per_n_witnesses(monkeypatch):
+    # divided-difference reads no table: perturb the companion symbols X.  A
+    # constant moves E[X^j] from j = 1 on, B_9^3 from j = 2 on (its mean B_3
+    # is 0), so the last case fails at n = 3 for k = 3 and at n = 2 for k = 4,
+    # and the witness shows that the scan runs k outer, n inner.
+    shift = {2: Fraction(1, 7)}, {3: Fraction(1, 7)}, {2: B9_CUBED, 3: Fraction(1, 7)}
+    for extra, witness, lhs, rhs in (
+        (shift[0], {"n": 2, "k": 3}, "2*z + 5/4", "2*z + 39/28"),
+        (shift[1], {"n": 2, "k": 4}, "2*z + 9/8", "2*z + 71/56"),
+        (shift[2], {"n": 3, "k": 3}, "3*z^2 + 15/4*z + 11/9", "3*z^2 + 15/4*z + 157/126"),
+    ):
+        monkeypatch.setattr(verify, "c_symbol", lambda k, extra=extra: c_symbol(k) + extra.get(k, 0))
+        chk = check_divided_difference(6, 4)
+        assert (chk.status, chk.witness, chk.lhs, chk.rhs) == ("fail", witness, lhs, rhs)
+
+
+def test_transform_checks_expand_once_per_k_and_z(monkeypatch):
+    calls = []
+    kernel = umbral._expand
+
+    def counted(expr, n, *args, **kwargs):
+        calls.append(n)
+        return kernel(expr, n, *args, **kwargs)
+
+    monkeypatch.setattr(umbral, "_expand", counted)
+    # formal z and z = 0, 1, -1: four expansions to the top power per k
+    for check, k_first in ((check_cube_transform, 1), (check_simplex_transform, 2)):
+        calls.clear()
+        assert check(7, 4).status == "pass"
+        assert calls == [7] * 4 * (4 - k_first + 1), check.__name__
+    # divided difference: (z + 1)^e once; X^e, both sides once per k; the k = 1 case twice
+    calls.clear()
+    assert check_divided_difference(7, 4).status == "pass"
+    assert calls == [6] + [6, 7, 7] * 3 + [3, 3]
