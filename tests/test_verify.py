@@ -117,9 +117,9 @@ def test_text_rendering():
     assert "passed" in text.splitlines()[-1]
 
 
-# Negative controls for the rewritten checks: the series table of one
-# (k, variant) gets number n raised by delta, and each check must fail with
-# the witness, and print the two sides, that the per-n scans reported.
+# Negative controls: the series table of one (k, variant) gets number n
+# raised by delta, and each check must report the first failing point of its
+# scan with both sides, as recorded below, however its expansions are shared.
 PERTURBED_CHECKS = {
     "order": lambda: check_order_reduction(6, 4),
     "connection": lambda: check_connection(6, 4),
@@ -168,7 +168,7 @@ PERTURBED_WITNESSES = {
 
 
 @pytest.mark.parametrize("perturbation", list(PERTURBED_WITNESSES))
-def test_perturbed_table_gives_the_per_n_witnesses(monkeypatch, perturbation):
+def test_perturbed_table_gives_the_first_witness_of_each_scan(monkeypatch, perturbation):
     k0, variant0, n0, delta = perturbation
     series = verify.poly_bernoulli_series
 
@@ -199,7 +199,7 @@ def test_perturbed_table_gives_the_per_n_witnesses(monkeypatch, perturbation):
 B9_CUBED = UmbralExpression.monomial({bernoulli_symbol(9): 3})
 
 
-def test_perturbed_companion_symbol_gives_the_per_n_witnesses(monkeypatch):
+def test_perturbed_companion_symbol_gives_the_first_witness(monkeypatch):
     # divided-difference reads no table: perturb the companion symbols X.  A
     # constant moves E[X^j] from j = 1 on, B_9^3 from j = 2 on (its mean B_3
     # is 0), so the last case fails at n = 3 for k = 3 and at n = 2 for k = 4,
