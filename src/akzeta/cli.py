@@ -47,7 +47,7 @@ FORMATS = ("json", "csv", "plain")
 # per k; both Mellin routes hold beyond m = 100, but for k >= 2 zeta_k(m)
 # equals its limit zeta(k) to double precision long before, and the moment
 # route's integrand grows like 2^m; the largest verify grid takes about
-# eleven times as long as the default one.
+# twice as long as the default one.
 MAX_N = 100
 MAX_K = 100
 MAX_M = 100

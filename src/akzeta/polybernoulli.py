@@ -12,8 +12,8 @@ their integrands in the sparse symbol algebra of the umbral module, whose
 expect_power evaluates each symbol during the expansion.  On the cube the
 weight cancels the Barnes prefactor, so that transform is the one
 expectation E[(z + 1 + C_k)^n]; on the simplex the Bernoulli symbols are
-evaluated during the expansion and the variables integrated out one at a
-time; their _row forms give every n <= n_max from one all-powers expansion
+evaluated during the expansion and the variables integrated in closed
+form; their _row forms give every n <= n_max from one all-powers expansion
 (umbral.expect_powers).  bernoulli_barnes takes rational parameters.  Every route
 yields the z = 0 numbers, and the polynomials are their Appell lifts
 (exact.appell_polynomial), read off the table's shared integer numerators.
@@ -315,31 +315,27 @@ def _simplex_base(k: int, z) -> UmbralExpression:
     if k < 2:
         raise ValueError("simplex transform requires k >= 2")
     zt = UmbralExpression.symbol(Z) if z is None else UmbralExpression.constant(z)
-    base = UmbralExpression.constant(1) + zt + UmbralExpression.symbol(bernoulli_symbol(k))
+    base = [zt, UmbralExpression.constant(1), UmbralExpression.symbol(bernoulli_symbol(k))]
     for l in range(1, k):
-        base = base + UmbralExpression.monomial({uniform_symbol(l): 1, bernoulli_symbol(l): 1})
-    return base
+        base.append(UmbralExpression.monomial({uniform_symbol(l): 1, bernoulli_symbol(l): 1}))
+    return UmbralExpression.combination((p, 1) for p in base)
 
 
 def _simplex_value(expr: UmbralExpression, k: int, z):
-    """The iterated simplex integral of expr, a polynomial in the v's and z."""
-    for j in range(1, k):
-        # int_0^{v_{j+1}} v_j^{e-1} dv_j, the 1/v_j density from j = 2 on; v_k = 1
-        upper = uniform_symbol(j + 1) if j < k - 1 else None
-        expr = expr.integrate(uniform_symbol(j), upper, inverse_power=int(j >= 2))
-    poly = expr.expect()
+    """The simplex integral of expr, a polynomial in the v's and z."""
+    poly = expr.simplex_integral([uniform_symbol(j) for j in range(1, k)]).expect()
     return poly if z is None else poly.coefficient(0)
 
 
 def simplex_transform(n: int, k: int, z: Union[Fraction, None] = None):
-    """Exact ordered-simplex representation: iterated integral over
+    """Exact ordered-simplex representation: the integral over
     0 <= v_1 <= ... <= v_{k-1} <= 1 of
 
-        E[(1 + z + B_k + v_{k-1} B_{k-1} + ... + v_1 B_1)^n] / (v_2 ... v_{k-1})
+        E[(1 + z + B_k + v_{k-1} B_{k-1} + ... + v_1 B_1)^n] / (v_2 ... v_{k-1}),
 
-    carried out one variable at a time; the inner integrations raise each
-    exponent so the single division per variable never goes negative, keeping
-    every step exact.  Returns B_n^{(k)}(z).
+    the Bernoulli symbols evaluated during the expansion, then the v's
+    integrated in closed form (UmbralExpression.simplex_integral), exactly.
+    Returns B_n^{(k)}(z).
     """
     if n < 0:
         raise ValueError("n must be >= 0")

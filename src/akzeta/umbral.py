@@ -10,8 +10,8 @@ An expression is held in the one exact layout, defined and given its ring
 operations in the exact module and shared with ZPolynomial: a dict from
 packed monomials to integer numerators over one positive common
 denominator, kept canonical.  This module adds what is specific to symbols:
-packing, the exponent guard on products, powers, substitution, integration,
-evaluation and rendering.  A monomial is one int in which
+packing, the exponent guard on products, powers, substitution, the
+closed-form simplex integral, evaluation and rendering.  A monomial is one int in which
 every symbol owns a fixed 16-bit exponent field: z field 0, B_i field
 2i - 1, U_j field 2j.  Multiplying monomials is adding ints, and once B and
 U are evaluated the key is the z-degree.  Exponents are at most MAX_EXPONENT
@@ -23,11 +23,12 @@ CLI's inputs reach is a few dozen.
 Expressions are immutable once built and all operations are pure functions;
 the only module state is the memo of integer moment rows, a functools.cache,
 which is thread-safe.  expr_power, expect_power and expect_powers share one
-breadth-first expansion; expect_power evaluates each symbol as soon as its
-exponent is final, so the full power is never built, and expect_powers
-gives every power expr^0 .. expr^n_max from one pass.  All refuse an
-expansion whose predicted monomial count for the top power exceeds the cap
-(expr_power's argument, DEFAULT_EXPANSION_CAP otherwise) with ExpansionCapError.
+breadth-first expansion; expect_power multiplies in each symbol's moments
+in the step that makes its exponent final, so the full power is never
+built, and expect_powers gives every power expr^0 .. expr^n_max from one
+pass.  All refuse an expansion whose predicted monomial count for the top
+power exceeds the cap (expr_power's argument, DEFAULT_EXPANSION_CAP
+otherwise) with ExpansionCapError.
 Negative symbol powers are not representable here; negative moments are the
 business of the numerical layer.
 """
@@ -239,43 +240,34 @@ class UmbralExpression(_Numerators):
             (UmbralExpression(rest, self.den) * powers[e], 1) for e, rest in by_power.items()
         )
 
-    def integrate(
-        self, var: Symbol, upper: Symbol | None = None, inverse_power: int = 0
-    ) -> "UmbralExpression":
-        """The integral of self / var^inverse_power over 0 <= var <= upper,
-        with upper a symbol or 1 when None: each var^e becomes
-        upper^p / p with p = e - inverse_power + 1.  Raises ValueError when the
-        integrand holds a negative power of var."""
-        off = _offset(var)
+    def simplex_integral(self, symbols) -> "UmbralExpression":
+        """The integral of self over 0 <= s_1 <= ... <= s_r <= 1, density
+        1/(s_2 ... s_r), s_j = symbols[j - 1], in closed form over one lcm:
+        s_1^e_1 ... s_r^e_r goes to prod_j 1/(e_1 + ... + e_j + 1), and the
+        other fields pass through."""
+        offs = [_offset(s) for s in symbols]
+        clear = ~sum(_MASK << off for off in offs)
         parts = []
         for m, c in self.terms.items():
-            e = (m >> off) & _MASK
-            p = e - inverse_power + 1
-            if p < 1:
-                raise ValueError("negative symbol powers are not representable")
-            m -= e << off
-            if upper is not None:
-                m += p << _offset(upper)
-            parts.append((m, c, p))
-        den = math.lcm(*(p for _, _, p in parts))
+            q = p = 1
+            for off in offs:
+                p += m >> off & _MASK
+                q *= p
+            parts.append((m & clear, c, q))
+        den = math.lcm(*(q for _, _, q in parts))
         out: dict[int, int] = {}
-        for m, c, p in parts:
-            out[m] = out.get(m, 0) + c * (den // p)
-        _check_exponents(out)
+        for m, c, q in parts:
+            out[m] = out.get(m, 0) + c * (den // q)
         return UmbralExpression(out, self.den * den)
 
     def expect_kind(self, *kinds: str) -> "UmbralExpression":
-        """Evaluate the symbols of the given kinds ('B', 'U' or both),
-        leaving the rest formal.
-
-        Valid because distinct symbols are independent, so the functional
-        factorizes over them.  Each evaluated symbol multiplies the
-        numerators by its kind's integer moment row and the denominator by
-        that row's common denominator.
-        """
+        """Evaluate the symbols of the given kinds ('B', 'U' or both), leaving
+        the rest formal: distinct symbols are independent, so the functional
+        factorizes, and each evaluated symbol multiplies the numerators by its
+        kind's integer moment row and the denominator by that row's one."""
         _check_kinds(kinds)
         rows, d = _moments(kinds, _fields(functools.reduce(or_, self.terms, 0)))
-        return UmbralExpression(_evaluate(self.terms, rows), self.den * d)
+        return UmbralExpression(_evaluate(self.terms, rows), self.den * d) if rows else self
 
     def expect(self) -> ZPolynomial:
         """Apply the linear evaluation functional B_i^n -> B_n, U_j^n -> 1/(n+1);
@@ -310,11 +302,12 @@ def _expand(expr: UmbralExpression, n: int, kinds: tuple, cap: int, every: bool 
     kinds evaluated, by one breadth-first multinomial expansion: a state is a
     partial monomial with the power u used so far, the terms are taken one at
     a time (fewer formal symbols first, then those holding an evaluated one),
-    a term raised to e carries C(u + e, e), and equal keys merge.  After the
-    last term holding an evaluated symbol, the states take its moments and
-    lose its field, so zero moments (B_j, odd j >= 3) drop out.  The last term
-    takes all the power left, for one power at a time.  The cap and exponent
-    checks, the full expansion's of expr**n, run before the return."""
+    a term raised to e carries C(u + e, e), and equal keys merge.  The step of
+    the last term holding an evaluated symbol multiplies each contribution by
+    its moment and clears its field, so zero products (B_j, odd j >= 3) drop
+    out at once.  The last term takes all the power left, for one power at a
+    time (_evaluate closes its fields).  The cap and exponent checks, the full
+    expansion's of expr**n, run before the return."""
     if n < 0:
         raise ValueError("negative expression power")
     wanted = range(n + 1) if every else (n,)
@@ -336,12 +329,14 @@ def _expand(expr: UmbralExpression, n: int, kinds: tuple, cap: int, every: bool 
         expr.terms.items(),
         key=lambda mc: (len(list(_fields(mc[0] & ~held))), not mc[0] & held, mc[0]),
     )
+    last = {f * _WIDTH: i for i, (m, _) in enumerate(items) for f, _ in _fields(m)}
     closing = [[] for _ in items]  # the rows to apply right after items[i]
     for off, row in rows:
-        closing[max(i for i, (m, _) in enumerate(items) if (m >> off) & _MASK)].append((off, row))
+        closing[last[off]].append((off, row))
     frontier = {0: {0: 1}}  # power used -> {partial monomial: numerator}
     for (m, c), close in zip(items[:-1], closing):
         powers = [c**e for e in range(n + 1)]
+        clear = ~sum(_MASK << off for off, _ in close)
         step: dict[int, dict[int, int]] = {}
         for used, states in frontier.items():
             for e in range(n - used + 1):
@@ -349,8 +344,13 @@ def _expand(expr: UmbralExpression, n: int, kinds: tuple, cap: int, every: bool 
                 out = step.setdefault(used + e, {})
                 for key, coef in states.items():
                     key += add
-                    out[key] = out.get(key, 0) + coef * mult
-        frontier = {u: _evaluate(s, close) for u, s in step.items()} if close else step
+                    coef *= mult
+                    for off, row in close:
+                        coef *= row[key >> off & _MASK]
+                    if coef:
+                        key &= clear
+                        out[key] = out.get(key, 0) + coef
+        frontier = step
     (m, c), close = items[-1], closing[-1]
     powers = [c**e for e in range(n + 1)]
 

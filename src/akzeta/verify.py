@@ -11,6 +11,7 @@ checks expand each base once for all the powers they compare (expect_powers).
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -19,6 +20,7 @@ from fractions import Fraction
 from .exact import (
     ZPolynomial,
     bernoulli_number,
+    bernoulli_numbers,
     bernoulli_polynomial,
     binomial,
 )
@@ -289,33 +291,31 @@ def check_multistep_difference(n_max: int, k_max: int, m_max: int) -> IdentityCh
     with the companion variant carrying B_{n-l+1}(m+z) - B_{n-l+1}(z), and
 
       sum_{i=0}^{m-1} (1+z+i)^p = (B_{p+1}(m+z+1) - B_{p+1}(z+1))/(p+1).
+    Each B_{p+1}(z+j) is shifted once and the power sums accumulate; the
+    table scan starts at m = 1, as at m = 0 both sides are 0 by construction.
     """
-    chk = IdentityCheck(
-        "multistep-difference", {"n_max": n_max, "k_max": k_max, "m_max": m_max}
-    )
+    chk = IdentityCheck("multistep-difference", {"n_max": n_max, "k_max": k_max, "m_max": m_max})
     # Faulhaber sub-check, z formal.  Its right sides are the B-variant steps
     # of the identity above; the C-variant steps are those polynomials at z - 1.
     step_b, step_c = {}, {}
     bases = [ZPolynomial({0: 1 + i, 1: 1}) for i in range(m_max)]
     powers = [ZPolynomial.constant(1)] * m_max  # (1 + z + i)^p
     for p in range(n_max + 1):
-        bp1 = bernoulli_polynomial(p + 1)
-        for mm in range(m_max + 1):
-            lhs = ZPolynomial.combination((w, 1) for w in powers[:mm])
-            rhs = (bp1.shift(mm + 1) - bp1.shift(1)) * Fraction(1, p + 1)
+        shifted = [bernoulli_polynomial(p + 1).shift(j) for j in range(m_max + 2)]
+        for mm, lhs in enumerate(itertools.accumulate(powers, initial=ZPolynomial())):
+            rhs = (shifted[mm + 1] - shifted[1]) * Fraction(1, p + 1)
             if lhs != rhs:
                 return chk.fail({"sub": "faulhaber", "p": p, "m": mm}, lhs, rhs)
             step_b[p, mm] = rhs
-            step_c[p, mm] = (bp1.shift(mm) - bp1) * Fraction(1, p + 1)
+            step_c[p, mm] = (shifted[mm] - shifted[0]) * Fraction(1, p + 1)
         powers = [w * b for w, b in zip(powers, bases)]
-    tb = _tables(n_max, k_max, "B")
-    tc = _tables(n_max, k_max, "C")
+    tb, tc = _tables(n_max, k_max, "B"), _tables(n_max, k_max, "C")
     for k in range(2, k_max + 1):
         prev_at_m1 = [tb[k - 2].entries[l](Fraction(-1)) for l in range(n_max + 1)]
         for n in range(n_max + 1):
             cb = [binomial(n, l) * prev_at_m1[l - 1] for l in range(1, n + 1)]
             cc = [binomial(n, l) * tc[k - 2].number(l - 1) for l in range(1, n + 1)]
-            for mm in range(m_max + 1):
+            for mm in range(1, m_max + 1):
                 lhs = tb[k - 1].entries[n].shift(mm) - tb[k - 1].entries[n]
                 rhs = ZPolynomial.combination((step_b[n - l, mm], c) for l, c in enumerate(cb, 1))
                 if lhs != rhs:
@@ -384,14 +384,11 @@ def check_generating_product(k_max: int, order: int = 8) -> IdentityCheck:
         ref = poly_bernoulli_series(ordk, k, "C")
         prod = UmbralExpression.constant(1)
         for i in range(1, k + 1):
-            factor = UmbralExpression()
-            for nu in range(ordk + 1):
-                expos = {uniform_symbol(j): nu for j in range(i, k)}
-                expos[Z] = nu
-                factor = factor + UmbralExpression.monomial(
-                    expos, bernoulli_number(nu) / math.factorial(nu)
-                )
-            prod = prod * factor
+            syms = [uniform_symbol(j) for j in range(i, k)] + [Z]
+            prod = prod * UmbralExpression.combination(
+                (UmbralExpression.monomial(dict.fromkeys(syms, nu)), b / math.factorial(nu))
+                for nu, b in enumerate(bernoulli_numbers(ordk))
+            )
         integrated = prod.expect()
         for n in range(ordk + 1):
             got = integrated.coefficient(n) * math.factorial(n)
@@ -436,18 +433,27 @@ def check_periodicity(n_max: int = 30) -> IdentityCheck:
 
 
 def check_independence(bound: int = 10) -> IdentityCheck:
-    """E[B_1^a B_2^b U_1^c] factorizes as B_a B_b / (c+1)."""
+    """E[B_1^a B_2^b U_1^c] = B_a B_b / (c+1) for a, b, c <= bound, one expectation
+    per c: the (a, b) grid is tagged by z^(a + tb), t = bound + 1, which bound <= 180
+    keeps <= MAX_EXPONENT.  Only a mismatch scans a, b, c, a outermost."""
+    if bound > 180:
+        raise ValueError("bound must be <= 180: the z tags reach (bound + 1)^2 - 1")
     chk = IdentityCheck("umbral-independence", {"bound": bound})
-    for a in range(bound + 1):
-        for b in range(bound + 1):
-            for c in range(bound + 1):
-                expr = UmbralExpression.monomial(
-                    {bernoulli_symbol(1): a, bernoulli_symbol(2): b, uniform_symbol(1): c}
-                )
-                got = expr.expect().coefficient(0)
-                want = bernoulli_number(a) * bernoulli_number(b) * Fraction(1, c + 1)
-                if got != want:
-                    return chk.fail({"a": a, "b": b, "c": c}, got, want)
+    t = bound + 1
+    grid = UmbralExpression.constant(1)
+    for s, w in ((bernoulli_symbol(1), 1), (bernoulli_symbol(2), t)):
+        grid = grid * UmbralExpression.combination(
+            (UmbralExpression.monomial({s: e, Z: w * e}), 1) for e in range(t)
+        )
+    got = [(grid * UmbralExpression.monomial({uniform_symbol(1): c})).expect() for c in range(t)]
+    bern = [bernoulli_number(e) for e in range(t)]
+    want = ZPolynomial([bern[i % t] * bern[i // t] for i in range(t * t)])
+    if all(g == want * Fraction(1, c + 1) for c, g in enumerate(got)):
+        return chk
+    for a, b, c in itertools.product(range(t), repeat=3):
+        lhs, rhs = got[c].coefficient(a + t * b), bern[a] * bern[b] * Fraction(1, c + 1)
+        if lhs != rhs:
+            return chk.fail({"a": a, "b": b, "c": c}, lhs, rhs)
     return chk
 
 

@@ -362,6 +362,20 @@ def test_expect_powers_match_single_powers_on_shared_symbols(terms, n_max):
         ]
 
 
+@settings(max_examples=40, deadline=None)
+@given(shared_term_lists(), st.integers(min_value=0, max_value=5))
+def test_expect_powers_match_product_oracle(terms, n_max):
+    # repeated multiplication, then expect_kind, shares no code with the
+    # expansion steps; odd B powers >= 3 zero out states mid-expansion
+    e = from_terms(terms)
+    products = [UmbralExpression.constant(1)]
+    for _ in range(n_max):
+        products.append(products[-1] * e)
+    for kinds in POWERS_KINDS:
+        want = [p.expect_kind(*kinds) if kinds else p for p in products]
+        assert list(expect_powers(e, n_max, kinds)) == want
+
+
 def test_expect_powers_edge_cases():
     zero, three = UmbralExpression(), UmbralExpression.constant(3)
     for kinds in POWERS_KINDS:
@@ -408,7 +422,7 @@ def test_canonical_form():
 
 def test_exponent_overflow_raises_instead_of_carrying():
     # B1 sits in the field just below U1's: a carry would turn B1^(2^15) into U1
-    b, u = bernoulli_symbol(1), uniform_symbol(1)
+    b = bernoulli_symbol(1)
     full = UmbralExpression.monomial({b: MAX_EXPONENT})
     assert UmbralExpression.monomial({b: MAX_EXPONENT - 1}) * B1 == full
     assert expr_power(UmbralExpression.monomial({b: MAX_EXPONENT // 2}), 2) * B1 == full
@@ -423,21 +437,65 @@ def test_exponent_overflow_raises_instead_of_carrying():
         expr_power(UmbralExpression.monomial({b: 2}) + 1, MAX_EXPONENT // 2 + 1)
     with pytest.raises(OverflowError):
         UmbralExpression.monomial({Z: MAX_EXPONENT + 1})
-    with pytest.raises(OverflowError):
-        UmbralExpression.monomial({u: MAX_EXPONENT, uniform_symbol(2): MAX_EXPONENT}).integrate(
-            u, uniform_symbol(2)
-        )
 
 
-def test_integrate():
+def test_simplex_integral_examples():
     u1, u2 = uniform_symbol(1), uniform_symbol(2)
     e = UmbralExpression.monomial({u1: 3, bernoulli_symbol(1): 1})
-    # int_0^{u2} u1^3 du1 = u2^4/4, and int_0^1 gives 1/4
-    assert e.integrate(u1, u2) == UmbralExpression.monomial({u2: 4, bernoulli_symbol(1): 1}, Fraction(1, 4))
-    assert e.integrate(u1) == B1 * Fraction(1, 4)
-    assert e.integrate(u1, u2, inverse_power=1) == UmbralExpression.monomial(
-        {u2: 3, bernoulli_symbol(1): 1}, Fraction(1, 3)
-    )
-    assert B1.integrate(u1) == B1
-    with pytest.raises(ValueError):
-        B1.integrate(u1, inverse_power=1)
+    # int_0^1 u1^3 du1 = 1/4; over u1 <= u2 with density 1/u2: (1/4) int_0^1 u2^3 du2
+    assert e.simplex_integral([u1]) == B1 * Fraction(1, 4)
+    assert e.simplex_integral([u1, u2]) == B1 * Fraction(1, 16)
+    # u2 is left alone when only u1 is integrated
+    u2e = UmbralExpression.symbol(u2)
+    assert (e * u2e).simplex_integral([u1]) == B1 * u2e * Fraction(1, 4)
+    assert B1.simplex_integral([u1]) == B1 and B1.simplex_integral([]) == B1
+    # the density cancels the volume: the integral of 1 is 1 for every r
+    three = UmbralExpression.constant(3)
+    for r in range(1, 5):
+        assert three.simplex_integral([uniform_symbol(j) for j in range(1, r + 1)]) == 3
+    assert UmbralExpression().simplex_integral([u1, u2]).is_zero()
+    # exponents at MAX_EXPONENT stay exact: the integral only removes fields
+    top = UmbralExpression.monomial({u1: MAX_EXPONENT, u2: MAX_EXPONENT})
+    e1, e2 = MAX_EXPONENT + 1, 2 * MAX_EXPONENT + 1
+    assert top.simplex_integral([u1, u2]) == Fraction(1, e1 * e2)
+
+
+SIMPLEX_VARIABLES = [uniform_symbol(j) for j in range(1, 5)]
+
+
+def simplex_integral_reference(terms, symbols) -> UmbralExpression:
+    """The iterated integral, one variable at a time in Fractions: s_j^e over
+    0 <= s_j <= s_{j+1} (1 for the last) becomes s_{j+1}^p / p, p = e + 1, after
+    the density divides s_j by itself from j = 2 on."""
+    out = UmbralExpression()
+    for mono, c in terms:
+        mono, c = dict(mono), Fraction(c)
+        for j, s in enumerate(symbols):
+            p = mono.pop(s, 0) + 1 - (j > 0)
+            c /= p
+            if j + 1 < len(symbols):
+                mono[symbols[j + 1]] = mono.get(symbols[j + 1], 0) + p
+        out = out + UmbralExpression.monomial(mono, c)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.dictionaries(
+                st.sampled_from(SIMPLEX_VARIABLES + [bernoulli_symbol(1), Z]),
+                st.integers(min_value=0, max_value=4),
+                max_size=4,
+            ),
+            small_fractions,
+        ),
+        max_size=5,
+    ),
+    st.permutations(SIMPLEX_VARIABLES),
+    st.integers(min_value=1, max_value=4),
+)
+def test_simplex_integral_matches_iterated_reference(terms, order, r):
+    # the variables not integrated, B1 and z pass through
+    symbols = order[:r]
+    assert from_terms(terms).simplex_integral(symbols) == simplex_integral_reference(terms, symbols)

@@ -15,6 +15,7 @@ from akzeta.verify import (
     check_difference,
     check_divided_difference,
     check_generating_product,
+    check_independence,
     check_multistep_difference,
     check_order_reduction,
     check_refuted_variant,
@@ -233,3 +234,50 @@ def test_transform_checks_expand_once_per_k_and_z(monkeypatch):
     calls.clear()
     assert check_divided_difference(7, 4).status == "pass"
     assert calls == [6] + [6, 7, 7] * 3 + [3, 3]
+
+
+@pytest.mark.parametrize(
+    "kind, exponent, witness, lhs, rhs",
+    [
+        ("U", 3, {"a": 0, "b": 0, "c": 3}, "5/4", "1/4"),
+        ("B", 4, {"a": 0, "b": 4, "c": 0}, "29/30", "-1/30"),
+    ],
+)
+def test_perturbed_moment_gives_the_first_independence_witness(
+    monkeypatch, kind, exponent, witness, lhs, rhs
+):
+    # one moment raised by 1; B_4 moves both B_1^4 and B_2^4, and the scan
+    # runs a outer, then b, then c, so (0, 4, 0) is found before (4, 0, 0)
+    rows = umbral._moment_row
+
+    def perturbed(k, top):
+        row, d = rows(k, top)
+        if k == kind and top >= exponent:
+            row = row[:exponent] + (row[exponent] + d,) + row[exponent + 1 :]
+        return row, d
+
+    monkeypatch.setattr(umbral, "_moment_row", perturbed)
+    chk = check_independence(10)
+    assert (chk.status, chk.witness, chk.lhs, chk.rhs) == ("fail", witness, lhs, rhs)
+
+
+def test_independence_is_one_expectation_per_slice(monkeypatch):
+    calls = []
+    expect = UmbralExpression.expect
+
+    def counted(self):
+        calls.append(1)
+        return expect(self)
+
+    monkeypatch.setattr(UmbralExpression, "expect", counted)
+    for bound in (0, 3, 10):
+        calls.clear()
+        assert check_independence(bound).status == "pass"
+        assert len(calls) <= bound + 1, (bound, len(calls))
+
+
+def test_independence_bound_keeps_the_tags_in_range():
+    # the z tags reach (bound + 1)^2 - 1, so 180 is the largest bound that fits
+    assert 181**2 - 1 <= umbral.MAX_EXPONENT < 182**2 - 1
+    with pytest.raises(ValueError):
+        check_independence(181)
