@@ -24,12 +24,7 @@ from dataclasses import fields, replace
 from fractions import Fraction
 
 from .exact import rational_to_json
-from .polybernoulli import (
-    poly_bernoulli_series,
-    poly_bernoulli_umbral,
-    route_disagreement,
-    stirling_table,
-)
+from .polybernoulli import ROUTES, poly_bernoulli_series, route_disagreement
 from .quadspec import ConvergenceError, QuadratureSpec, default_spec
 from .umbral import ExpansionCapError
 from .verify import SUITES, VerifyConfig, run_all
@@ -153,14 +148,7 @@ def _cmd_num(args, spec) -> int:
     z = _parse_rational(args.z) if args.z is not None else None
     if args.poly and z is not None:
         raise ValueError("--poly and --z are mutually exclusive")
-
-    if method == "series":
-        table = poly_bernoulli_series(n, k, variant)
-        poly = table.value(n)
-    elif method == "umbral":
-        poly = poly_bernoulli_umbral(n, k, variant)
-    else:  # stirling
-        poly = stirling_table(n, k, variant).value(n)
+    poly = ROUTES[method](n, k, variant).value(n)
 
     print(f"method={method} variant={variant} n={n} k={k}", file=sys.stderr)
     if args.poly:
@@ -330,7 +318,7 @@ def build_parser() -> _Parser:
     num.add_argument("--n", type=int, required=True, help=f"index, at most {MAX_N}")
     num.add_argument("--k", type=int, required=True, help=f"order, at most {MAX_K}")
     num.add_argument("--variant", choices=("B", "C"), default="B")
-    num.add_argument("--method", choices=("series", "umbral", "stirling"), default="series")
+    num.add_argument("--method", choices=tuple(ROUTES), default="series")
     num.add_argument("--poly", action="store_true", help="print polynomial coefficients, low to high")
     num.add_argument("--z", help="evaluate the polynomial at this rational (e.g. -1/2)")
     num.set_defaults(func=_cmd_num)

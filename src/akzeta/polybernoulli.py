@@ -4,19 +4,23 @@ symbolic moments, Stirling-number closed form), plus the exact
 integral-transform representations through Bernoulli-Barnes polynomials on
 the unit cube and on the ordered simplex.
 
-The series route composes and divides integer EGF numerators; the symbolic
-route evaluates the nested symbol S_k = 1 + C_k through its moment
-sequences (umbral_numbers), on integer numerators; the Stirling route sums
-integers over one denominator lcm(1..n_max+1)^k; the transforms expand
-their integrands in the sparse symbol algebra of the umbral module, whose
-expect_power evaluates each symbol during the expansion.  On the cube the
-weight cancels the Barnes prefactor, so that transform is the one
-expectation E[(z + 1 + C_k)^n]; on the simplex the Bernoulli symbols are
-evaluated during the expansion and the variables integrated in closed
-form; their _row forms give every n <= n_max from one all-powers expansion
-(umbral.expect_powers).  bernoulli_barnes takes rational parameters.  Every route
-yields the z = 0 numbers, and the polynomials are their Appell lifts
-(exact.appell_polynomial), read off the table's shared integer numerators.
+The three routes share one signature (n_max, k, variant), one argument check
+and one result, and ROUTES names them.  The series route composes and
+divides integer EGF numerators; the symbolic route evaluates the nested
+symbol S_k = 1 + C_k through its moment sequences, on integer numerators;
+the Stirling route sums integers over one denominator lcm(1..n_max+1)^k.
+Each hands the integer numerators it computed, over their denominator, to a
+frozen PolyBernoulliTable, which reduces them once; the polynomials are
+their Appell lifts (exact.appell_polynomial).
+
+The transforms expand their integrands in the sparse symbol algebra of the
+umbral module, whose expect_power evaluates each symbol during the
+expansion.  On the cube the weight cancels the Barnes prefactor, so that
+transform is the one expectation E[(z + 1 + C_k)^n]; on the simplex the
+Bernoulli symbols are evaluated during the expansion and the variables
+integrated in closed form; their _row forms give every n <= n_max from one
+all-powers expansion (umbral.expect_powers).  bernoulli_barnes takes
+rational parameters.
 
 Route agreement across all of these is the central correctness invariant of
 the package.
@@ -28,7 +32,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Union
 
 from .exact import (
     ZPolynomial,
@@ -52,6 +56,7 @@ from .umbral import (
 
 __all__ = [
     "PolyBernoulliTable",
+    "ROUTES",
     "poly_bernoulli_series",
     "poly_bernoulli_umbral",
     "poly_bernoulli_stirling",
@@ -67,50 +72,48 @@ __all__ = [
 ]
 
 VARIANTS = ("B", "C")
-ROUTES = ("series", "umbral", "stirling")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolyBernoulliTable:
-    """The z = 0 numbers for n = 0..n_max of one (k, variant), tagged with
-    their route; the polynomials are their lifts through the e^{zt} factor.
-    The numbers are kept as a tuple, so the cached lifts cannot go stale."""
+    """The z = 0 numbers b_0..b_n_max of one (k, variant), tagged with their
+    route, held as one pair (x, d) of integer numerators over one positive
+    denominator, b_n = x_n / d, reduced on construction so that d and the x_n
+    are coprime.  The polynomials are their lifts through the e^{zt} factor;
+    the table is frozen, so the cached lifts cannot go stale."""
 
     k: int
     variant: str
     route: str
-    numbers: tuple[Fraction, ...] = ()
+    numerators: tuple[tuple[int, ...], int] = ((), 1)
 
     def __post_init__(self):
-        self.numbers = tuple(self.numbers)
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.route not in ROUTES:
             raise ValueError(f"unknown route {self.route!r}")
+        x, d = self.numerators
+        g = math.gcd(d, *x)
+        object.__setattr__(self, "numerators", (tuple(v // g for v in x), d // g))
 
     @property
     def n_max(self) -> int:
-        return len(self.numbers) - 1
-
-    @cached_property
-    def numerators(self) -> tuple[list[int], int]:
-        """The numbers as integer numerators over one denominator, built once."""
-        return integer_numerators(self.numbers)
+        return len(self.numerators[0]) - 1
 
     @cached_property
     def entries(self) -> list[ZPolynomial]:
         """The polynomials, entry_n(z) = sum_m C(n,m) b_m z^{n-m}, built once."""
-        return [self.value(n) for n in range(len(self.numbers))]
+        return [self.value(n) for n in range(self.n_max + 1)]
 
     def value(self, n: int) -> ZPolynomial:
-        """Entry n alone, lifted from the shared numerators; 0 <= n <= n_max."""
+        """Entry n alone, lifted from the numerators; 0 <= n <= n_max."""
         return appell_polynomial(self.numerators, n)
 
     def number(self, n: int) -> Fraction:
         """The number at z = 0 (B_n^{(k)} or C_n^{(k)}), 0 <= n <= n_max."""
         if not 0 <= n <= self.n_max:
             raise IndexError(f"n = {n} outside 0..{self.n_max}")
-        return self.numbers[n]
+        return Fraction(self.numerators[0][n], self.numerators[1])
 
     def to_json(self) -> dict:
         return {
@@ -121,6 +124,14 @@ class PolyBernoulliTable:
         }
 
 
+def _check_route_args(n_max: int, k: int, variant: str) -> None:
+    """The argument check of every route."""
+    if n_max < 0 or k < 1:
+        raise ValueError("need n_max >= 0 and k >= 1")
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}")
+
+
 def poly_bernoulli_series(n_max: int, k: int, variant: str = "B") -> PolyBernoulliTable:
     """Coefficient extraction from Li_k(1-e^{-t})/(1-e^{-t}) (B variant) or
     Li_k(1-e^{-t})/(e^t-1) (C variant); entries are n! times the t^n
@@ -129,30 +140,29 @@ def poly_bernoulli_series(n_max: int, k: int, variant: str = "B") -> PolyBernoul
     numerators (exact.egf_compose, exact.egf_divide): the EGF numerators of
     1-e^{-t} and e^t-1 are 0, +-1 over 1.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
+    _check_route_args(n_max, k, variant)
     # one extra order so the valuation-shifted quotient still covers t^n_max
     order = n_max + 1
     w = [0] + [(-1) ** (j + 1) for j in range(1, order + 1)]
     li = [Fraction(0)] + [Fraction(1, j**k) for j in range(1, order + 1)]
     den = w if variant == "B" else [0] + [1] * order
-    q, d = egf_divide(egf_compose(li, (w, 1)), (den, 1))
-    numbers = [Fraction(x, d) for x in q]
-    return PolyBernoulliTable(k, variant, "series", numbers)
+    return PolyBernoulliTable(k, variant, "series", egf_divide(egf_compose(li, (w, 1)), (den, 1)))
 
 
-def _umbral_moments(n_max: int, k: int, variant: str) -> tuple[list[int], int]:
-    """umbral_numbers as integer numerators over one denominator."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
+def _umbral_table(n_max: int, k: int, variant: str = "B") -> PolyBernoulliTable:
+    """E[S_k^n] (B variant) or E[C_k^n] (C variant) for n = 0..n_max.
+
+    The companion symbol nests as C_1 = B_1, C_k = B_k + U_{k-1} C_{k-1} over
+    independent symbols, so the evaluation functional factorizes and the
+    moments follow by binomial convolution, in O(k n^2) exact operations:
+
+      E[C_k^j] = sum_i C(j,i) B_{j-i} E[C_{k-1}^i] / (i+1),
+      E[S_k^j] = E[(1 + C_k)^j] = sum_i C(j,i) E[C_k^i].
+
+    The convolution runs on integer numerators over one denominator: the
+    Bernoulli numerators over d, and 1/(i+1) as (L/(i+1))/L, L = lcm(1..n+1).
+    """
+    _check_route_args(n_max, k, variant)
     bern, d = integer_numerators(bernoulli_numbers(n_max))
     lcm = math.lcm(*range(1, n_max + 2))
     moments, den = bern, d
@@ -167,61 +177,39 @@ def _umbral_moments(n_max: int, k: int, variant: str) -> tuple[list[int], int]:
         moments, den = [x // g for x in moments], den // g
     if variant == "B":
         moments = [sum(math.comb(j, i) * moments[i] for i in range(j + 1)) for j in range(n_max + 1)]
-    return moments, den
+    return PolyBernoulliTable(k, variant, "umbral", (moments, den))
 
 
 def umbral_numbers(n_max: int, k: int, variant: str = "B") -> list[Fraction]:
-    """E[S_k^n] (B variant) or E[C_k^n] (C variant) for n = 0..n_max.
-
-    The companion symbol nests as C_1 = B_1, C_k = B_k + U_{k-1} C_{k-1} over
-    independent symbols, so the evaluation functional factorizes and the
-    moments follow by binomial convolution, in O(k n^2) exact operations:
-
-      E[C_k^j] = sum_i C(j,i) B_{j-i} E[C_{k-1}^i] / (i+1),
-      E[S_k^j] = E[(1 + C_k)^j] = sum_i C(j,i) E[C_k^i].
-
-    The convolution runs on integer numerators over one denominator: the
-    Bernoulli numerators over d, and 1/(i+1) as (L/(i+1))/L, L = lcm(1..n+1).
-    """
-    moments, den = _umbral_moments(n_max, k, variant)
-    return [Fraction(x, den) for x in moments]
+    """The symbolic route's numbers E[S_k^n] or E[C_k^n], n = 0..n_max."""
+    return list(map(_umbral_table(n_max, k, variant).number, range(n_max + 1)))
 
 
 def poly_bernoulli_umbral(n: int, k: int, variant: str = "B") -> ZPolynomial:
     """B_n^{(k)}(z) or C_n^{(k)}(z) as the expectation of (z + symbol)^n,
     lifted from the symbol's moment numerators."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return appell_polynomial(_umbral_moments(n, k, variant), n)
-
-
-def _stirling_numbers(n_max: int, k: int, ns: Sequence[int]) -> list[Fraction]:
-    """B_n^{(k)} for each n <= n_max in ns by the closed form on integers:
-    (-1)^n sum_m w_m S(n,m) over one denominator L = lcm(1..n_max+1)^k,
-    with the weights w_m = (-1)^m m! L/(m+1)^k."""
-    lk = math.lcm(*range(1, n_max + 2)) ** k
-    w = [(-1) ** m * math.factorial(m) * (lk // (m + 1) ** k) for m in range(n_max + 1)]
-    return [Fraction((-1) ** n * sum(map(operator.mul, w, stirling_row(n))), lk) for n in ns]
-
-
-def poly_bernoulli_stirling(n: int, k: int) -> Fraction:
-    """Closed form B_n^{(k)} = (-1)^n sum_m (-1)^m m! S(n,m) / (m+1)^k, one
-    O(n) integer sum over lcm(1..n+1)^k."""
-    if n < 0 or k < 1:
-        raise ValueError("need n >= 0 and k >= 1")
-    return _stirling_numbers(n, k, [n])[0]
+    return _umbral_table(n, k, variant).value(n)
 
 
 def stirling_table(n_max: int, k: int, variant: str = "B") -> PolyBernoulliTable:
-    """The Stirling closed form for n <= n_max, every number an integer sum
-    over the one denominator lcm(1..n_max+1)^k with one shared weight row;
-    the C variant through bc_convert."""
-    if n_max < 0 or k < 1:
-        raise ValueError("need n_max >= 0 and k >= 1")
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
-    table = PolyBernoulliTable(k, "B", "stirling", _stirling_numbers(n_max, k, range(n_max + 1)))
+    """The Stirling closed form B_n^{(k)} = (-1)^n sum_m (-1)^m m! S(n,m) /
+    (m+1)^k for n <= n_max, every number an integer sum over the one
+    denominator L = lcm(1..n_max+1)^k with one shared weight row
+    w_m = (-1)^m m! L/(m+1)^k; the C variant through bc_convert."""
+    _check_route_args(n_max, k, variant)
+    lk = math.lcm(*range(1, n_max + 2)) ** k
+    w = [(-1) ** m * math.factorial(m) * (lk // (m + 1) ** k) for m in range(n_max + 1)]
+    sums = [(-1) ** n * sum(map(operator.mul, w, stirling_row(n))) for n in range(n_max + 1)]
+    table = PolyBernoulliTable(k, "B", "stirling", (sums, lk))
     return bc_convert(table, "B->C") if variant == "C" else table
+
+
+def poly_bernoulli_stirling(n: int, k: int) -> Fraction:
+    """B_n^{(k)} by the Stirling closed form (stirling_table)."""
+    return stirling_table(n, k).number(n)
+
+
+ROUTES = {"series": poly_bernoulli_series, "umbral": _umbral_table, "stirling": stirling_table}
 
 
 def route_disagreement(numbers: list[Fraction], k: int, variant: str = "B") -> dict | None:
@@ -231,12 +219,11 @@ def route_disagreement(numbers: list[Fraction], k: int, variant: str = "B") -> d
     Returns None when all three agree, else the first disagreement as
     {"n", "series", "umbral", "stirling"}.
     """
-    n_max = len(numbers) - 1
-    umbral = umbral_numbers(n_max, k, variant)
-    stirl = stirling_table(n_max, k, variant)
+    others = {name: ROUTES[name](len(numbers) - 1, k, variant) for name in ("umbral", "stirling")}
     for n, series in enumerate(numbers):
-        if not (series == umbral[n] == stirl.number(n)):
-            return {"n": n, "series": series, "umbral": umbral[n], "stirling": stirl.number(n)}
+        got = {name: t.number(n) for name, t in others.items()}
+        if any(v != series for v in got.values()):
+            return {"n": n, "series": series, **got}
     return None
 
 
@@ -248,20 +235,17 @@ def bc_convert(table: PolyBernoulliTable, direction: str) -> PolyBernoulliTable:
 
     Exact, and an involution pair (B->C then C->B is the identity).  It is
     the EGF product with e^{-t} or e^{t}, and the lift to polynomials is the
-    product with e^{zt}, so the two commute: the transform runs on the z = 0
-    numbers, over one common denominator, in O(n^2) integer operations.
+    product with e^{zt}, so the two commute: the transform maps the table's
+    integer numerators, over its one denominator, in O(n^2) operations.
     """
     if direction not in ("B->C", "C->B"):
         raise ValueError("direction must be 'B->C' or 'C->B'")
     if table.variant != direction[0]:
         raise ValueError(f"{direction} conversion needs a {direction[0]}-variant table")
     sign = -1 if direction == "B->C" else 1
-    ints, d = table.numerators
-    numbers = [
-        Fraction(sum(binomial(n, l) * sign ** (n - l) * ints[l] for l in range(n + 1)), d)
-        for n in range(len(ints))
-    ]
-    return PolyBernoulliTable(table.k, direction[-1], table.route, numbers)
+    x, d = table.numerators
+    rows = [sum(binomial(n, l) * sign ** (n - l) * x[l] for l in range(n + 1)) for n in range(len(x))]
+    return PolyBernoulliTable(table.k, direction[-1], table.route, (rows, d))
 
 
 def bernoulli_barnes(n: int, a: list) -> ZPolynomial:

@@ -12,7 +12,6 @@ checks expand each base once for all the powers they compare (expect_powers).
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -128,9 +127,6 @@ class VerificationReport:
             "totals": self.totals,
         }
 
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2)
-
     def to_text(self) -> str:
         width = max(len(c.name) for c in self.checks) if self.checks else 10
         lines = []
@@ -245,7 +241,7 @@ def check_connection(n_max: int, k_max: int) -> IdentityCheck:
     bpoly = [bernoulli_polynomial(l) for l in range(n_max + 1)]
     for k in range(2, k_max + 1):
         at_m1 = [tb[k - 2].entries[l](Fraction(-1)) for l in range(n_max + 1)]
-        prev_c = tc[k - 2].numbers
+        prev_c = [tc[k - 2].number(l) for l in range(n_max + 1)]
         for n in range(n_max + 1):
             cs = [Fraction(binomial(n + 1, l + 1), n + 1) for l in range(n + 1)]
             rhs = ZPolynomial.combination((bshift[n - l], c * at_m1[l]) for l, c in enumerate(cs))

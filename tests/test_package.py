@@ -1,5 +1,6 @@
-"""Package surface: every name a module exports resolves, and every global
-a module reads is defined."""
+"""Package surface: every name a module exports resolves, every global a
+module reads is defined, and every name a module imports is used."""
+import ast
 import builtins
 import importlib
 import pkgutil
@@ -43,3 +44,18 @@ def test_no_undefined_globals(name):
         g for g in _global_reads(table) if not hasattr(module, g) and not hasattr(builtins, g)
     }
     assert undefined == set()
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_imports(name):
+    # __init__ is exempt: it imports to re-export
+    module = importlib.import_module(f"akzeta.{name}")
+    tree = ast.parse(Path(akzeta.__file__).with_name(f"{name}.py").read_text())
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    assert imported - read - set(getattr(module, "__all__", ())) == set()

@@ -1,5 +1,7 @@
 """Route agreement and the integral-transform representations."""
+import dataclasses
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,8 +13,10 @@ from akzeta.exact import (
     bernoulli_numbers,
     bernoulli_polynomial,
     binomial,
+    integer_numerators,
 )
 from akzeta.polybernoulli import (
+    ROUTES,
     PolyBernoulliTable,
     barnes_transform_cube,
     barnes_transform_cube_row,
@@ -74,7 +78,8 @@ def test_stirling_route_examples():
 
 def test_stirling_table_matches_oracle():
     for k in (1, 4, 9):
-        assert stirling_table(30, k).numbers == tuple(stirling_oracle(n, k) for n in range(31))
+        t = stirling_table(30, k)
+        assert [t.number(n) for n in range(31)] == [stirling_oracle(n, k) for n in range(31)]
 
 
 def test_single_stirling_number_matches_table():
@@ -90,7 +95,14 @@ def test_stirling_route_calls_no_series_or_umbral_code(monkeypatch):
         raise AssertionError("the Stirling route must stay independent")
 
     ref_b, ref_c = poly_bernoulli_series(8, 3, "B"), poly_bernoulli_series(8, 3, "C")
-    names = ("egf_compose", "egf_divide", "poly_bernoulli_series", "umbral_numbers", "expect_power")
+    names = (
+        "egf_compose",
+        "egf_divide",
+        "poly_bernoulli_series",
+        "umbral_numbers",
+        "_umbral_table",
+        "expect_power",
+    )
     for name in names:
         monkeypatch.setattr(pb, name, forbidden)
     assert stirling_table(8, 3, "C").entries == ref_c.entries
@@ -100,11 +112,13 @@ def test_stirling_route_calls_no_series_or_umbral_code(monkeypatch):
 def test_lift_reads_shared_numerators():
     # mixed denominators: the shared d = 84 is no entry's own denominator
     numbers = [Fraction(*q) for q in ((1, 2), (-2, 3), (5, 7), (0, 1), (3, 4), (-11, 6))]
-    t = PolyBernoulliTable(2, "B", "series", numbers)
-    assert t.numerators[1] == 84
+    x, d = integer_numerators(numbers)
+    t = PolyBernoulliTable(2, "B", "series", ([3 * v for v in x], 3 * d))
+    assert t.numerators == (tuple(x), 84)  # reduced on construction
     with pytest.raises(TypeError):
-        t.numbers[1] += 1  # the lifts are cached, so the numbers are frozen
+        t.numerators[0][1] += 1  # the lifts are cached, so the numerators are frozen
     for n in range(len(numbers)):
+        assert t.number(n) == numbers[n]
         ref = [binomial(n, m) * numbers[m] for m in range(n, -1, -1)]  # z^0 first
         assert list(t.value(n).coeffs) == list(t.entries[n].coeffs) == ref
         conv = sum(binomial(n, l) * (-1) ** (n - l) * numbers[l] for l in range(n + 1))
@@ -118,7 +132,8 @@ def test_table_index_out_of_range_raises():
             t.value(n)
         with pytest.raises(IndexError):
             t.number(n)
-    assert t.number(10) == t.numbers[-1] and t.value(10) == t.entries[-1]
+    assert t.number(10) == Fraction(t.numerators[0][-1], t.numerators[1])
+    assert t.value(10) == t.entries[-1]
     with pytest.raises(IndexError):
         appell_polynomial(([1, 2], 1), 2)
     assert appell_polynomial(([1, 2], 1), 1) == ZPolynomial([2, 1])
@@ -318,9 +333,8 @@ def test_transform_rows_call_no_series_stirling_or_moment_code(monkeypatch):
         "egf_divide",
         "poly_bernoulli_series",
         "umbral_numbers",
-        "_umbral_moments",
+        "_umbral_table",
         "stirling_table",
-        "_stirling_numbers",
         "stirling_row",
     )
     for name in names:
@@ -399,3 +413,44 @@ def test_table_validation():
         poly_bernoulli_series(-1, 2)
     with pytest.raises(ValueError):
         poly_bernoulli_series(3, 0)
+
+
+def test_umbral_route_calls_no_series_or_stirling_code(monkeypatch):
+    import akzeta.polybernoulli as pb
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the umbral route must stay independent")
+
+    ref_b, ref_c = poly_bernoulli_series(8, 3, "B"), poly_bernoulli_series(8, 3, "C")
+    names = ("egf_compose", "egf_divide", "poly_bernoulli_series", "stirling_table", "stirling_row")
+    for name in names:
+        monkeypatch.setattr(pb, name, forbidden)
+    assert poly_bernoulli_umbral(8, 3, "C") == ref_c.value(8)
+    assert umbral_numbers(8, 3) == [ref_b.number(n) for n in range(9)]
+
+
+def test_table_is_frozen():
+    # assigning a field would leave the cached lifts on the old numbers
+    t = poly_bernoulli_series(6, 2, "B")
+    lifted = t.entries
+    for name, value in (("numerators", ((1,) * 7, 1)), ("k", 3), ("variant", "C"), ("route", "umbral")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(t, name, value)
+    assert t == poly_bernoulli_series(6, 2, "B") and t.entries is lifted
+
+
+@pytest.mark.parametrize("variant", ["B", "C"])
+@pytest.mark.parametrize("route", list(ROUTES))
+def test_route_interface(route, variant):
+    # every route takes (n_max, k, variant) and returns a reduced table of its own
+    for k in range(1, 5):
+        ref = poly_bernoulli_series(12, k, variant)
+        for n_max in range(13):
+            t = ROUTES[route](n_max, k, variant)
+            assert (t.route, t.k, t.variant, t.n_max) == (route, k, variant, n_max)
+            assert [t.number(n) for n in range(n_max + 1)] == [ref.number(n) for n in range(n_max + 1)]
+            x, d = t.numerators
+            assert d > 0 and math.gcd(d, *x) == 1
+    for bad, match in (((-1, 2, variant), "n_max >= 0"), ((3, 0, variant), "k >= 1"), ((3, 2, "D"), "variant")):
+        with pytest.raises(ValueError, match=match):
+            ROUTES[route](*bad)

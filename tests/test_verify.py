@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from akzeta import umbral, verify
+from akzeta.cli import EXIT_OK, main
+from akzeta.exact import integer_numerators
 from akzeta.polybernoulli import PolyBernoulliTable
 from akzeta.umbral import UmbralExpression, bernoulli_symbol, c_symbol
 from akzeta.verify import (
@@ -67,10 +69,17 @@ def test_run_all_corrupt_gives_failure():
     assert failed and failed[0].witness is not None
 
 
-def test_report_bytes_deterministic():
-    cfg = VerifyConfig(n_max=4, k_max=2, m_max=2, suite="recurrence")
-    a = run_all(cfg).to_json_text()
-    b = run_all(cfg).to_json_text()
+def verify_json(capsys, *argv):
+    """The report as `akzeta verify --format json` prints it."""
+    code = main(["verify", "--format", "json", *argv])
+    assert code == EXIT_OK
+    return capsys.readouterr().out
+
+
+def test_report_bytes_deterministic(capsys):
+    argv = ("--suite", "recurrence", "--max-n", "4", "--max-k", "2", "--max-m", "2")
+    a = verify_json(capsys, *argv)
+    b = verify_json(capsys, *argv)
     assert a == b
     assert a.encode() == b.encode()
 
@@ -81,9 +90,8 @@ def test_report_order_fixed_by_name():
     assert names == sorted(names)
 
 
-def test_report_json_schema():
-    rep = run_all(VerifyConfig(n_max=3, k_max=2, m_max=2, suite="zeta"))
-    obj = json.loads(rep.to_json_text())
+def test_report_json_schema(capsys):
+    obj = json.loads(verify_json(capsys, "--suite", "zeta", "--max-n", "3", "--max-k", "2", "--max-m", "2"))
     assert set(obj) == {"checks", "config", "totals"}
     for c in obj["checks"]:
         assert {"name", "params", "status"} <= set(c)
@@ -177,9 +185,9 @@ def test_perturbed_table_gives_the_first_witness_of_each_scan(monkeypatch, pertu
         table = series(n_max, k, variant)
         if (k, variant) != (k0, variant0) or n0 > n_max:
             return table
-        numbers = list(table.numbers)
+        numbers = [table.number(n) for n in range(n_max + 1)]
         numbers[n0] += delta
-        return PolyBernoulliTable(k, variant, table.route, numbers)
+        return PolyBernoulliTable(k, variant, table.route, integer_numerators(numbers))
 
     monkeypatch.setattr(verify, "poly_bernoulli_series", perturbed)
     for name, expected in PERTURBED_WITNESSES[perturbation].items():
