@@ -122,11 +122,7 @@ def bernoulli_numbers(n_max: int) -> list[Fraction]:
 
 
 def bernoulli_number(n: int) -> Fraction:
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n >= len(_BERNOULLI):
-        _grow(_BERNOULLI, n, _next_bernoulli)
-    return _BERNOULLI[n]
+    return bernoulli_numbers(n)[n]
 
 
 class _Numerators:

@@ -24,6 +24,10 @@ rational parameters.
 
 Route agreement across all of these is the central correctness invariant of
 the package.
+
+The series route's Li_k(1-e^{-t}) is composed once per (order, k) in an
+lru_cache of 64 immutable results (_li_composed), thread-safe and
+bit-identical to a fresh composition, which B, C and repeated tables share.
 """
 from __future__ import annotations
 
@@ -31,7 +35,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Union
 
 from .exact import (
@@ -141,12 +145,20 @@ def poly_bernoulli_series(n_max: int, k: int, variant: str = "B") -> PolyBernoul
     1-e^{-t} and e^t-1 are 0, +-1 over 1.
     """
     _check_route_args(n_max, k, variant)
-    # one extra order so the valuation-shifted quotient still covers t^n_max
+    # one extra order so the valuation-shifted quotient still covers t^n_max;
+    # the EGF numerators of 1-e^{-t} are (-1)^(j+1), those of e^t-1 are 1
     order = n_max + 1
+    den = [0] + [1 if variant == "C" or j % 2 else -1 for j in range(1, order + 1)]
+    return PolyBernoulliTable(k, variant, "series", egf_divide(_li_composed(order, k), (den, 1)))
+
+
+@lru_cache(maxsize=64)
+def _li_composed(order: int, k: int) -> tuple[tuple[int, ...], int]:
+    """Li_k(1-e^{-t}) through t^order as EGF numerators (exact.egf_compose)."""
     w = [0] + [(-1) ** (j + 1) for j in range(1, order + 1)]
     li = [Fraction(0)] + [Fraction(1, j**k) for j in range(1, order + 1)]
-    den = w if variant == "B" else [0] + [1] * order
-    return PolyBernoulliTable(k, variant, "series", egf_divide(egf_compose(li, (w, 1)), (den, 1)))
+    x, d = egf_compose(li, (w, 1))
+    return tuple(x), d
 
 
 def _umbral_table(n_max: int, k: int, variant: str = "B") -> PolyBernoulliTable:

@@ -10,6 +10,10 @@ from dataclasses import dataclass
 
 __all__ = ["QuadratureSpec", "QuadratureResult", "ConvergenceError", "default_spec"]
 
+# Largest nodes per panel: numpy builds each rule from a nodes x nodes matrix,
+# 8 MB at the cap and 74.5 GiB at 100000 nodes.
+MAX_NODES = 1024
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -17,7 +21,7 @@ class QuadratureSpec:
 
     panels/nodes set the starting composite Gauss-Legendre rule per w-axis
     (per t-axis for the Mellin routes); each refinement level doubles the
-    panel count, up to `levels` levels.
+    panel count, up to `levels` levels; nodes is at most MAX_NODES.
     u_nodes is unused: every unit-interval axis of a negative moment is
     integrated in closed form.  The field and its validation stay only
     because perfbench/workloads.py reads default_spec(k).u_nodes.
@@ -31,8 +35,8 @@ class QuadratureSpec:
     u_nodes: int = 24
 
     def __post_init__(self):
-        if min(self.panels, self.nodes, self.u_nodes) < 1:
-            raise ValueError("panels, nodes and u_nodes must be >= 1")
+        if min(self.panels, self.nodes, self.u_nodes) < 1 or self.nodes > MAX_NODES:
+            raise ValueError(f"panels, nodes and u_nodes must be >= 1, nodes <= {MAX_NODES}")
         if self.levels < 2:
             raise ValueError("need at least 2 levels to declare convergence")
         if not (0 < self.tolerance < 1) or self.w_cutoff <= 0:

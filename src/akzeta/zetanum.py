@@ -24,6 +24,12 @@ The same kernel sums the other multi-axis sech^2 integrals, Barnes zeta
 (zeta_star_3_1_double).  Results are bit-reproducible, and chunking moves
 them by rounding only.
 
+negative_moment_batch and telescoping_check read levels through a memo keyed
+by grid (k, panels, nodes, w_cutoff, const, inner_shift): an lru_cache of 128
+dicts from power m to value, extended only by the powers a grid lacks.  Each
+power is computed apart from the others, so held values are bit-identical to
+uncached ones; the memo is thread-safe (racing threads store the same bits).
+
 The settings, result and error types (QuadratureSpec, default_spec,
 QuadratureResult, ConvergenceError) live in the numpy-free `quadspec` module
 and are re-exported here.
@@ -204,6 +210,19 @@ def _moment_level_k3(
     return out
 
 
+# grid (k, panels, nodes, w_cutoff, const, inner_shift) -> {m: level value}
+_level_memo = functools.lru_cache(maxsize=128)(lambda *grid: {})
+
+
+def _memo_level(k, powers, panels, spec, const, inner_shift) -> dict[int, complex]:
+    """_moment_level through the level memo (see the module docstring)."""
+    held = _level_memo(k, panels, spec.nodes, spec.w_cutoff, const, inner_shift)
+    missing = [m for m in set(powers) if m not in held]
+    if missing:
+        held.update(_moment_level(k, missing, panels, spec, const, inner_shift))
+    return {m: held[m] for m in powers}  # in the caller's order
+
+
 def _g_sums(
     A: np.ndarray, Q: np.ndarray, wgt: np.ndarray, js: Iterable[int]
 ) -> dict[int, np.ndarray]:
@@ -322,12 +341,11 @@ def negative_moment_batch(
         )
     min_abs_re = min(abs(lo), abs(hi))
     tail = k * _sech_tail_mass(spec.w_cutoff)
-    res = _converge(
-        lambda panels: _moment_level(k, ms, panels, spec, const=z, inner_shift=0.0),
+    return _converge(
+        lambda panels: _memo_level(k, ms, panels, spec, const=z, inner_shift=0.0),
         spec,
         {m: tail * min_abs_re ** (-m) for m in ms},
     )
-    return {m: res[m] for m in ms}  # in the caller's order
 
 
 def negative_moment(
@@ -373,7 +391,7 @@ def telescoping_check(
     spec = spec or default_spec(k)
     tail = k * _sech_tail_mass(spec.w_cutoff) * 2.0  # |den| >= 1/2 on the shifted kernel
     first = _converge(
-        lambda panels: _moment_level(k, [1], panels, spec, const=1.0, inner_shift=1.0),
+        lambda panels: _memo_level(k, [1], panels, spec, const=1.0, inner_shift=1.0),
         spec,
         {1: tail},
     )[1]

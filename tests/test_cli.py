@@ -20,6 +20,7 @@ from akzeta.cli import (
     MAX_VERIFY_N,
     main,
 )
+from akzeta.quadspec import MAX_NODES
 from akzeta.umbral import ExpansionCapError
 
 
@@ -109,6 +110,7 @@ def test_size_limits_are_usage_errors(capsys):
         ["verify", "--max-n", str(MAX_VERIFY_N + 1)],
         ["verify", "--max-k", str(MAX_VERIFY_K + 1)],
         ["verify", "--max-m", str(MAX_VERIFY_M + 1)],
+        ["zeta", "--k", "2", "--m", "2", "--nodes", str(MAX_NODES + 1)],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE, argv
@@ -384,6 +386,20 @@ def test_exact_commands_do_not_import_numpy(argv):
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+def test_oversized_nodes_are_refused_before_numpy_loads():
+    # 100000 nodes would ask numpy for a 74.5 GiB matrix; the spec refuses
+    # them as a usage error before the numeric layer is imported
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE.replace("main(sys.argv[1:])", "print(main(sys.argv[1:]))"), "zeta",
+         "--k", "2", "--m", "2", "--nodes", "100000"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(EXIT_USAGE), "False"]
+    assert f"nodes <= {MAX_NODES}" in proc.stderr
+
+
 def test_package_import_is_numpy_free_until_a_numeric_name_is_used():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, akzeta; print('numpy' in sys.modules)"],
@@ -411,6 +427,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
         ("num_umbral_poly.txt", "num --n 14 --k 4 --method umbral --poly"),
         ("num_umbral_C_z.txt", "num --n 12 --k 3 --method umbral --variant C --z 3/7"),
         ("table_csv.txt", "table --n-max 12 --k-max 4 --format csv"),
+        ("table_json.txt", "table --n-max 12 --k-max 4 --format json"),
         ("verify_zeta.json", "verify --suite zeta --format json"),
     ],
 )

@@ -98,6 +98,7 @@ def test_stirling_route_calls_no_series_or_umbral_code(monkeypatch):
     names = (
         "egf_compose",
         "egf_divide",
+        "_li_composed",
         "poly_bernoulli_series",
         "umbral_numbers",
         "_umbral_table",
@@ -331,6 +332,7 @@ def test_transform_rows_call_no_series_stirling_or_moment_code(monkeypatch):
     names = (
         "egf_compose",
         "egf_divide",
+        "_li_composed",
         "poly_bernoulli_series",
         "umbral_numbers",
         "_umbral_table",
@@ -422,11 +424,37 @@ def test_umbral_route_calls_no_series_or_stirling_code(monkeypatch):
         raise AssertionError("the umbral route must stay independent")
 
     ref_b, ref_c = poly_bernoulli_series(8, 3, "B"), poly_bernoulli_series(8, 3, "C")
-    names = ("egf_compose", "egf_divide", "poly_bernoulli_series", "stirling_table", "stirling_row")
+    names = (
+        "egf_compose",
+        "egf_divide",
+        "_li_composed",
+        "poly_bernoulli_series",
+        "stirling_table",
+        "stirling_row",
+    )
     for name in names:
         monkeypatch.setattr(pb, name, forbidden)
     assert poly_bernoulli_umbral(8, 3, "C") == ref_c.value(8)
     assert umbral_numbers(8, 3) == [ref_b.number(n) for n in range(9)]
+
+
+def test_series_families_share_one_composition(monkeypatch):
+    # B then C at one (n_max, k) compose Li_k(1-e^{-t}) once, and equal the
+    # tables built on a cleared memo
+    import akzeta.polybernoulli as pb
+
+    fresh = {}
+    for variant in "BC":
+        pb._li_composed.cache_clear()
+        fresh[variant] = poly_bernoulli_series(14, 3, variant)
+    calls = []
+    compose = pb.egf_compose
+    monkeypatch.setattr(pb, "egf_compose", lambda *args: calls.append(args) or compose(*args))
+    pb._li_composed.cache_clear()
+    got = {variant: poly_bernoulli_series(14, 3, variant) for variant in "BC"}
+    assert len(calls) == 1
+    assert got == fresh
+    assert all(got[v].entries == fresh[v].entries for v in "BC")
 
 
 def test_table_is_frozen():

@@ -1,5 +1,7 @@
 """Numerical layer: special functions, quadrature realization, zeta routes."""
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -26,6 +28,7 @@ from akzeta.zetanum import (
     zeta_star_3_1_double,
 )
 from akzeta import zetanum
+from akzeta.quadspec import MAX_NODES
 from akzeta.zetanum import _li2, _li_exp, _moment_level, _sech_axis
 
 ZETA2 = math.pi**2 / 6
@@ -555,14 +558,84 @@ def test_default_spec_shapes():
 
 
 def test_bit_reproducible():
+    # the level memo is cleared before each second call, so two computations
+    # are compared, not a computation and its memo
     a = negative_moment_batch(2, [1, 2], 0.0)
+    zetanum._level_memo.cache_clear()
     b = negative_moment_batch(2, [1, 2], 0.0)
     for m in (1, 2):
         assert a[m].value == b[m].value
         assert a[m].imag_residue == b[m].imag_residue
         assert a[m].convergence_delta == b[m].convergence_delta
     # the k = 2 level with its a-only term at Q = 0 in the same kernel call
-    assert telescoping_check(2) == telescoping_check(2)
+    first = telescoping_check(2)
+    zetanum._level_memo.cache_clear()
+    assert first == telescoping_check(2)
     x = ak_zeta_mellin(2, 1)
     y = ak_zeta_mellin(2, 1)
     assert x == y
+
+
+# --- the level memo ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("const, shift", [(0.0, 0.0), (1.0, 1.0)])
+def test_memo_level_equals_uncached_level(monkeypatch, k, const, shift):
+    # a held power equals a fresh uncached level bit for bit, whichever set of
+    # powers filled the memo, and a request computes only the powers not held
+    spec = default_spec(k)
+    asked = []
+
+    def recorded(k, powers, *args):
+        asked.append(sorted(powers))
+        return _moment_level(k, powers, *args)
+
+    monkeypatch.setattr(zetanum, "_moment_level", recorded)
+    zetanum._level_memo.cache_clear()
+    zetanum._memo_level(k, [1, 3], spec.panels, spec, const, shift)
+    held = zetanum._memo_level(k, [3, 2, 1], spec.panels, spec, const, shift)
+    assert zetanum._memo_level(k, [2], spec.panels, spec, const, shift) == {2: held[2]}
+    assert asked == [[1, 3], [2]]
+    assert list(held) == [3, 2, 1]
+    full = _moment_level(k, [1, 2, 3], spec.panels, spec, const, shift)
+    for m in (1, 2, 3):
+        assert held[m] == _moment_level(k, [m], spec.panels, spec, const, shift)[m] == full[m]
+
+
+def test_level_memo_serves_threads_identical_results():
+    # threads that fill one grid's memo at once, with overlapping power sets,
+    # each get the results of a lone run on a cleared memo
+    sets = ([1], [2], [3], [1, 2, 3]) * 2
+    spec = default_spec(2)
+    ref = {}
+    for ms in sets[:4]:
+        zetanum._level_memo.cache_clear()
+        ref[tuple(ms)] = negative_moment_batch(2, ms, 0.0, spec)
+    zetanum._level_memo.cache_clear()
+    start = threading.Barrier(len(sets))
+    got = [None] * len(sets)
+
+    def work(i):
+        start.wait(timeout=30)
+        got[i] = negative_moment_batch(2, sets[i], 0.0, spec)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(sets))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for ms, res in zip(sets, got):
+        assert res == ref[tuple(ms)], ms
+
+
+def test_nodes_are_capped():
+    assert QuadratureSpec(nodes=MAX_NODES).nodes == MAX_NODES
+    with pytest.raises(ValueError, match=f"nodes <= {MAX_NODES}"):
+        QuadratureSpec(nodes=MAX_NODES + 1)
