@@ -2,8 +2,8 @@
 calculus, with numerical evaluation of the Arakawa-Kaneko zeta function.
 
 Layers:
-  exact          rationals, polynomials, integer EGF composition and
-                 division, Bernoulli / Stirling / binomial generators
+  exact          rationals, polynomials, integer EGF composition,
+                 Bernoulli / Stirling / binomial generators
   umbral         sparse symbol algebra and the moment-evaluation functional
   polybernoulli  three independent routes to B_n^{(k)}(z) and C_n^{(k)}(z),
                  Bernoulli-Barnes transforms on the cube and the simplex
@@ -57,12 +57,15 @@ _ZETANUM_NAMES = (
     "ak_zeta_moment",
     "barnes_zeta_mellin",
     "barnes_zeta_sech",
+    "bernoulli_moment_quadrature",
     "hurwitz_zeta",
     "mz_truncated",
     "negative_moment",
+    "negative_moment_batch",
     "polygamma",
     "polylog",
     "telescoping_check",
+    "zeta_star_3_1_double",
 )
 
 

@@ -174,8 +174,6 @@ def _cmd_table(args, spec) -> int:
         table = poly_bernoulli_series(n_max, k, variant)
         # every emitted value is re-derived along the other two routes first
         numbers = [table.number(n) for n in range(n_max + 1)]
-        if args.inject_disagreement:
-            numbers[min(1, n_max)] += 1
         bad = route_disagreement(numbers, k, variant)
         if bad is not None:
             print(
@@ -330,8 +328,6 @@ def build_parser() -> _Parser:
     table.add_argument("--k-max", dest="k_max", type=int, required=True,
                        help=f"largest order, at most {MAX_K}")
     table.add_argument("--variant", choices=("B", "C"), default="B")
-    table.add_argument("--inject-disagreement", action="store_true",
-                       help=argparse.SUPPRESS)  # negative-control test hook
     table.set_defaults(func=_cmd_table)
 
     zeta = sub.add_parser("zeta", parents=[common], help="Arakawa-Kaneko zeta at positive integers")

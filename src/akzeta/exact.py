@@ -1,5 +1,5 @@
-"""Exact arithmetic layer: rationals, polynomials, the two integer kernels of
-the series route, the Appell lift, and the combinatorial generators
+"""Exact arithmetic layer: rationals, polynomials, the integer composition
+kernel of the series route, the Appell lift, and the combinatorial generators
 (Bernoulli numbers, Stirling rows, binomials) everything else is built from.
 
 Polynomials in z and the umbral module's symbol expressions share one
@@ -12,10 +12,10 @@ Power series are held the same way, in the layout of FLINT's fmpq_poly
 exponential generating function: a series sum c_n t^n is the integers x_n
 with n! c_n = x_n / d for one d > 0, passed around as the pair (x, d).
 Products of EGFs are binomial convolutions, so they stay integral, and
-1 - e^{-t} and e^t - 1 have numerators 0, +-1 over d = 1; only the outer
-Li_k coefficients of a composition need scaling, by lcm(1..n)^k.
-egf_compose and egf_divide are the two operations the series route needs,
-and appell_polynomial lifts numbers given as the same (x, d) pair.
+1 - e^{-t} has numerators 0, +-1 over d = 1; only the outer coefficients
+1/(j+1)^k of a composition need scaling, by lcm(1..n+1)^k.  egf_compose is
+the one operation the series route needs, and appell_polynomial lifts
+numbers given as the same (x, d) pair.
 
 All values are immutable after construction and every operation is a pure
 function; the Bernoulli and Stirling caches grow under a lock, so
@@ -39,7 +39,6 @@ __all__ = [
     "stirling2",
     "stirling_row",
     "egf_compose",
-    "egf_divide",
     "rational_to_json",
     "integer_numerators",
 ]
@@ -356,45 +355,6 @@ def egf_compose(outer: Sequence, inner: tuple[Sequence[int], int]) -> tuple[list
             sum(map(operator.mul, weights[s], acc)) for s in range(1, n - j + 1)
         ]
     return acc, scale * dpow
-
-
-def egf_divide(
-    num: tuple[Sequence[int], int], den: tuple[Sequence[int], int]
-) -> tuple[list[int], int]:
-    """The quotient num/den as EGF numerators (f, M), M > 0.
-
-    num = (x, dN) and den = (e, dE) are EGF numerators over positive
-    denominators, read through t^top for top + 1 the shorter length.  When
-    den has valuation v > 0, num's valuation must be >= v; both are shifted
-    down by t^v and the quotient runs through t^(top - v).
-
-    Solves num = quotient * den: with the quotient's n! c_n written F_n / M,
-
-      F_n C(n+v, v) e_v = x_{n+v} dE M / dN - sum_{i<n} C(n+v, i) F_i e_{n+v-i},
-
-    one exact division per coefficient.  M starts at dN and grows only when a
-    division leaves a remainder, by the factor that makes it exact.
-    """
-    x, dn = num
-    e, de = den
-    top = min(len(x), len(e)) - 1
-    v = next((i for i in range(top + 1) if e[i]), None)
-    if v is None:
-        raise ZeroDivisionError("division by zero series")
-    if any(x[:v]):
-        raise ValueError(f"numerator valuation below denominator valuation {v}")
-    growth = 1  # M / dN
-    f: list[int] = []
-    for m in range(v, top + 1):
-        y = x[m] * growth * de - sum(math.comb(m, i) * fi * e[m - i] for i, fi in enumerate(f))
-        lead = math.comb(m, v) * e[v]
-        if y % lead:
-            r = abs(lead) // math.gcd(y, lead)
-            f = [fi * r for fi in f]
-            growth *= r
-            y *= r
-        f.append(y // lead)
-    return f, dn * growth
 
 
 def appell_polynomial(numbers: tuple[Sequence[int], int], n: int) -> ZPolynomial:

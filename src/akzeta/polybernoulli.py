@@ -5,13 +5,15 @@ integral-transform representations through Bernoulli-Barnes polynomials on
 the unit cube and on the ordered simplex.
 
 The three routes share one signature (n_max, k, variant), one argument check
-and one result, and ROUTES names them.  The series route composes and
-divides integer EGF numerators; the symbolic route evaluates the nested
-symbol S_k = 1 + C_k through its moment sequences, on integer numerators;
-the Stirling route sums integers over one denominator lcm(1..n_max+1)^k.
-Each hands the integer numerators it computed, over their denominator, to a
-frozen PolyBernoulliTable, which reduces them once; the polynomials are
-their Appell lifts (exact.appell_polynomial).
+and one result, and ROUTES names them.  The series route composes integer
+EGF numerators; the symbolic route evaluates the nested symbol
+S_k = 1 + C_k through its moment sequences, on integer numerators; the
+Stirling route sums integers over one denominator lcm(1..n_max+1)^k.  Each
+computes one family and reaches the other through bc_convert, the binomial
+transform: the two generating functions differ by the factor e^{-t}, as
+S_k = 1 + C_k says.  Each hands the integer numerators it computed, over
+their denominator, to a frozen PolyBernoulliTable, which reduces them once;
+the polynomials are their Appell lifts (exact.appell_polynomial).
 
 The transforms expand their integrands in the sparse symbol algebra of the
 umbral module, whose expect_power evaluates each symbol during the
@@ -25,8 +27,8 @@ rational parameters.
 Route agreement across all of these is the central correctness invariant of
 the package.
 
-The series route's Li_k(1-e^{-t}) is composed once per (order, k) in an
-lru_cache of 64 immutable results (_li_composed), thread-safe and
+The series route's Li_k(1-e^{-t})/(1-e^{-t}) is composed once per (n_max, k)
+in an lru_cache of 64 immutable results (_li_composed), thread-safe and
 bit-identical to a fresh composition, which B, C and repeated tables share.
 """
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .exact import (
     bernoulli_numbers,
     binomial,
     egf_compose,
-    egf_divide,
     integer_numerators,
     stirling_row,
 )
@@ -137,27 +138,24 @@ def _check_route_args(n_max: int, k: int, variant: str) -> None:
 
 
 def poly_bernoulli_series(n_max: int, k: int, variant: str = "B") -> PolyBernoulliTable:
-    """Coefficient extraction from Li_k(1-e^{-t})/(1-e^{-t}) (B variant) or
-    Li_k(1-e^{-t})/(e^t-1) (C variant); entries are n! times the t^n
-    coefficient, extended to polynomials by the e^{zt} factor.  Li_k is
-    composed with 1-e^{-t} and the result divided, both on integer EGF
-    numerators (exact.egf_compose, exact.egf_divide): the EGF numerators of
-    1-e^{-t} and e^t-1 are 0, +-1 over 1.
+    """Coefficient extraction from Li_k(1-e^{-t})/(1-e^{-t}), the B family's
+    generating function: entries are n! times the t^n coefficient, extended
+    to polynomials by the e^{zt} factor.  It is the one composition of
+    Li_k(x)/x with x = 1-e^{-t} (_li_composed).  The C family's
+    Li_k(1-e^{-t})/(e^t-1) is e^{-t} times it, bc_convert's "B->C".
     """
     _check_route_args(n_max, k, variant)
-    # one extra order so the valuation-shifted quotient still covers t^n_max;
-    # the EGF numerators of 1-e^{-t} are (-1)^(j+1), those of e^t-1 are 1
-    order = n_max + 1
-    den = [0] + [1 if variant == "C" or j % 2 else -1 for j in range(1, order + 1)]
-    return PolyBernoulliTable(k, variant, "series", egf_divide(_li_composed(order, k), (den, 1)))
+    table = PolyBernoulliTable(k, "B", "series", _li_composed(n_max, k))
+    return bc_convert(table, "B->C") if variant == "C" else table
 
 
 @lru_cache(maxsize=64)
-def _li_composed(order: int, k: int) -> tuple[tuple[int, ...], int]:
-    """Li_k(1-e^{-t}) through t^order as EGF numerators (exact.egf_compose)."""
-    w = [0] + [(-1) ** (j + 1) for j in range(1, order + 1)]
-    li = [Fraction(0)] + [Fraction(1, j**k) for j in range(1, order + 1)]
-    x, d = egf_compose(li, (w, 1))
+def _li_composed(n_max: int, k: int) -> tuple[tuple[int, ...], int]:
+    """Li_k(x)/x = sum_j x^j/(j+1)^k at x = 1-e^{-t}, through t^n_max, as EGF
+    numerators (exact.egf_compose); those of 1-e^{-t} are 0, (-1)^(j+1)."""
+    w = [0] + [(-1) ** (j + 1) for j in range(1, n_max + 1)]
+    outer = [Fraction(1, (j + 1) ** k) for j in range(n_max + 1)]
+    x, d = egf_compose(outer, (w, 1))
     return tuple(x), d
 
 
@@ -168,11 +166,11 @@ def _umbral_table(n_max: int, k: int, variant: str = "B") -> PolyBernoulliTable:
     independent symbols, so the evaluation functional factorizes and the
     moments follow by binomial convolution, in O(k n^2) exact operations:
 
-      E[C_k^j] = sum_i C(j,i) B_{j-i} E[C_{k-1}^i] / (i+1),
-      E[S_k^j] = E[(1 + C_k)^j] = sum_i C(j,i) E[C_k^i].
+      E[C_k^j] = sum_i C(j,i) B_{j-i} E[C_{k-1}^i] / (i+1).
 
     The convolution runs on integer numerators over one denominator: the
     Bernoulli numerators over d, and 1/(i+1) as (L/(i+1))/L, L = lcm(1..n+1).
+    The B variant E[S_k^j] = E[(1 + C_k)^j] is bc_convert's "C->B".
     """
     _check_route_args(n_max, k, variant)
     bern, d = integer_numerators(bernoulli_numbers(n_max))
@@ -187,9 +185,8 @@ def _umbral_table(n_max: int, k: int, variant: str = "B") -> PolyBernoulliTable:
         den *= d * lcm
         g = math.gcd(den, *moments)
         moments, den = [x // g for x in moments], den // g
-    if variant == "B":
-        moments = [sum(math.comb(j, i) * moments[i] for i in range(j + 1)) for j in range(n_max + 1)]
-    return PolyBernoulliTable(k, variant, "umbral", (moments, den))
+    table = PolyBernoulliTable(k, "C", "umbral", (moments, den))
+    return bc_convert(table, "C->B") if variant == "B" else table
 
 
 def umbral_numbers(n_max: int, k: int, variant: str = "B") -> list[Fraction]:

@@ -383,7 +383,7 @@ def telescoping_check(
 
     First: E[1/(1 + B_k-kernel + sum_l p_l (1 + B_l-kernel))], the telescoped
     sum with every inner symbol shifted by one (a realization of
-    zeta(2, {1}^{k-1})).  Second: -E[1/C^{(k)}].  Both must agree with
+    zeta(2, {1}^{k-1})).  Second: -E[1/C^{(k)}], that is ak_zeta_moment(k, 1).  Both must agree with
     zeta(k+1); their coincidence is the duality identity.
     """
     if k < 2:
@@ -395,8 +395,7 @@ def telescoping_check(
         spec,
         {1: tail},
     )[1]
-    base = negative_moment(k, 1, 0.0, spec)
-    return first, replace(base, value=-base.value)
+    return first, ak_zeta_moment(k, 1, spec)
 
 
 def zeta_star_3_1_double(spec: QuadratureSpec | None = None) -> QuadratureResult:

@@ -158,10 +158,19 @@ def test_table_companion_variant(capsys):
     assert lines[2] == "1,1,C,-1,2"  # C_1^{(1)} = B_1 = -1/2
 
 
-def test_table_route_disagreement_injection(capsys):
-    code, _, err = run_cli(
-        capsys, "table", "--n-max", "3", "--k-max", "1", "--inject-disagreement"
-    )
+def test_table_route_disagreement_injection(capsys, monkeypatch):
+    import akzeta.cli as cli
+    from akzeta.polybernoulli import PolyBernoulliTable
+
+    series = cli.poly_bernoulli_series
+
+    def perturbed(n_max, k, variant="B"):
+        table = series(n_max, k, variant)
+        x, d = table.numerators
+        return PolyBernoulliTable(k, variant, table.route, (x[:1] + (x[1] + d,) + x[2:], d))
+
+    monkeypatch.setattr(cli, "poly_bernoulli_series", perturbed)
+    code, _, err = run_cli(capsys, "table", "--n-max", "3", "--k-max", "1")
     assert code == EXIT_CROSSCHECK_FAIL
     assert "disagreement" in err
 

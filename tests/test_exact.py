@@ -1,5 +1,5 @@
 """Exact layer: independent oracles for the generators, ring laws for
-polynomials, and the integer EGF kernels against Fraction references."""
+polynomials, and the integer EGF composition against Fraction references."""
 import itertools
 import math
 import operator
@@ -19,7 +19,6 @@ from akzeta.exact import (
     bernoulli_number,
     binomial,
     egf_compose,
-    egf_divide,
     integer_numerators,
     rational_to_json,
     stirling2,
@@ -56,13 +55,6 @@ def series_compose_reference(outer, inner, order):
         acc = series_mul_reference(acc, inner, order)
         acc[0] += outer[j]
     return acc
-
-
-def series_divide_reference(num, den, order):
-    """num/den through the reciprocal of den, both shifted by den's valuation."""
-    v = next(i for i, c in enumerate(den) if c != 0)
-    rec = series_reciprocal_oracle(den[v:], order - v)
-    return series_mul_reference(num[v:], rec, order - v)
 
 
 def bernoulli_oracle(n_max):
@@ -413,11 +405,6 @@ def from_egf(egf):
     return [Fraction(xn, d * math.factorial(n)) for n, xn in enumerate(x)]
 
 
-def unit(length):
-    """The series 1 through t^(length-1), the numerator of a reciprocal."""
-    return [1] + [0] * (length - 1), 1
-
-
 def test_series_compose_examples():
     t2 = [0, 0, 1, 0, 0, 0, 0]
     t = [0, 1, 0, 0, 0, 0, 0]
@@ -435,13 +422,14 @@ def test_series_compose_rejects_nonzero_constant():
 
 
 def test_polylog_composition_matches_stirling_closed_form():
-    # n! coeff of Li_2(1-e^{-t})/(1-e^{-t}) must equal
-    # (-1)^n sum_m (-1)^m m! S(n,m)/(m+1)^2
+    # n! coeff of Li_2(1-e^{-t})/(1-e^{-t}), Li_2(x)/x composed with
+    # x = 1-e^{-t}, must equal (-1)^n sum_m (-1)^m m! S(n,m)/(m+1)^2
     order = 9
     w = [0] + [(-1) ** (n + 1) for n in range(1, order + 1)]  # 1 - e^{-t}, over 1
-    li2 = [0] + [Fraction(1, n**2) for n in range(1, order + 1)]
-    q, d = egf_divide(egf_compose(li2, (w, 1)), (w, 1))
-    for n in range(order):
+    li2_over_x = [Fraction(1, (n + 1) ** 2) for n in range(order + 1)]
+    q, d = egf_compose(li2_over_x, (w, 1))
+    assert len(q) == order + 1
+    for n in range(order + 1):
         closed = sum(
             (
                 Fraction((-1) ** m * math.factorial(m) * stirling2(n, m), (m + 1) ** 2)
@@ -453,49 +441,28 @@ def test_polylog_composition_matches_stirling_closed_form():
 
 
 def test_bernoulli_gf_series():
-    # t/(e^t - 1): EGF numerators 0, 1, 0, ... over 0, 1, 1, ...
-    q, d = egf_divide(([0, 1] + [0] * 12, 1), ([0] + [1] * 13, 1))
+    # t/(e^t - 1) = log(1+y)/y at y = e^t - 1, whose EGF numerators are 0, 1, 1, ...
+    log1p_over_y = [Fraction((-1) ** j, j + 1) for j in range(13)]
+    q, d = egf_compose(log1p_over_y, ([0] + [1] * 12, 1))
     assert [Fraction(x, d) for x in q] == bernoulli_oracle(12) == bernoulli_numbers(12)
 
 
-def test_divide_valuation_rules():
-    t = ([0, 1, 0, 0], 1)
-    with pytest.raises(ValueError):
-        egf_divide(unit(4), t)  # numerator valuation below denominator's
-    assert from_egf(egf_divide(t, t)) == [1, 0, 0]
-    with pytest.raises(ZeroDivisionError):
-        egf_divide(t, ([0, 0, 0, 0], 1))
-
-
 def test_order_bookkeeping():
-    # a result runs through the shorter operand, less the divisor's valuation
+    # a composition runs through the shorter operand
     exp = [Fraction(1, math.factorial(n)) for n in range(9)]
     assert len(egf_compose(exp, ([0, 1] + [0] * 6, 1))[0]) == 8
-    assert len(egf_divide(([0, 0] + [1] * 7, 1), ([0, 0, 1, 0, 0, 0], 1))[0]) == 4
+    assert len(egf_compose(exp[:4], ([0, 1] + [0] * 6, 1))[0]) == 4
 
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(small_fractions, min_size=11, max_size=11), small_fractions)
-def test_series_reciprocal_roundtrip(coeffs, lead):
-    coeffs = [lead if lead != 0 else Fraction(1)] + coeffs[1:]
-    rec = from_egf(egf_divide(unit(11), to_egf(coeffs)))
-    assert series_mul_reference(coeffs, rec, 10) == [Fraction(1)] + [Fraction(0)] * 10
-
-
 def test_integer_kernels_on_non_integer_egf():
-    # inner EGF numerators 1/3, 4/5, ... need a common denominator, and the
-    # quotient's denominators exceed the numerator's, so both growth paths run
+    # inner EGF numerators 1/3, 4/5, ... need a common denominator
     inner = [Fraction(0), Fraction(1, 3), Fraction(2, 5), Fraction(-1, 7)] + [Fraction(0)] * 5
     outer = [Fraction(0)] + [Fraction(1, n + 1) for n in range(1, 9)]
     got = egf_compose(outer, to_egf(inner))
     assert from_egf(got) == series_compose_reference(outer, inner, 8)
-    den = [Fraction(0), Fraction(3), Fraction(1, 2)] + [Fraction(0)] * 6
-    q = egf_divide(got, to_egf(den))
-    assert from_egf(q) == series_divide_reference(from_egf(got), den, 8)
-    assert from_egf(egf_divide(unit(8), to_egf(den[1:]))) == series_reciprocal_oracle(den[1:], 7)
 
 
 @settings(max_examples=40, deadline=None)
@@ -503,23 +470,11 @@ def test_integer_kernels_on_non_integer_egf():
     st.integers(min_value=0, max_value=10),
     st.lists(small_fractions, min_size=11, max_size=11),
     st.lists(small_fractions, min_size=11, max_size=11),
-    st.lists(small_fractions, min_size=11, max_size=11),
-    st.integers(min_value=0, max_value=3),
 )
-def test_integer_kernels_match_fraction_reference(order, outer, inner, den, v):
+def test_integer_kernels_match_fraction_reference(order, outer, inner):
     inner = [Fraction(0)] + inner[1 : order + 1]
     got = egf_compose(outer, to_egf(inner))
     assert from_egf(got) == series_compose_reference(outer, inner, order)
-    v = min(v, order)
-    den = [Fraction(0)] * v + den[v : order + 1]
-    if den[v] == 0:
-        den[v] = Fraction(1, 3)
-    num = [Fraction(0)] * v + outer[v : order + 1]
-    q = from_egf(egf_divide(to_egf(num), to_egf(den)))
-    assert len(q) == order - v + 1
-    assert q == series_divide_reference(num, den, order)
-    rec = from_egf(egf_divide(unit(order - v + 1), to_egf(den[v:])))
-    assert rec == series_reciprocal_oracle(den[v:], order - v)
 
 
 @settings(max_examples=30, deadline=None)

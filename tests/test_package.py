@@ -4,7 +4,9 @@ import ast
 import builtins
 import importlib
 import pkgutil
+import subprocess
 import symtable
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,3 +61,18 @@ def test_no_unused_imports(name):
     }
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     assert imported - read - set(getattr(module, "__all__", ())) == set()
+
+
+def test_numeric_names_resolve_lazily_to_zetanum():
+    # every name zetanum adds to quadspec's resolves on the package to
+    # zetanum's own object, and the package import itself loads no numpy
+    script = (
+        "import sys, akzeta\n"
+        "print('numpy' in sys.modules)\n"
+        "from akzeta import quadspec, zetanum\n"
+        "names = sorted(set(zetanum.__all__) - set(quadspec.__all__))\n"
+        "print([n for n in names if getattr(akzeta, n, None) is not getattr(zetanum, n)])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["False", "[]"]

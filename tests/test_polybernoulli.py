@@ -97,7 +97,6 @@ def test_stirling_route_calls_no_series_or_umbral_code(monkeypatch):
     ref_b, ref_c = poly_bernoulli_series(8, 3, "B"), poly_bernoulli_series(8, 3, "C")
     names = (
         "egf_compose",
-        "egf_divide",
         "_li_composed",
         "poly_bernoulli_series",
         "umbral_numbers",
@@ -331,7 +330,6 @@ def test_transform_rows_call_no_series_stirling_or_moment_code(monkeypatch):
     ref = poly_bernoulli_series(8, 3, "B")
     names = (
         "egf_compose",
-        "egf_divide",
         "_li_composed",
         "poly_bernoulli_series",
         "umbral_numbers",
@@ -426,7 +424,6 @@ def test_umbral_route_calls_no_series_or_stirling_code(monkeypatch):
     ref_b, ref_c = poly_bernoulli_series(8, 3, "B"), poly_bernoulli_series(8, 3, "C")
     names = (
         "egf_compose",
-        "egf_divide",
         "_li_composed",
         "poly_bernoulli_series",
         "stirling_table",
@@ -438,9 +435,24 @@ def test_umbral_route_calls_no_series_or_stirling_code(monkeypatch):
     assert umbral_numbers(8, 3) == [ref_b.number(n) for n in range(9)]
 
 
+def test_series_route_calls_no_stirling_or_umbral_code(monkeypatch):
+    import akzeta.polybernoulli as pb
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the series route must stay independent")
+
+    ref_b, ref_c = stirling_table(8, 3, "B"), pb._umbral_table(8, 3, "C")
+    names = ("stirling_row", "stirling_table", "_umbral_table", "umbral_numbers", "expect_power")
+    for name in names:
+        monkeypatch.setattr(pb, name, forbidden)
+    pb._li_composed.cache_clear()
+    assert poly_bernoulli_series(8, 3, "B").entries == ref_b.entries
+    assert poly_bernoulli_series(8, 3, "C").entries == ref_c.entries
+
+
 def test_series_families_share_one_composition(monkeypatch):
-    # B then C at one (n_max, k) compose Li_k(1-e^{-t}) once, and equal the
-    # tables built on a cleared memo
+    # B then C at one (n_max, k) compose Li_k(x)/x at x = 1-e^{-t} once (C is
+    # its binomial transform), and equal the tables built on a cleared memo
     import akzeta.polybernoulli as pb
 
     fresh = {}
