@@ -44,7 +44,6 @@ from .exact import (
     ZPolynomial,
     appell_polynomial,
     bernoulli_numbers,
-    binomial,
     egf_compose,
     integer_numerators,
     stirling_row,
@@ -245,7 +244,8 @@ def bc_convert(table: PolyBernoulliTable, direction: str) -> PolyBernoulliTable:
     Exact, and an involution pair (B->C then C->B is the identity).  It is
     the EGF product with e^{-t} or e^{t}, and the lift to polynomials is the
     product with e^{zt}, so the two commute: the transform maps the table's
-    integer numerators, over its one denominator, in O(n^2) operations.
+    integer numerators, over its one denominator, by repeated differences
+    (B->C) or sums (C->B), in O(n^2) additions.
     """
     if direction not in ("B->C", "C->B"):
         raise ValueError("direction must be 'B->C' or 'C->B'")
@@ -253,7 +253,10 @@ def bc_convert(table: PolyBernoulliTable, direction: str) -> PolyBernoulliTable:
         raise ValueError(f"{direction} conversion needs a {direction[0]}-variant table")
     sign = -1 if direction == "B->C" else 1
     x, d = table.numerators
-    rows = [sum(binomial(n, l) * sign ** (n - l) * x[l] for l in range(n + 1)) for n in range(len(x))]
+    rows = []
+    while x:  # rows[n] heads the n-th pass of x_i <- x_{i+1} + sign x_i
+        rows.append(x[0])
+        x = [b + sign * a for a, b in zip(x, x[1:])]
     return PolyBernoulliTable(table.k, direction[-1], table.route, (rows, d))
 
 

@@ -3,9 +3,12 @@
 Every recurrence, connection relation, difference identity and integral
 transform is run either as an exact coefficient-wise polynomial comparison
 (never sampled at points, never floating) or, for the numerical layer, as a
-comparison within an explicitly recorded tolerance.  Results aggregate into a
-structured report whose JSON rendering is byte-stable for a fixed
-configuration.
+comparison within an explicitly recorded tolerance.  Results are frozen and
+aggregate into a structured report whose JSON rendering is byte-stable for a
+fixed configuration.
+An exact check is a lazy stream of (witness, lhs, rhs) cases that _scan
+compares: the first case whose sides differ is reported and no later case is
+built, and a check whose stream is empty is a skip.
 Sums of polynomials are one combination over one denominator, and the symbol
 checks expand each base once for all the powers they compare (expect_powers).
 """
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 from .exact import (
@@ -75,7 +78,7 @@ class VerifyConfig:
         return asdict(self)
 
 
-@dataclass
+@dataclass(frozen=True)
 class IdentityCheck:
     name: str
     params: dict
@@ -86,11 +89,9 @@ class IdentityCheck:
     tolerance: float | None = None  # recorded for numeric checks, None when exact
 
     def fail(self, witness: dict, lhs=None, rhs=None) -> "IdentityCheck":
-        self.status = "fail"
-        self.witness = witness
-        self.lhs = None if lhs is None else str(lhs)
-        self.rhs = None if rhs is None else str(rhs)
-        return self
+        """This check, failed at witness with both sides as text."""
+        return replace(self, status="fail", witness=witness,
+                       lhs=None if lhs is None else str(lhs), rhs=None if rhs is None else str(rhs))
 
     def to_json(self) -> dict:
         out = {"name": self.name, "params": self.params, "status": self.status}
@@ -142,6 +143,17 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _scan(name: str, params: dict, cases) -> IdentityCheck:
+    """The exact check name over its lazy stream of (witness, lhs, rhs) cases:
+    it fails at the first case whose sides differ, and skips if there is none."""
+    status = "skip"
+    for witness, lhs, rhs in cases:
+        if lhs != rhs:
+            return IdentityCheck(name, params).fail(witness, lhs, rhs)
+        status = "pass"
+    return IdentityCheck(name, params, status)
+
+
 # ---------------------------------------------------------------------------
 # exact recurrence checks
 
@@ -170,26 +182,21 @@ def check_order_reduction(n_max: int, k_max: int) -> IdentityCheck:
       B_n^{(k)}(z) = sum_m C(n,m) B_{n-m}^{(k-1)} sum_l C(m,l) (-1)^{m-l} B_l(z+1)/(n-l+1)
       C_n^{(k)}(z) = sum_m C(n,m) B_m(z) C_{n-m}^{(k-1)} / (n-m+1)
     """
-    chk = IdentityCheck("recurrence-order-reduction", {"n_max": n_max, "k_max": k_max})
-    tb = _tables(n_max, k_max, "B")
-    tc = _tables(n_max, k_max, "C")
-    bshift = [bernoulli_polynomial(l).shift(1) for l in range(n_max + 1)]
-    bpoly = [bernoulli_polynomial(l) for l in range(n_max + 1)]
-    for k in range(2, k_max + 1):
-        xc, dc = tc[k - 2].numerators
-        for n in range(n_max + 1):
-            rhs = _gathered(bshift, tb[k - 2], n, True)
-            lhs = tb[k - 1].entries[n]
-            if lhs != rhs:
-                return chk.fail({"variant": "B", "n": n, "k": k}, lhs, rhs)
-            rhs_c = ZPolynomial.combination(
-                (bpoly[m], Fraction(binomial(n, m) * xc[n - m], dc * (n - m + 1)))
-                for m in range(n + 1)
-            )
-            lhs_c = tc[k - 1].entries[n]
-            if lhs_c != rhs_c:
-                return chk.fail({"variant": "C", "n": n, "k": k}, lhs_c, rhs_c)
-    return chk
+    def cases():
+        tb = _tables(n_max, k_max, "B")
+        tc = _tables(n_max, k_max, "C")
+        bshift = [bernoulli_polynomial(l).shift(1) for l in range(n_max + 1)]
+        bpoly = [bernoulli_polynomial(l) for l in range(n_max + 1)]
+        for k in range(2, k_max + 1):
+            xc, dc = tc[k - 2].numerators
+            for n in range(n_max + 1):
+                yield {"variant": "B", "n": n, "k": k}, tb[k - 1].entries[n], _gathered(bshift, tb[k - 2], n, True)
+                rhs_c = ZPolynomial.combination(
+                    (bpoly[m], Fraction(binomial(n, m) * xc[n - m], dc * (n - m + 1)))
+                    for m in range(n + 1)
+                )
+                yield {"variant": "C", "n": n, "k": k}, tc[k - 1].entries[n], rhs_c
+    return _scan("recurrence-order-reduction", {"n_max": n_max, "k_max": k_max}, cases())
 
 
 def check_refuted_variant(n_max: int = 6, k_max: int = 3) -> IdentityCheck:
@@ -223,8 +230,7 @@ def check_refuted_variant(n_max: int = 6, k_max: int = 3) -> IdentityCheck:
         if found is None:
             return chk.fail({"reading": reading, "note": "no counterexample in range"})
         witnesses[f"reading_{reading}"] = found
-    chk.witness = witnesses  # witnesses of refutation, status stays "pass"
-    return chk
+    return replace(chk, witness=witnesses)  # witnesses of refutation, status stays "pass"
 
 
 def check_connection(n_max: int, k_max: int) -> IdentityCheck:
@@ -234,23 +240,21 @@ def check_connection(n_max: int, k_max: int) -> IdentityCheck:
       B_n^{(k)}(z) = (1/(n+1)) sum_l C(n+1,l+1) B_{n-l}(z+1) B_l^{(k-1)}(-1)
       C_n^{(k)}(z) = (1/(n+1)) sum_l C(n+1,l+1) B_{n-l}(z)   C_l^{(k-1)}
     """
-    chk = IdentityCheck("connection-relation", {"n_max": n_max, "k_max": k_max})
-    tb = _tables(n_max, k_max, "B")
-    tc = _tables(n_max, k_max, "C")
-    bshift = [bernoulli_polynomial(l).shift(1) for l in range(n_max + 1)]
-    bpoly = [bernoulli_polynomial(l) for l in range(n_max + 1)]
-    for k in range(2, k_max + 1):
-        at_m1 = [tb[k - 2].entries[l](Fraction(-1)) for l in range(n_max + 1)]
-        prev_c = [tc[k - 2].number(l) for l in range(n_max + 1)]
-        for n in range(n_max + 1):
-            cs = [Fraction(binomial(n + 1, l + 1), n + 1) for l in range(n + 1)]
-            rhs = ZPolynomial.combination((bshift[n - l], c * at_m1[l]) for l, c in enumerate(cs))
-            rhs_c = ZPolynomial.combination((bpoly[n - l], c * prev_c[l]) for l, c in enumerate(cs))
-            if tb[k - 1].entries[n] != rhs:
-                return chk.fail({"variant": "B", "n": n, "k": k}, tb[k - 1].entries[n], rhs)
-            if tc[k - 1].entries[n] != rhs_c:
-                return chk.fail({"variant": "C", "n": n, "k": k}, tc[k - 1].entries[n], rhs_c)
-    return chk
+    def cases():
+        tb = _tables(n_max, k_max, "B")
+        tc = _tables(n_max, k_max, "C")
+        bshift = [bernoulli_polynomial(l).shift(1) for l in range(n_max + 1)]
+        bpoly = [bernoulli_polynomial(l) for l in range(n_max + 1)]
+        for k in range(2, k_max + 1):
+            at_m1 = [tb[k - 2].entries[l](Fraction(-1)) for l in range(n_max + 1)]
+            prev_c = [tc[k - 2].number(l) for l in range(n_max + 1)]
+            for n in range(n_max + 1):
+                cs = [Fraction(binomial(n + 1, l + 1), n + 1) for l in range(n + 1)]
+                rhs = ZPolynomial.combination((bshift[n - l], c * at_m1[l]) for l, c in enumerate(cs))
+                yield {"variant": "B", "n": n, "k": k}, tb[k - 1].entries[n], rhs
+                rhs_c = ZPolynomial.combination((bpoly[n - l], c * prev_c[l]) for l, c in enumerate(cs))
+                yield {"variant": "C", "n": n, "k": k}, tc[k - 1].entries[n], rhs_c
+    return _scan("connection-relation", {"n_max": n_max, "k_max": k_max}, cases())
 
 
 def check_difference(n_max: int, k_max: int) -> IdentityCheck:
@@ -259,22 +263,20 @@ def check_difference(n_max: int, k_max: int) -> IdentityCheck:
       B_n^{(k)}(z) - B_n^{(k)}(z-1) = sum_{l>=1} C(n,l) z^{n-l} B_{l-1}^{(k-1)}(-1)
       C_n^{(k)}(z+1) - C_n^{(k)}(z) = sum_{l>=1} C(n,l) z^{n-l} C_{l-1}^{(k-1)}
     """
-    chk = IdentityCheck("difference-identity", {"n_max": n_max, "k_max": k_max})
-    tb = _tables(n_max, k_max, "B")
-    tc = _tables(n_max, k_max, "C")
-    for k in range(2, k_max + 1):
-        prev_at_m1 = [tb[k - 2].entries[l](Fraction(-1)) for l in range(n_max + 1)]
-        for n in range(n_max + 1):
-            lhs = tb[k - 1].entries[n] - tb[k - 1].entries[n].shift(-1)
-            # the coefficient of z^{n-l} is the l-th term, so list l from n down
-            rhs = ZPolynomial([binomial(n, l) * prev_at_m1[l - 1] for l in range(n, 0, -1)])
-            if lhs != rhs:
-                return chk.fail({"variant": "B", "n": n, "k": k}, lhs, rhs)
-            lhs_c = tc[k - 1].entries[n].shift(1) - tc[k - 1].entries[n]
-            rhs_c = ZPolynomial([binomial(n, l) * tc[k - 2].number(l - 1) for l in range(n, 0, -1)])
-            if lhs_c != rhs_c:
-                return chk.fail({"variant": "C", "n": n, "k": k}, lhs_c, rhs_c)
-    return chk
+    def cases():
+        tb = _tables(n_max, k_max, "B")
+        tc = _tables(n_max, k_max, "C")
+        for k in range(2, k_max + 1):
+            prev_at_m1 = [tb[k - 2].entries[l](Fraction(-1)) for l in range(n_max + 1)]
+            for n in range(n_max + 1):
+                lhs = tb[k - 1].entries[n] - tb[k - 1].entries[n].shift(-1)
+                # the coefficient of z^{n-l} is the l-th term, so list l from n down
+                rhs = ZPolynomial([binomial(n, l) * prev_at_m1[l - 1] for l in range(n, 0, -1)])
+                yield {"variant": "B", "n": n, "k": k}, lhs, rhs
+                lhs_c = tc[k - 1].entries[n].shift(1) - tc[k - 1].entries[n]
+                rhs_c = ZPolynomial([binomial(n, l) * tc[k - 2].number(l - 1) for l in range(n, 0, -1)])
+                yield {"variant": "C", "n": n, "k": k}, lhs_c, rhs_c
+    return _scan("difference-identity", {"n_max": n_max, "k_max": k_max}, cases())
 
 
 def check_multistep_difference(n_max: int, k_max: int, m_max: int) -> IdentityCheck:
@@ -290,37 +292,33 @@ def check_multistep_difference(n_max: int, k_max: int, m_max: int) -> IdentityCh
     Each B_{p+1}(z+j) is shifted once and the power sums accumulate; the
     table scan starts at m = 1, as at m = 0 both sides are 0 by construction.
     """
-    chk = IdentityCheck("multistep-difference", {"n_max": n_max, "k_max": k_max, "m_max": m_max})
-    # Faulhaber sub-check, z formal.  Its right sides are the B-variant steps
-    # of the identity above; the C-variant steps are those polynomials at z - 1.
-    step_b, step_c = {}, {}
-    bases = [ZPolynomial({0: 1 + i, 1: 1}) for i in range(m_max)]
-    powers = [ZPolynomial.constant(1)] * m_max  # (1 + z + i)^p
-    for p in range(n_max + 1):
-        shifted = [bernoulli_polynomial(p + 1).shift(j) for j in range(m_max + 2)]
-        for mm, lhs in enumerate(itertools.accumulate(powers, initial=ZPolynomial())):
-            rhs = (shifted[mm + 1] - shifted[1]) * Fraction(1, p + 1)
-            if lhs != rhs:
-                return chk.fail({"sub": "faulhaber", "p": p, "m": mm}, lhs, rhs)
-            step_b[p, mm] = rhs
-            step_c[p, mm] = (shifted[mm] - shifted[0]) * Fraction(1, p + 1)
-        powers = [w * b for w, b in zip(powers, bases)]
-    tb, tc = _tables(n_max, k_max, "B"), _tables(n_max, k_max, "C")
-    for k in range(2, k_max + 1):
-        prev_at_m1 = [tb[k - 2].entries[l](Fraction(-1)) for l in range(n_max + 1)]
-        for n in range(n_max + 1):
-            cb = [binomial(n, l) * prev_at_m1[l - 1] for l in range(1, n + 1)]
-            cc = [binomial(n, l) * tc[k - 2].number(l - 1) for l in range(1, n + 1)]
-            for mm in range(1, m_max + 1):
-                lhs = tb[k - 1].entries[n].shift(mm) - tb[k - 1].entries[n]
-                rhs = ZPolynomial.combination((step_b[n - l, mm], c) for l, c in enumerate(cb, 1))
-                if lhs != rhs:
-                    return chk.fail({"variant": "B", "n": n, "k": k, "m": mm}, lhs, rhs)
-                lhs_c = tc[k - 1].entries[n].shift(mm) - tc[k - 1].entries[n]
-                rhs_c = ZPolynomial.combination((step_c[n - l, mm], c) for l, c in enumerate(cc, 1))
-                if lhs_c != rhs_c:
-                    return chk.fail({"variant": "C", "n": n, "k": k, "m": mm}, lhs_c, rhs_c)
-    return chk
+    def cases():
+        # Faulhaber sub-check, z formal.  Its right sides are the B-variant steps
+        # of the identity above; the C-variant steps are those polynomials at z - 1.
+        step_b, step_c = {}, {}
+        bases = [ZPolynomial({0: 1 + i, 1: 1}) for i in range(m_max)]
+        powers = [ZPolynomial.constant(1)] * m_max  # (1 + z + i)^p
+        for p in range(n_max + 1):
+            shifted = [bernoulli_polynomial(p + 1).shift(j) for j in range(m_max + 2)]
+            for mm, lhs in enumerate(itertools.accumulate(powers, initial=ZPolynomial())):
+                step_b[p, mm] = (shifted[mm + 1] - shifted[1]) * Fraction(1, p + 1)
+                yield {"sub": "faulhaber", "p": p, "m": mm}, lhs, step_b[p, mm]
+                step_c[p, mm] = (shifted[mm] - shifted[0]) * Fraction(1, p + 1)
+            powers = [w * b for w, b in zip(powers, bases)]
+        tb, tc = _tables(n_max, k_max, "B"), _tables(n_max, k_max, "C")
+        for k in range(2, k_max + 1):
+            prev_at_m1 = [tb[k - 2].entries[l](Fraction(-1)) for l in range(n_max + 1)]
+            for n in range(n_max + 1):
+                cb = [binomial(n, l) * prev_at_m1[l - 1] for l in range(1, n + 1)]
+                cc = [binomial(n, l) * tc[k - 2].number(l - 1) for l in range(1, n + 1)]
+                for mm in range(1, m_max + 1):
+                    lhs = tb[k - 1].entries[n].shift(mm) - tb[k - 1].entries[n]
+                    rhs = ZPolynomial.combination((step_b[n - l, mm], c) for l, c in enumerate(cb, 1))
+                    yield {"variant": "B", "n": n, "k": k, "m": mm}, lhs, rhs
+                    lhs_c = tc[k - 1].entries[n].shift(mm) - tc[k - 1].entries[n]
+                    rhs_c = ZPolynomial.combination((step_c[n - l, mm], c) for l, c in enumerate(cc, 1))
+                    yield {"variant": "C", "n": n, "k": k, "m": mm}, lhs_c, rhs_c
+    return _scan("multistep-difference", {"n_max": n_max, "k_max": k_max, "m_max": m_max}, cases())
 
 
 def check_divided_difference(n_max: int, k_max: int) -> IdentityCheck:
@@ -338,29 +336,26 @@ def check_divided_difference(n_max: int, k_max: int) -> IdentityCheck:
     Both left sides and the powers of X (once, those of y = z + 1) are
     expanded once per k for all n; the scan runs k outer, n inner.
     """
-    chk = IdentityCheck("divided-difference-extension", {"n_max": n_max, "k_max": k_max})
-    zsym = UmbralExpression.symbol(Z)
-    top = max(n_max - 1, 0)  # the largest power of y = z + 1 and of X in the quotient
-    zp1_pow = list(expect_powers(zsym + 1, top, ()))
-    for k in range(2, k_max + 1):
-        sk = poly_symbol(k)
-        comp_pow = list(expect_powers(c_symbol(k - 1), top, ()))
-        upper = list(expect_powers(zsym + sk + 1, n_max))
-        lower = list(expect_powers(zsym + sk, n_max))
-        for n in range(n_max + 1):
-            lhs = upper[n].expect() - lower[n].expect()
-            quotient = UmbralExpression.combination(
-                (zp1_pow[n - j] * comp_pow[j - 1], binomial(n, j)) for j in range(1, n + 1)
-            )
-            rhs = quotient.expect()
-            if lhs != rhs:
-                return chk.fail({"n": n, "k": k}, lhs, rhs)
-    # k = 1 derivative case on n = 3
-    b1 = UmbralExpression.symbol(bernoulli_symbol(1))
-    lhs = expect_power(zsym + b1 + 1, 3).expect() - expect_power(zsym + b1, 3).expect()
-    if lhs != ZPolynomial([0, 0, 3]):
-        return chk.fail({"sub": "k1-derivative", "n": 3}, lhs, ZPolynomial([0, 0, 3]))
-    return chk
+    def cases():
+        zsym = UmbralExpression.symbol(Z)
+        top = max(n_max - 1, 0)  # the largest power of y = z + 1 and of X in the quotient
+        zp1_pow = list(expect_powers(zsym + 1, top, ()))
+        for k in range(2, k_max + 1):
+            sk = poly_symbol(k)
+            comp_pow = list(expect_powers(c_symbol(k - 1), top, ()))
+            upper = list(expect_powers(zsym + sk + 1, n_max))
+            lower = list(expect_powers(zsym + sk, n_max))
+            for n in range(n_max + 1):
+                lhs = upper[n].expect() - lower[n].expect()
+                quotient = UmbralExpression.combination(
+                    (zp1_pow[n - j] * comp_pow[j - 1], binomial(n, j)) for j in range(1, n + 1)
+                )
+                yield {"n": n, "k": k}, lhs, quotient.expect()
+        # k = 1 derivative case on n = 3
+        b1 = UmbralExpression.symbol(bernoulli_symbol(1))
+        lhs = expect_power(zsym + b1 + 1, 3).expect() - expect_power(zsym + b1, 3).expect()
+        yield {"sub": "k1-derivative", "n": 3}, lhs, ZPolynomial([0, 0, 3])
+    return _scan("divided-difference-extension", {"n_max": n_max, "k_max": k_max}, cases())
 
 
 def check_generating_product(k_max: int, order: int = 8) -> IdentityCheck:
@@ -374,23 +369,21 @@ def check_generating_product(k_max: int, order: int = 8) -> IdentityCheck:
     the u-monomials.  Untruncated, the coefficients of z^n for n <= order are
     those of the truncated series product.
     """
-    chk = IdentityCheck("generating-product", {"k_max": k_max, "order": order})
-    for k in range(1, min(k_max, 3) + 1):
-        ordk = order if k <= 2 else min(order, 6)
-        ref = poly_bernoulli_series(ordk, k, "C")
-        prod = UmbralExpression.constant(1)
-        for i in range(1, k + 1):
-            syms = [uniform_symbol(j) for j in range(i, k)] + [Z]
-            prod = prod * UmbralExpression.combination(
-                (UmbralExpression.monomial(dict.fromkeys(syms, nu)), b / math.factorial(nu))
-                for nu, b in enumerate(bernoulli_numbers(ordk))
-            )
-        integrated = prod.expect()
-        for n in range(ordk + 1):
-            got = integrated.coefficient(n) * math.factorial(n)
-            if got != ref.number(n):
-                return chk.fail({"k": k, "n": n}, got, ref.number(n))
-    return chk
+    def cases():
+        for k in range(1, min(k_max, 3) + 1):
+            ordk = order if k <= 2 else min(order, 6)
+            ref = poly_bernoulli_series(ordk, k, "C")
+            prod = UmbralExpression.constant(1)
+            for i in range(1, k + 1):
+                syms = [uniform_symbol(j) for j in range(i, k)] + [Z]
+                prod = prod * UmbralExpression.combination(
+                    (UmbralExpression.monomial(dict.fromkeys(syms, nu)), b / math.factorial(nu))
+                    for nu, b in enumerate(bernoulli_numbers(ordk))
+                )
+            integrated = prod.expect()
+            for n in range(ordk + 1):
+                yield {"k": k, "n": n}, integrated.coefficient(n) * math.factorial(n), ref.number(n)
+    return _scan("generating-product", {"k_max": k_max, "order": order}, cases())
 
 
 # ---------------------------------------------------------------------------
@@ -399,33 +392,26 @@ def check_generating_product(k_max: int, order: int = 8) -> IdentityCheck:
 
 def check_cancellation(n_max: int = 30) -> IdentityCheck:
     """E[(U + B)^n] = 1 if n = 0 else 0: the two symbols annihilate."""
-    chk = IdentityCheck("umbral-cancellation", {"n_max": n_max})
-    base = UmbralExpression.symbol(uniform_symbol(1)) + UmbralExpression.symbol(
-        bernoulli_symbol(1)
-    )
-    for n, power in enumerate(expect_powers(base, n_max)):
-        got = power.expect()
-        want = ZPolynomial.constant(1 if n == 0 else 0)
-        if got != want:
-            return chk.fail({"n": n}, got, want)
-    return chk
+    def cases():
+        base = UmbralExpression.symbol(uniform_symbol(1)) + UmbralExpression.symbol(
+            bernoulli_symbol(1)
+        )
+        for n, power in enumerate(expect_powers(base, n_max)):
+            yield {"n": n}, power.expect(), ZPolynomial.constant(1 if n == 0 else 0)
+    return _scan("umbral-cancellation", {"n_max": n_max}, cases())
 
 
 def check_periodicity(n_max: int = 30) -> IdentityCheck:
     """E[(1 + B)^n] = (-1)^n E[B^n], checked both directly and through the
     substitution B -> -B."""
-    chk = IdentityCheck("umbral-periodicity", {"n_max": n_max})
-    b1 = UmbralExpression.symbol(bernoulli_symbol(1))
-    shifted, plain = list(expect_powers(b1 + 1, n_max)), list(expect_powers(b1, n_max, ()))
-    for n in range(n_max + 1):
-        lhs = shifted[n].expect()
-        rhs = plain[n].expect() * Fraction((-1) ** n)
-        if lhs != rhs:
-            return chk.fail({"n": n, "form": "direct"}, lhs, rhs)
-        neg = plain[n].substitute(bernoulli_symbol(1), -b1).expect()
-        if lhs != neg:
-            return chk.fail({"n": n, "form": "substitution"}, lhs, neg)
-    return chk
+    def cases():
+        b1 = UmbralExpression.symbol(bernoulli_symbol(1))
+        shifted, plain = list(expect_powers(b1 + 1, n_max)), list(expect_powers(b1, n_max, ()))
+        for n in range(n_max + 1):
+            lhs = shifted[n].expect()
+            yield {"n": n, "form": "direct"}, lhs, plain[n].expect() * Fraction((-1) ** n)
+            yield {"n": n, "form": "substitution"}, lhs, plain[n].substitute(bernoulli_symbol(1), -b1).expect()
+    return _scan("umbral-periodicity", {"n_max": n_max}, cases())
 
 
 def check_independence(bound: int = 10) -> IdentityCheck:
@@ -434,7 +420,6 @@ def check_independence(bound: int = 10) -> IdentityCheck:
     keeps <= MAX_EXPONENT.  Only a mismatch scans a, b, c, a outermost."""
     if bound > 180:
         raise ValueError("bound must be <= 180: the z tags reach (bound + 1)^2 - 1")
-    chk = IdentityCheck("umbral-independence", {"bound": bound})
     t = bound + 1
     grid = UmbralExpression.constant(1)
     for s, w in ((bernoulli_symbol(1), 1), (bernoulli_symbol(2), t)):
@@ -444,13 +429,13 @@ def check_independence(bound: int = 10) -> IdentityCheck:
     got = [(grid * UmbralExpression.monomial({uniform_symbol(1): c})).expect() for c in range(t)]
     bern = [bernoulli_number(e) for e in range(t)]
     want = ZPolynomial([bern[i % t] * bern[i // t] for i in range(t * t)])
+    params = {"bound": bound}
     if all(g == want * Fraction(1, c + 1) for c, g in enumerate(got)):
-        return chk
-    for a, b, c in itertools.product(range(t), repeat=3):
-        lhs, rhs = got[c].coefficient(a + t * b), bern[a] * bern[b] * Fraction(1, c + 1)
-        if lhs != rhs:
-            return chk.fail({"a": a, "b": b, "c": c}, lhs, rhs)
-    return chk
+        return IdentityCheck("umbral-independence", params)  # every case compared at once
+    return _scan("umbral-independence", params, (
+        ({"a": a, "b": b, "c": c}, got[c].coefficient(a + t * b), bern[a] * bern[b] * Fraction(1, c + 1))
+        for a, b, c in itertools.product(range(t), repeat=3)
+    ))
 
 
 def check_symbol_recursion(k_max: int = 6) -> IdentityCheck:
@@ -495,36 +480,34 @@ def check_route_agreement(n_max: int, k_max: int, corrupt: bool = False) -> Iden
 
 def check_classical_reduction(n_max: int = 30) -> IdentityCheck:
     """k = 1 collapse: B_n^{(1)}(z) = B_n(z+1) and C_n^{(1)}(z) = B_n(z)."""
-    chk = IdentityCheck("classical-reduction", {"n_max": n_max})
-    tb = poly_bernoulli_series(n_max, 1, "B")
-    tc = poly_bernoulli_series(n_max, 1, "C")
-    for n in range(n_max + 1):
-        if tb.entries[n] != bernoulli_polynomial(n).shift(1):
-            return chk.fail({"variant": "B", "n": n}, tb.entries[n], bernoulli_polynomial(n).shift(1))
-        if tc.entries[n] != bernoulli_polynomial(n):
-            return chk.fail({"variant": "C", "n": n}, tc.entries[n], bernoulli_polynomial(n))
-    return chk
+    def cases():
+        tb = poly_bernoulli_series(n_max, 1, "B")
+        tc = poly_bernoulli_series(n_max, 1, "C")
+        for n in range(n_max + 1):
+            yield {"variant": "B", "n": n}, tb.entries[n], bernoulli_polynomial(n).shift(1)
+            yield {"variant": "C", "n": n}, tc.entries[n], bernoulli_polynomial(n)
+    return _scan("classical-reduction", {"n_max": n_max}, cases())
 
 
 def check_companion_shift(n_max: int, k_max: int) -> IdentityCheck:
     """C_n^{(k)}(z) = B_n^{(k)}(z-1) as polynomials, plus the binomial
     conversion round trip B -> C -> B."""
-    chk = IdentityCheck("companion-shift", {"n_max": n_max, "k_max": k_max})
-    for k in range(1, k_max + 1):
-        tb = poly_bernoulli_series(n_max, k, "B")
-        tc = poly_bernoulli_series(n_max, k, "C")
-        for n in range(n_max + 1):
-            if tc.entries[n] != tb.entries[n].shift(-1):
-                return chk.fail({"n": n, "k": k}, tc.entries[n], tb.entries[n].shift(-1))
-        back = bc_convert(bc_convert(tb, "B->C"), "C->B")
-        for n in range(n_max + 1):
-            if back.entries[n] != tb.entries[n]:
-                return chk.fail({"n": n, "k": k, "sub": "roundtrip"}, back.entries[n], tb.entries[n])
-    return chk
+    def cases():
+        for k in range(1, k_max + 1):
+            tb = poly_bernoulli_series(n_max, k, "B")
+            tc = poly_bernoulli_series(n_max, k, "C")
+            for n in range(n_max + 1):
+                yield {"n": n, "k": k}, tc.entries[n], tb.entries[n].shift(-1)
+            back = bc_convert(bc_convert(tb, "B->C"), "C->B")
+            for n in range(n_max + 1):
+                yield {"n": n, "k": k, "sub": "roundtrip"}, back.entries[n], tb.entries[n]
+    return _scan("companion-shift", {"n_max": n_max, "k_max": k_max}, cases())
 
 
 def check_monic_degree(n_max: int, k_max: int) -> IdentityCheck:
-    """Every entry has degree exactly n with leading coefficient 1."""
+    """Every entry has degree exactly n with leading coefficient 1.  A table's
+    entries are the lifts of its numbers, whose leading coefficient is b_0, so
+    this can fail only when b_0 != 1."""
     chk = IdentityCheck("monic-degree", {"n_max": n_max, "k_max": k_max})
     for k in range(1, k_max + 1):
         for variant in ("B", "C"):
@@ -541,19 +524,17 @@ def _check_transform(name: str, row, k_first: int, n_max: int, k_max: int) -> Id
     expansion, against the series table for formal z and at z in {0, 1, -1},
     over k_first <= k <= k_max; the scan runs n outer, then formal z, 0, 1,
     -1, so it reports the failure that a per-n scan would."""
-    chk = IdentityCheck(name, {"n_max": n_max, "k_max": k_max})
-    points = (Fraction(0), Fraction(1), Fraction(-1))
-    for k in range(k_first, k_max + 1):
-        ref = poly_bernoulli_series(n_max, k, "B")
-        formal = row(n_max, k)
-        values = [row(n_max, k, z) for z in points]
-        for n in range(n_max + 1):
-            if formal[n] != ref.entries[n]:
-                return chk.fail({"n": n, "k": k, "z": "formal"}, formal[n], ref.entries[n])
-            for z, gz in zip(points, values):
-                if gz[n] != ref.entries[n](z):
-                    return chk.fail({"n": n, "k": k, "z": str(z)}, gz[n], ref.entries[n](z))
-    return chk
+    def cases():
+        points = (Fraction(0), Fraction(1), Fraction(-1))
+        for k in range(k_first, k_max + 1):
+            ref = poly_bernoulli_series(n_max, k, "B")
+            formal = row(n_max, k)
+            values = [row(n_max, k, z) for z in points]
+            for n in range(n_max + 1):
+                yield {"n": n, "k": k, "z": "formal"}, formal[n], ref.entries[n]
+                for z, gz in zip(points, values):
+                    yield {"n": n, "k": k, "z": str(z)}, gz[n], ref.entries[n](z)
+    return _scan(name, {"n_max": n_max, "k_max": k_max}, cases())
 
 
 def check_cube_transform(n_max: int = 12, k_max: int = 4) -> IdentityCheck:

@@ -1,5 +1,6 @@
 """Package surface: every name a module exports resolves, every global a
-module reads is defined, and every name a module imports is used."""
+module reads is defined, every name a module imports is used, and every
+private name is read."""
 import ast
 import builtins
 import importlib
@@ -61,6 +62,38 @@ def test_no_unused_imports(name):
     }
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     assert imported - read - set(getattr(module, "__all__", ())) == set()
+
+
+def _defined(stmt):
+    """The names that a module-level statement binds by def, class or assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return [n.id for t in targets if t is not None for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _reads(stmt):
+    """The names that a statement loads and the attributes that it accesses."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(stmt)
+        if isinstance(n, ast.Attribute) or (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+    }
+
+
+def test_no_uncalled_private_names():
+    # a private module-level name that nothing in the package reads outside
+    # its own definition is code with no callers
+    stmts = [s for p in Path(akzeta.__file__).parent.glob("*.py") for s in ast.parse(p.read_text()).body]
+    reads = [_reads(s) for s in stmts]
+    unread = [
+        name
+        for i, stmt in enumerate(stmts)
+        for name in _defined(stmt)
+        if name.startswith("_") and not name.startswith("__")
+        and not any(name in r for j, r in enumerate(reads) if j != i)
+    ]
+    assert unread == []
 
 
 def test_numeric_names_resolve_lazily_to_zetanum():

@@ -1,5 +1,6 @@
 """Verification suite behavior: checks pass, the negative controls fail,
 reports are deterministic and schema-stable."""
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -11,15 +12,21 @@ from akzeta.exact import integer_numerators
 from akzeta.polybernoulli import PolyBernoulliTable
 from akzeta.umbral import UmbralExpression, bernoulli_symbol, c_symbol
 from akzeta.verify import (
+    IdentityCheck,
     VerifyConfig,
+    check_cancellation,
+    check_classical_reduction,
+    check_companion_shift,
     check_connection,
     check_cube_transform,
     check_difference,
     check_divided_difference,
     check_generating_product,
     check_independence,
+    check_monic_degree,
     check_multistep_difference,
     check_order_reduction,
+    check_periodicity,
     check_refuted_variant,
     check_route_agreement,
     check_simplex_transform,
@@ -53,6 +60,28 @@ def test_corrupt_hook_fails_with_witness():
     assert chk.status == "fail"
     assert chk.witness is not None
     assert chk.lhs is not None and chk.rhs is not None
+
+
+def test_check_results_are_frozen():
+    chk = check_order_reduction(3, 2)
+    for field in dataclasses.fields(IdentityCheck):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(chk, field.name, None)
+    failed = chk.fail({"n": 0}, 1, 2)
+    assert (chk.status, chk.witness, failed.status, failed.lhs) == ("pass", None, "fail", "1")
+
+
+def test_checks_that_compare_no_case_skip(capsys):
+    # at k_max = 1 the k >= 2 scans are empty: they skip, and only a failure exits 1
+    rep = run_all(VerifyConfig(k_max=1))
+    assert sorted(c.name for c in rep.checks if c.status == "skip") == [
+        "connection-relation",
+        "difference-identity",
+        "recurrence-order-reduction",
+        "simplex-transform",
+    ]
+    assert main(["verify", "--max-k", "1", "--format", "plain"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "19 passed, 0 failed, 4 skipped"
 
 
 def test_run_all_narrow_config():
@@ -136,10 +165,16 @@ PERTURBED_CHECKS = {
     "multistep": lambda: check_multistep_difference(6, 4, 3),
     "cube": lambda: check_cube_transform(6, 4),
     "simplex": lambda: check_simplex_transform(6, 4),
+    "classical": lambda: check_classical_reduction(6),
+    "companion": lambda: check_companion_shift(6, 4),
+    "monic": lambda: check_monic_degree(6, 4),
+    "product": lambda: check_generating_product(4, 8),
+    "route": lambda: check_route_agreement(6, 4),
 }
 B34 = "z^4 + 1/2*z^3 - 11/36*z^2 - 1/72*z + "
 C25 = "z^5 - 15/4*z^4 + 85/18*z^3 - 25/12*z^2 + 7/90*z + "
 C26 = "6*z^5 - 15/2*z^4 + 10/3*z^3 - 1/5*z"
+C34 = "z^4 - 7/2*z^3 + 151/36*z^2 - 137/72*z + "
 PERTURBED_WITNESSES = {
     (3, "B", 4, Fraction(1)): {
         "order": ({"variant": "B", "n": 4, "k": 3}, B34 + "55243/54000", B34 + "1243/54000"),
@@ -156,6 +191,11 @@ PERTURBED_WITNESSES = {
         ),
         "cube": ({"n": 4, "k": 3, "z": "formal"}, B34 + "1243/54000", B34 + "55243/54000"),
         "simplex": ({"n": 4, "k": 3, "z": "formal"}, B34 + "1243/54000", B34 + "55243/54000"),
+        "classical": None,
+        "companion": ({"n": 4, "k": 3}, C34 + "12493/54000", C34 + "66493/54000"),
+        "monic": None,
+        "product": None,
+        "route": ({"n": 4, "k": 3}, "series=55243/54000", "umbral=1243/54000, stirling=1243/54000"),
     },
     (2, "C", 5, Fraction(1, 3)): {
         "order": ({"variant": "C", "n": 5, "k": 2}, C25 + "47/120", C25 + "7/120"),
@@ -164,6 +204,11 @@ PERTURBED_WITNESSES = {
         "multistep": ({"variant": "C", "n": 6, "k": 2, "m": 1}, C26 + " + 2", C26),
         "cube": None,
         "simplex": None,
+        "classical": None,
+        "companion": ({"n": 5, "k": 2}, C25 + "47/120", C25 + "7/120"),
+        "monic": None,
+        "product": ({"k": 2, "n": 5}, "7/120", "47/120"),
+        "route": None,
     },
     (1, "B", 1, Fraction(1, 4)): {
         "order": ({"variant": "B", "n": 1, "k": 2}, "z + 1/4", "z + 3/8"),
@@ -172,6 +217,25 @@ PERTURBED_WITNESSES = {
         "multistep": ({"variant": "B", "n": 2, "k": 2, "m": 1}, "2*z + 3/2", "2*z + 7/4"),
         "cube": ({"n": 1, "k": 1, "z": "formal"}, "z + 1/2", "z + 3/4"),
         "simplex": None,
+        "classical": ({"variant": "B", "n": 1}, "z + 3/4", "z + 1/2"),
+        "companion": ({"n": 1, "k": 1}, "z - 1/2", "z - 1/4"),
+        "monic": None,
+        "product": None,
+        "route": ({"n": 1, "k": 1}, "series=3/4", "umbral=1/2, stirling=1/2"),
+    },
+    # b_0 is the leading coefficient of every lift, so only it can fail monic-degree
+    (3, "B", 0, Fraction(1)): {
+        "order": ({"variant": "B", "n": 0, "k": 3}, "2", "1"),
+        "connection": ({"variant": "B", "n": 0, "k": 3}, "2", "1"),
+        "difference": ({"variant": "B", "n": 1, "k": 3}, "2", "1"),
+        "multistep": ({"variant": "B", "n": 1, "k": 3, "m": 1}, "2", "1"),
+        "cube": ({"n": 0, "k": 3, "z": "formal"}, "1", "2"),
+        "simplex": ({"n": 0, "k": 3, "z": "formal"}, "1", "2"),
+        "classical": None,
+        "companion": ({"n": 0, "k": 3}, "1", "2"),
+        "monic": ({"n": 0, "k": 3, "variant": "B"}, "2", "monic of degree n"),
+        "product": None,
+        "route": ({"n": 0, "k": 3}, "series=2", "umbral=1, stirling=1"),
     },
 }
 
@@ -244,6 +308,19 @@ def test_transform_checks_expand_once_per_k_and_z(monkeypatch):
     assert calls == [6] + [6, 7, 7] * 3 + [3, 3]
 
 
+def perturb_moment(monkeypatch, kind, exponent):
+    """Raise the moment E[s^exponent] of the kind-symbols s by 1."""
+    rows = umbral._moment_row
+
+    def perturbed(k, top):
+        row, d = rows(k, top)
+        if k == kind and top >= exponent:
+            row = row[:exponent] + (row[exponent] + d,) + row[exponent + 1 :]
+        return row, d
+
+    monkeypatch.setattr(umbral, "_moment_row", perturbed)
+
+
 @pytest.mark.parametrize(
     "kind, exponent, witness, lhs, rhs",
     [
@@ -256,17 +333,29 @@ def test_perturbed_moment_gives_the_first_independence_witness(
 ):
     # one moment raised by 1; B_4 moves both B_1^4 and B_2^4, and the scan
     # runs a outer, then b, then c, so (0, 4, 0) is found before (4, 0, 0)
-    rows = umbral._moment_row
-
-    def perturbed(k, top):
-        row, d = rows(k, top)
-        if k == kind and top >= exponent:
-            row = row[:exponent] + (row[exponent] + d,) + row[exponent + 1 :]
-        return row, d
-
-    monkeypatch.setattr(umbral, "_moment_row", perturbed)
+    perturb_moment(monkeypatch, kind, exponent)
     chk = check_independence(10)
     assert (chk.status, chk.witness, chk.lhs, chk.rhs) == ("fail", witness, lhs, rhs)
+
+
+@pytest.mark.parametrize(
+    "kind, exponent, cancellation, periodicity",
+    [
+        ("U", 3, ({"n": 3}, "1", "0"), None),
+        # E[(1 + B)^4] and E[B^4] move together, so the direct form fails at n = 5
+        ("B", 4, ({"n": 4}, "1", "0"), ({"n": 5, "form": "direct"}, "5", "0")),
+    ],
+)
+def test_perturbed_moment_gives_the_first_axiom_witness(
+    monkeypatch, kind, exponent, cancellation, periodicity
+):
+    perturb_moment(monkeypatch, kind, exponent)
+    for check, expected in ((check_cancellation, cancellation), (check_periodicity, periodicity)):
+        chk = check(30)
+        if expected is None:
+            assert chk.status == "pass", check.__name__
+        else:
+            assert (chk.status, chk.witness, chk.lhs, chk.rhs) == ("fail", *expected), check.__name__
 
 
 def test_independence_is_one_expectation_per_slice(monkeypatch):
