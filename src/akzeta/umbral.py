@@ -27,8 +27,7 @@ breadth-first expansion; expect_power multiplies in each symbol's moments
 in the step that makes its exponent final, so the full power is never
 built, and expect_powers gives every power expr^0 .. expr^n_max from one
 pass.  All refuse an expansion whose predicted monomial count for the top
-power exceeds the cap (expr_power's argument, DEFAULT_EXPANSION_CAP
-otherwise) with ExpansionCapError.
+power exceeds DEFAULT_EXPANSION_CAP with ExpansionCapError.
 Negative symbol powers are not representable here; negative moments are the
 business of the numerical layer.
 """
@@ -58,7 +57,7 @@ __all__ = [
     "c_symbol",
 ]
 
-# largest predicted monomial count expr_power expands unless given its own cap
+# largest predicted monomial count a power expansion expands
 DEFAULT_EXPANSION_CAP = 5_000_000
 
 # exponent fields of a packed monomial: 15 exponent bits and one guard bit
@@ -297,7 +296,7 @@ class UmbralExpression(_Numerators):
         return self.render()
 
 
-def _expand(expr: UmbralExpression, n: int, kinds: tuple, cap: int, every: bool = False):
+def _expand(expr: UmbralExpression, n: int, kinds: tuple, every: bool = False):
     """An iterator over expr**n (every=True: expr**0 .. expr**n), the given
     kinds evaluated, by one breadth-first multinomial expansion: a state is a
     partial monomial with the power u used so far, the terms are taken one at
@@ -314,9 +313,9 @@ def _expand(expr: UmbralExpression, n: int, kinds: tuple, cap: int, every: bool 
     t = len(expr.terms)
     if n == 0 or t == 0:  # x^0 = 1, 0^n = 0
         return (UmbralExpression.constant(1 if v == 0 else 0) for v in wanted)
-    if math.comb(n + t - 1, t - 1) > cap:
+    if math.comb(n + t - 1, t - 1) > DEFAULT_EXPANSION_CAP:
         raise ExpansionCapError(
-            f"expansion of a {t}-term expression to power {n} exceeds cap {cap}"
+            f"expansion of a {t}-term expression to power {n} exceeds cap {DEFAULT_EXPANSION_CAP}"
         )
     # a symbol's exponents reach n times its largest exponent in the base
     seen = _fields(functools.reduce(or_, expr.terms, 0))
@@ -367,11 +366,12 @@ def _expand(expr: UmbralExpression, n: int, kinds: tuple, cap: int, every: bool 
     return map(power, wanted)
 
 
-def expr_power(expr: UmbralExpression, n: int, cap: int = DEFAULT_EXPANSION_CAP) -> UmbralExpression:
+def expr_power(expr: UmbralExpression, n: int) -> UmbralExpression:
     """expr**n, fully expanded.  Raises ExpansionCapError when the predicted
-    count C(n + t - 1, t - 1) of a t-term base's monomials exceeds the cap,
-    OverflowError when n times an exponent would exceed MAX_EXPONENT."""
-    return next(_expand(expr, n, (), cap))
+    count C(n + t - 1, t - 1) of a t-term base's monomials exceeds
+    DEFAULT_EXPANSION_CAP, OverflowError when n times an exponent would
+    exceed MAX_EXPONENT."""
+    return next(_expand(expr, n, ()))
 
 
 def expect_power(expr: UmbralExpression, n: int, kinds=("B", "U")) -> UmbralExpression:
@@ -379,7 +379,7 @@ def expect_power(expr: UmbralExpression, n: int, kinds=("B", "U")) -> UmbralExpr
     checks, without building the full power.  With both kinds the keys are
     z-degrees, and .expect() reads the result as a ZPolynomial."""
     _check_kinds(kinds)
-    return next(_expand(expr, n, kinds, DEFAULT_EXPANSION_CAP))
+    return next(_expand(expr, n, kinds))
 
 
 def expect_powers(expr: UmbralExpression, n_max: int, kinds=("B", "U")):
@@ -388,7 +388,7 @@ def expect_powers(expr: UmbralExpression, n_max: int, kinds=("B", "U")):
     when reached.  Raises at the call what expect_power(expr, n_max) raises."""
     if kinds:
         _check_kinds(kinds)
-    return _expand(expr, n_max, kinds, DEFAULT_EXPANSION_CAP, every=True)
+    return _expand(expr, n_max, kinds, every=True)
 
 
 # the evaluation functional as a function; the acceptance criteria import it

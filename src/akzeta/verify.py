@@ -94,15 +94,8 @@ class IdentityCheck:
                        lhs=None if lhs is None else str(lhs), rhs=None if rhs is None else str(rhs))
 
     def to_json(self) -> dict:
-        out = {"name": self.name, "params": self.params, "status": self.status}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.lhs is not None:
-            out["lhs"] = self.lhs
-            out["rhs"] = self.rhs
-        if self.tolerance is not None:
-            out["tolerance"] = self.tolerance
-        return out
+        """Every field that is set, in field order."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 @dataclass
@@ -206,31 +199,24 @@ def check_refuted_variant(n_max: int = 6, k_max: int = 3) -> IdentityCheck:
     formula, and fails if any reading agrees everywhere on the grid.
 
     Reading 1 keeps the printed signs (-1)^m ... (-1)^l; reading 2 drops the
-    inner sign (the transcription is ambiguous about its placement).
+    inner sign (the transcription is ambiguous about its placement).  Each
+    reading's counterexample is the first failure of its scan, k outer.
     """
-    cases = (n_max + 1) * max(k_max - 1, 0) * 2
-    chk = IdentityCheck(
-        "recurrence-variant-refuted",
-        {"n_max": n_max, "k_max": k_max, "cases_scanned": cases},
-    )
+    name = "recurrence-variant-refuted"
+    params = {"n_max": n_max, "k_max": k_max, "cases_scanned": (n_max + 1) * max(k_max - 1, 0) * 2}
     tb = _tables(n_max, k_max, "B")
     bpoly = [bernoulli_polynomial(l) for l in range(n_max + 1)]
     witnesses = {}
     for reading in (1, 2):
-        found = None
-        for k in range(2, k_max + 1):
-            for n in range(n_max + 1):
-                # reading 1's sign (-1)^m (-1)^l is (-1)^(m-l); reading 2's is (-1)^m
-                rhs = _gathered(bpoly, tb[k - 2], n, reading == 1)
-                if tb[k - 1].entries[n] != rhs:
-                    found = {"n": n, "k": k, "got": str(rhs), "expected": str(tb[k - 1].entries[n])}
-                    break
-            if found:
-                break
-        if found is None:
-            return chk.fail({"reading": reading, "note": "no counterexample in range"})
-        witnesses[f"reading_{reading}"] = found
-    return replace(chk, witness=witnesses)  # witnesses of refutation, status stays "pass"
+        # reading 1's sign (-1)^m (-1)^l is (-1)^(m-l); reading 2's is (-1)^m
+        found = _scan(name, params, (
+            ({"n": n, "k": k}, tb[k - 1].entries[n], _gathered(bpoly, tb[k - 2], n, reading == 1))
+            for k in range(2, k_max + 1) for n in range(n_max + 1)
+        ))
+        if found.status != "fail":
+            return found.fail({"reading": reading, "note": "no counterexample in range"})
+        witnesses[f"reading_{reading}"] = {**found.witness, "got": found.rhs, "expected": found.lhs}
+    return IdentityCheck(name, params, witness=witnesses)  # witnesses of refutation, status "pass"
 
 
 def check_connection(n_max: int, k_max: int) -> IdentityCheck:
@@ -440,20 +426,15 @@ def check_independence(bound: int = 10) -> IdentityCheck:
 
 def check_symbol_recursion(k_max: int = 6) -> IdentityCheck:
     """poly_symbol(k) = 1 + B_k + U_{k-1} (poly_symbol(k-1) - 1), sharing the
-    lower-index symbols, as an exact expression identity."""
-    chk = IdentityCheck("umbral-symbol-recursion", {"k_max": k_max})
-    for k in range(2, k_max + 1):
-        rhs = (
-            UmbralExpression.constant(1)
-            + UmbralExpression.symbol(bernoulli_symbol(k))
-            + UmbralExpression.symbol(uniform_symbol(k - 1))
-            * (poly_symbol(k - 1) - UmbralExpression.constant(1))
-        )
-        if poly_symbol(k) != rhs:
-            return chk.fail({"k": k}, poly_symbol(k).render(), rhs.render())
-        if c_symbol(k) != poly_symbol(k) - UmbralExpression.constant(1):
-            return chk.fail({"k": k, "form": "companion"})
-    return chk
+    lower-index symbols, and c_symbol(k) = poly_symbol(k) - 1, as exact
+    expression identities."""
+    def cases():
+        one = UmbralExpression.constant(1)
+        for k in range(2, k_max + 1):
+            b, u = UmbralExpression.symbol(bernoulli_symbol(k)), UmbralExpression.symbol(uniform_symbol(k - 1))
+            yield {"k": k}, poly_symbol(k), one + b + u * (poly_symbol(k - 1) - one)
+            yield {"k": k, "form": "companion"}, c_symbol(k), poly_symbol(k) - one
+    return _scan("umbral-symbol-recursion", {"k_max": k_max}, cases())
 
 
 def check_route_agreement(n_max: int, k_max: int, corrupt: bool = False) -> IdentityCheck:
@@ -623,10 +604,9 @@ def check_telescoping() -> IdentityCheck:
     chk = IdentityCheck("zeta-telescoping", {"k": 2}, tolerance=1e-6)
     z3 = 1.2020569031595942854
     a, b = zetanum.telescoping_check(2)
+    # both within 1e-6 of zeta(3) puts them within 2e-6 of each other
     if abs(a.value - z3) > 1e-6 or abs(b.value - z3) > 1e-6:
         return chk.fail({"k": 2}, (a.value, b.value), z3)
-    if abs(a.value - b.value) > 2e-6:
-        return chk.fail({"k": 2, "sub": "mutual"}, a.value, b.value)
     return chk
 
 

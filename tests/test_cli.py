@@ -430,18 +430,46 @@ def test_package_import_is_numpy_free_until_a_numeric_name_is_used():
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-@pytest.mark.parametrize(
-    "name, argv",
-    [
-        ("num_umbral_poly.txt", "num --n 14 --k 4 --method umbral --poly"),
-        ("num_umbral_C_z.txt", "num --n 12 --k 3 --method umbral --variant C --z 3/7"),
-        ("table_csv.txt", "table --n-max 12 --k-max 4 --format csv"),
-        ("table_json.txt", "table --n-max 12 --k-max 4 --format json"),
-        ("verify_zeta.json", "verify --suite zeta --format json"),
-    ],
-)
-def test_golden_output_is_byte_identical(capsys, name, argv):
+GOLDEN_CASES = [
+    ("num_umbral_poly.txt", "num --n 14 --k 4 --method umbral --poly", EXIT_OK),
+    ("num_umbral_C_z.txt", "num --n 12 --k 3 --method umbral --variant C --z 3/7", EXIT_OK),
+    ("table_csv.txt", "table --n-max 12 --k-max 4 --format csv", EXIT_OK),
+    ("table_json.txt", "table --n-max 12 --k-max 4 --format json", EXIT_OK),
+    ("verify_zeta.json", "verify --suite zeta --format json", EXIT_OK),
+    ("verify_json.json", "verify --format json", EXIT_OK),
+    ("verify_corrupt.json", "verify --corrupt --format json", EXIT_VERIFY_FAIL),
+    ("verify_max_k1.txt", "verify --max-k 1 --format plain", EXIT_OK),
+]
+
+
+# each case is named by its file and command line
+@pytest.mark.parametrize("name, argv, exit_code", GOLDEN_CASES, ids=[f"{n}-{a}" for n, a, _ in GOLDEN_CASES])
+def test_golden_output_is_byte_identical(capsys, name, argv, exit_code):
     # rational and pass/fail output only: float values depend on the libm
     code, out, _ = run_cli(capsys, *argv.split())
-    assert code == EXIT_OK
+    assert code == exit_code
     assert out == (GOLDEN / name).read_text()
+
+
+def readme_commands() -> list[tuple[list[str], str]]:
+    """The `akzeta ...` lines of README's "Command line" block, as (argv,
+    trailing comment) pairs."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    out = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        if command.startswith("akzeta "):
+            out.append((command.split()[1:], comment.strip()))
+    return out
+
+
+def test_readme_command_line_examples_run(capsys):
+    commands = readme_commands()
+    num = ["num", "--n", "1", "--k", "2"]
+    assert num in [argv for argv, _ in commands]
+    for argv, comment in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_OK, (argv, err)
+        if argv == num:
+            assert json.loads(out) == json.loads(comment)

@@ -399,9 +399,10 @@ def test_table_serialization(capsys):
 
 
 def test_umbral_route_respects_expansion_cap():
-    # (z + S_4)^20 in the sparse expansion that the transforms and verify use
+    # (z + S_4)^60, 6 terms, in the sparse expansion that the transforms and
+    # verify use: C(65, 5) predicted monomials exceed the cap
     with pytest.raises(ExpansionCapError):
-        expr_power(UmbralExpression.symbol(Z) + poly_symbol(4), 20, cap=50)
+        expr_power(UmbralExpression.symbol(Z) + poly_symbol(4), 60)
 
 
 def test_table_validation():

@@ -1,5 +1,6 @@
 """Symbol algebra: evaluation rules, the poly-Bernoulli symbol, expansion."""
 import copy
+import math
 import pickle
 import re
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from akzeta.exact import ZPolynomial, bernoulli_number
 from akzeta.umbral import (
+    DEFAULT_EXPANSION_CAP,
     MAX_EXPONENT,
     ExpansionCapError,
     Symbol,
@@ -107,9 +109,11 @@ def test_expr_power_examples():
 
 
 def test_expr_power_cap():
-    base = poly_symbol(4)
-    with pytest.raises(ExpansionCapError):
-        expr_power(base, 40, cap=100)
+    # 6 terms at n = 60 predict C(65, 5) > DEFAULT_EXPANSION_CAP monomials; the
+    # prediction runs before any term is expanded
+    assert math.comb(65, 5) > DEFAULT_EXPANSION_CAP
+    with pytest.raises(ExpansionCapError, match="exceeds cap 5000000$"):
+        expr_power(poly_symbol(5), 60)
 
 
 def test_shift_substitute_examples():

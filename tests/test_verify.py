@@ -21,15 +21,21 @@ from akzeta.verify import (
     check_cube_transform,
     check_difference,
     check_divided_difference,
+    check_double_integral,
     check_generating_product,
     check_independence,
+    check_moment_realization,
     check_monic_degree,
     check_multistep_difference,
     check_order_reduction,
     check_periodicity,
+    check_polygamma_bridge,
+    check_reference_values,
     check_refuted_variant,
     check_route_agreement,
     check_simplex_transform,
+    check_telescoping,
+    check_two_route_zeta,
     run_all,
 )
 
@@ -378,3 +384,39 @@ def test_independence_bound_keeps_the_tags_in_range():
     assert 181**2 - 1 <= umbral.MAX_EXPONENT < 182**2 - 1
     with pytest.raises(ValueError):
         check_independence(181)
+
+
+def shifted(value, by):
+    """A zetanum return value with each quadrature value or float moved by `by`."""
+    if isinstance(value, float):
+        return value + by
+    if isinstance(value, dict):
+        return {m: shifted(r, by) for m, r in value.items()}
+    if isinstance(value, tuple):
+        return tuple(shifted(r, by) for r in value)
+    return dataclasses.replace(value, value=value.value + by)
+
+
+@pytest.mark.parametrize(
+    "check, function, witness",
+    [
+        (check_moment_realization, "bernoulli_moment_quadrature", {"n": 0}),
+        (check_polygamma_bridge, "negative_moment", {"m": 1, "z": 0.25}),
+        (check_reference_values, "negative_moment_batch", {"m": 1, "tol": 5e-6}),
+        (check_two_route_zeta, "ak_zeta_mellin", {"m": 1}),
+        (check_telescoping, "telescoping_check", {"k": 2}),
+        (check_double_integral, "zeta_star_3_1_double", {"sub": "closed-form"}),
+        (check_double_integral, "negative_moment", {}),
+    ],
+)
+def test_shifted_zeta_route_fails_its_check(monkeypatch, check, function, witness):
+    # negative controls: one zetanum route moved by 1e-3 fails the zeta check
+    # that reads it, at the first comparison the route enters; both sides are
+    # floats, whose text depends on the libm, so only their presence is pinned
+    from akzeta import zetanum
+
+    route = getattr(zetanum, function)
+    monkeypatch.setattr(zetanum, function, lambda *args, **kwargs: shifted(route(*args, **kwargs), 1e-3))
+    chk = check()
+    assert (chk.status, chk.witness) == ("fail", witness)
+    assert chk.lhs is not None and chk.rhs is not None and chk.tolerance is not None
