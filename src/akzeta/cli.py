@@ -9,9 +9,9 @@ randomized algorithm anywhere; --seed-free exists purely to document that.
 
 Settings (--format and the quadrature controls) are declared once, as the
 shared parser's actions; a --config file of key=value lines may set them too,
-and AKZETA_FORMAT sets the format.  Each subcommand renders its result as a
-JSON object, CSV rows and plain text, and one emitter prints the format asked
-for.
+and AKZETA_FORMAT sets the format.  Each subcommand can render its result as
+a JSON object, CSV rows and plain text, and one emitter builds and prints
+only the format asked for.
 """
 from __future__ import annotations
 
@@ -123,15 +123,16 @@ def _resolve_settings(args, settings: dict) -> QuadratureSpec:
     return replace(default_spec(getattr(args, "k", 1)), **overrides)
 
 
-def _emit(fmt: str, obj, rows, text: str) -> None:
-    """Print one result: obj as JSON with sorted keys, rows as CSV (the text
-    when rows is None), or the plain text."""
+def _emit(fmt: str, obj, rows, text) -> None:
+    """Print one result in the format asked for, building only that one: obj,
+    rows and text are functions of no arguments giving the JSON object (printed
+    with sorted keys), the CSV rows (None: print the text) and the plain text."""
     if fmt == "json":
-        out = json.dumps(obj, sort_keys=True, indent=2)
+        out = json.dumps(obj(), sort_keys=True, indent=2)
     elif fmt == "csv" and rows is not None:
-        out = "\n".join(",".join(map(str, row)) for row in rows)
+        out = "\n".join(",".join(map(str, row)) for row in rows())
     else:
-        out = text
+        out = text()
     sys.stdout.write(out + "\n")
 
 
@@ -154,12 +155,12 @@ def _cmd_num(args, spec) -> int:
     if args.poly:
         coeffs = [poly.coefficient(i) for i in range(n + 1)]
         rows = [(i, c.numerator, c.denominator) for i, c in enumerate(coeffs)]
-        _emit(args.format, [rational_to_json(c) for c in coeffs],
-              [("degree", "num", "den")] + rows, str(poly))
+        _emit(args.format, lambda: [rational_to_json(c) for c in coeffs],
+              lambda: [("degree", "num", "den")] + rows, lambda: str(poly))
     else:
         value = poly(z if z is not None else Fraction(0))
-        _emit(args.format, rational_to_json(value),
-              [("num", "den"), (value.numerator, value.denominator)], str(value))
+        _emit(args.format, lambda: rational_to_json(value),
+              lambda: [("num", "den"), (value.numerator, value.denominator)], lambda: str(value))
     return EXIT_OK
 
 
@@ -186,10 +187,10 @@ def _cmd_table(args, spec) -> int:
     entries = [(t, n, t.number(n)) for t in tables for n in range(n_max + 1)]
     _emit(
         args.format,
-        [t.to_json() for t in tables],
-        [("n", "k", "variant", "num", "den")]
+        lambda: [t.to_json() for t in tables],
+        lambda: [("n", "k", "variant", "num", "den")]
         + [(n, t.k, t.variant, q.numerator, q.denominator) for t, n, q in entries],
-        "\n".join(f"{t.variant}({n},{t.k}) = {q}" for t, n, q in entries),
+        lambda: "\n".join(f"{t.variant}({n},{t.k}) = {q}" for t, n, q in entries),
     )
     return EXIT_OK
 
@@ -221,7 +222,7 @@ def _cmd_zeta(args, spec) -> int:
     if args.route == "both":
         obj["discrepancy"] = row["discrepancy"] = gap = abs(mellin - mo.value)
         lines.append(f"  discrepancy:  {gap:.2e}")
-    _emit(args.format, obj, [list(row), list(row.values())], "\n".join(lines))
+    _emit(args.format, lambda: obj, lambda: [list(row), list(row.values())], lambda: "\n".join(lines))
     return EXIT_OK
 
 
@@ -238,18 +239,18 @@ def _cmd_mzv(args, spec) -> int:
     star = "*" if args.starred else ""
     _emit(
         args.format,
-        {
+        lambda: {
             "signature": list(exponents),
             "starred": args.starred,
             "terms": args.terms,
             "value": value,
             "tail_bound": bound,
         },
-        [
+        lambda: [
             ("signature", "starred", "terms", "value", "tail_bound"),
             (f'"{args.sig}"', args.starred, args.terms, value, bound),
         ],
-        f"zeta{star}({args.sig}) = {value:.12g} +- {bound:.3g}  (N={args.terms})",
+        lambda: f"zeta{star}({args.sig}) = {value:.12g} +- {bound:.3g}  (N={args.terms})",
     )
     return EXIT_OK
 
@@ -269,7 +270,7 @@ def _cmd_verify(args, spec) -> int:
     )
     report = run_all(vconf)
     # CSV has no rows of its own here: it prints the text report
-    _emit(args.format, report.to_json(), None, report.to_text())
+    _emit(args.format, report.to_json, None, report.to_text)
     return EXIT_VERIFY_FAIL if report.has_failures else EXIT_OK
 
 
@@ -294,7 +295,7 @@ def build_parser() -> _Parser:
     setting("--panels", type=int, help="starting quadrature panels per axis")
     setting("--nodes", type=int, help="Gauss-Legendre nodes per panel")
     setting("--levels", type=int, help="maximum refinement levels (at least 2)")
-    setting("--w-cutoff", type=float, help="sech^2 axis truncation")
+    setting("--w-cutoff", type=float, help="sech^2 axis truncation floor, raised to cover the tail")
     common.add_argument("--config", default=argparse.SUPPRESS,
                         help="key=value config file of settings; flags take precedence")
     common.add_argument("--seed-free", action="store_true", default=argparse.SUPPRESS,

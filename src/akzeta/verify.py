@@ -8,7 +8,9 @@ aggregate into a structured report whose JSON rendering is byte-stable for a
 fixed configuration.
 An exact check is a lazy stream of (witness, lhs, rhs) cases that _scan
 compares: the first case whose sides differ is reported and no later case is
-built, and a check whose stream is empty is a skip.
+built, and a check whose stream is empty is a skip.  A numeric check is a
+lazy stream of (witness, got, want, bound) cases that _scan_within judges
+the same way, failing where |got - want| exceeds the bound.
 Sums of polynomials are one combination over one denominator, and the symbol
 checks expand each base once for all the powers they compare (expect_powers).
 """
@@ -147,6 +149,19 @@ def _scan(name: str, params: dict, cases) -> IdentityCheck:
     return IdentityCheck(name, params, status)
 
 
+def _scan_within(name: str, params: dict, tolerance: float, cases) -> IdentityCheck:
+    """The numeric check name, recording its tolerance, over the lazy stream
+    cases(zetanum) of (witness, got, want, bound) cases: it fails at the first
+    case unless |got - want| <= bound, so a NaN fails too.  zetanum is
+    imported here, so numpy loads only when a numeric check runs."""
+    from . import zetanum
+
+    for witness, got, want, bound in cases(zetanum):
+        if not abs(got - want) <= bound:
+            return IdentityCheck(name, params, tolerance=tolerance).fail(witness, got, want)
+    return IdentityCheck(name, params, tolerance=tolerance)
+
+
 # ---------------------------------------------------------------------------
 # exact recurrence checks
 
@@ -203,7 +218,7 @@ def check_refuted_variant(n_max: int = 6, k_max: int = 3) -> IdentityCheck:
     reading's counterexample is the first failure of its scan, k outer.
     """
     name = "recurrence-variant-refuted"
-    params = {"n_max": n_max, "k_max": k_max, "cases_scanned": (n_max + 1) * max(k_max - 1, 0) * 2}
+    params = {"n_max": n_max, "k_max": k_max}
     tb = _tables(n_max, k_max, "B")
     bpoly = [bernoulli_polynomial(l) for l in range(n_max + 1)]
     witnesses = {}
@@ -530,84 +545,61 @@ def check_simplex_transform(n_max: int = 10, k_max: int = 4) -> IdentityCheck:
 
 
 # ---------------------------------------------------------------------------
-# numeric spot checks (tolerances recorded in the check); each imports
-# zetanum itself, so numpy loads only when a zeta check runs
+# numeric spot checks: lazy streams of (witness, got, want, bound) cases,
+# built from the zetanum module that _scan_within passes in
 
 
 def check_moment_realization() -> IdentityCheck:
     """The sech^2 quadrature reproduces B_n for n <= 8 to 1e-10 relative."""
-    from . import zetanum
-
-    chk = IdentityCheck("zeta-moment-realization", {"n_max": 8}, tolerance=1e-10)
-    for n in range(9):
-        r = zetanum.bernoulli_moment_quadrature(n)
-        exact = float(bernoulli_number(n))
-        if exact == 0.0:
-            ok = abs(r.value) < 1e-12
-        else:
-            ok = abs(r.value - exact) / abs(exact) < 1e-10
-        if not ok or r.imag_residue > 1e-9:
-            return chk.fail({"n": n}, r.value, exact)
-    return chk
+    def cases(zetanum):
+        for n in range(9):
+            r = zetanum.bernoulli_moment_quadrature(n)
+            exact = float(bernoulli_number(n))
+            yield {"n": n}, r.value, exact, 1e-10 * abs(exact) if exact else 1e-12
+            yield {"n": n}, r.imag_residue, 0.0, 1e-9
+    return _scan_within("zeta-moment-realization", {"n_max": 8}, 1e-10, cases)
 
 
 def check_polygamma_bridge() -> IdentityCheck:
     """Negative k=1 moments match the polygamma closed form on both branches."""
-    from . import zetanum
-
-    chk = IdentityCheck("zeta-polygamma-bridge", {"m_max": 2}, tolerance=1e-8)
-    for m in (1, 2):
-        for z in (0.25, 0.75, 1.0, 2.0):
-            r = zetanum.negative_moment(1, m, z)
-            if z > 0.5:
-                closed = (-1) ** (m - 1) / math.factorial(m - 1) * zetanum.polygamma(m, z)
-            else:
-                closed = -zetanum.polygamma(m, 1 - z) / math.factorial(m - 1)
-            if abs(r.value - closed) > 1e-8:
-                return chk.fail({"m": m, "z": z}, r.value, closed)
-    return chk
+    def cases(zetanum):
+        for m in (1, 2):
+            for z in (0.25, 0.75, 1.0, 2.0):
+                if z > 0.5:
+                    closed = (-1) ** (m - 1) / math.factorial(m - 1) * zetanum.polygamma(m, z)
+                else:
+                    closed = -zetanum.polygamma(m, 1 - z) / math.factorial(m - 1)
+                yield {"m": m, "z": z}, zetanum.negative_moment(1, m, z).value, closed, 1e-8
+    return _scan_within("zeta-polygamma-bridge", {"m_max": 2}, 1e-8, cases)
 
 
 def check_reference_values() -> IdentityCheck:
     """The three k = 2 negative moments against their published six-digit
     decimal values."""
-    from . import zetanum
-
-    chk = IdentityCheck("zeta-reference-values", {"k": 2}, tolerance=5e-5)
-    res = zetanum.negative_moment_batch(2, [1, 2, 3], 0.0)
-    targets = {1: (-1.20206, 5e-6), 2: (1.3529, 5e-5), 3: (-1.45884, 5e-6)}
-    for m, (target, tol) in targets.items():
-        r = res[m]
-        if abs(r.value - target) > tol or r.imag_residue > 1e-9 or r.levels_used > 3:
-            return chk.fail({"m": m, "tol": tol}, r.value, target)
-    return chk
+    def cases(zetanum):
+        res = zetanum.negative_moment_batch(2, [1, 2, 3], 0.0)
+        for m, (target, tol) in {1: (-1.20206, 5e-6), 2: (1.3529, 5e-5), 3: (-1.45884, 5e-6)}.items():
+            yield {"m": m, "tol": tol}, res[m].value, target, tol
+            yield {"m": m, "tol": tol}, res[m].imag_residue, 0.0, 1e-9
+    return _scan_within("zeta-reference-values", {"k": 2}, 5e-5, cases)
 
 
 def check_two_route_zeta() -> IdentityCheck:
     """Mellin integral vs negative-moment route for zeta_2(m), m <= 3."""
-    from . import zetanum
-
-    chk = IdentityCheck("zeta-two-route", {"k": 2, "m_max": 3}, tolerance=1e-6)
-    res = zetanum.negative_moment_batch(2, [1, 2, 3], 0.0)
-    for m in (1, 2, 3):
-        mellin = zetanum.ak_zeta_mellin(2, m)
-        moment = (-1) ** m * res[m].value
-        if abs(mellin - moment) > 1e-6:
-            return chk.fail({"m": m}, mellin, moment)
-    return chk
+    def cases(zetanum):
+        res = zetanum.negative_moment_batch(2, [1, 2, 3], 0.0)
+        for m in (1, 2, 3):
+            yield {"m": m}, zetanum.ak_zeta_mellin(2, m), (-1) ** m * res[m].value, 1e-6
+    return _scan_within("zeta-two-route", {"k": 2, "m_max": 3}, 1e-6, cases)
 
 
 def check_telescoping() -> IdentityCheck:
-    """Both quadrature realizations of zeta(3) from the telescoped series."""
-    from . import zetanum
-
-    chk = IdentityCheck("zeta-telescoping", {"k": 2}, tolerance=1e-6)
-    z3 = 1.2020569031595942854
-    a, b = zetanum.telescoping_check(2)
-    # both within 1e-6 of zeta(3) puts them within 2e-6 of each other
-    if abs(a.value - z3) > 1e-6 or abs(b.value - z3) > 1e-6:
-        return chk.fail({"k": 2}, (a.value, b.value), z3)
-    return chk
+    """Both quadrature realizations of zeta(3) from the telescoped series;
+    both within 1e-6 of zeta(3) puts them within 2e-6 of each other."""
+    def cases(zetanum):
+        for r in zetanum.telescoping_check(2):
+            yield {"k": 2}, r.value, 1.2020569031595942854, 1e-6
+    return _scan_within("zeta-telescoping", {"k": 2}, 1e-6, cases)
 
 
 def check_double_integral() -> IdentityCheck:
@@ -616,17 +608,11 @@ def check_double_integral() -> IdentityCheck:
 
     Both quadratures integrate the unit-interval axis in closed form, so the
     closed form is the independent side of the check."""
-    from . import zetanum
-
-    chk = IdentityCheck("zeta-double-integral", {"weight": "(3,1)"}, tolerance=1e-6)
-    two = zetanum.zeta_star_3_1_double()
-    closed = math.pi**4 / 72
-    if abs(two.value - closed) > 1e-6:
-        return chk.fail({"sub": "closed-form"}, two.value, closed)
-    moment = zetanum.negative_moment(2, 2, 0.0)
-    if abs(two.value - moment.value) > 1e-6:
-        return chk.fail({}, two.value, moment.value)
-    return chk
+    def cases(zetanum):
+        two = zetanum.zeta_star_3_1_double().value
+        yield {"sub": "closed-form"}, two, math.pi**4 / 72, 1e-6
+        yield {}, two, zetanum.negative_moment(2, 2, 0.0).value, 1e-6
+    return _scan_within("zeta-double-integral", {"weight": "(3,1)"}, 1e-6, cases)
 
 
 # ---------------------------------------------------------------------------

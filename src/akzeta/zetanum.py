@@ -6,9 +6,10 @@ Hurwitz-zeta / polygamma evaluation, the Mellin-integral route to the
 Arakawa-Kaneko zeta function zeta_k(s), Barnes zeta cross-checks, and
 truncated multiple-zeta sums with conservative tail bounds.
 
-Quadrature scheme: each sech^2 axis is truncated to [-w_cutoff, w_cutoff]
+Quadrature scheme: each sech^2 axis is truncated to [-W, W]
 (the weight (pi/2) sech^2(pi w) carries mass 2/(1 + e^{2 pi W}) < 2 e^{-2 pi W}
-outside, which is reported as an analytic tail bound) and integrated by
+outside, which is reported as an analytic tail bound; W is w_cutoff, raised
+where needed so that the bound is at most half the tolerance) and integrated by
 composite Gauss-Legendre panels; refinement doubles the panel count per
 w-axis, and convergence is declared when successive refinement levels agree
 within the target tolerance.  The unit-interval axes of a negative moment
@@ -97,6 +98,14 @@ def _sech_tail_mass(cutoff: float) -> float:
     to 0 nor overflows for large W."""
     e = math.exp(-2.0 * math.pi * cutoff)
     return 2.0 * e / (1.0 + e)
+
+
+def _cover_tail(spec: QuadratureSpec, scale: float) -> QuadratureSpec:
+    """spec with its cutoff raised, if need be, so that the tail bound
+    scale * mass(W) is at most spec.tolerance / 2: as mass(W) < 2 e^{-2 pi W},
+    W = ln(4 scale / tolerance) / (2 pi) suffices, and spec.w_cutoff is a floor."""
+    cutoff = math.log(4.0 * scale / spec.tolerance) / (2.0 * math.pi)
+    return replace(spec, w_cutoff=cutoff) if cutoff > spec.w_cutoff else spec
 
 
 def _fsum_complex(parts: Sequence[complex] | np.ndarray) -> complex:
@@ -340,6 +349,7 @@ def negative_moment_batch(
             f"(interval [{lo}, {hi}]); the integrand is singular or near-singular"
         )
     min_abs_re = min(abs(lo), abs(hi))
+    spec = _cover_tail(spec, k * max(min_abs_re ** (-m) for m in ms))
     tail = k * _sech_tail_mass(spec.w_cutoff)
     return _converge(
         lambda panels: _memo_level(k, ms, panels, spec, const=z, inner_shift=0.0),
@@ -388,7 +398,7 @@ def telescoping_check(
     """
     if k < 2:
         raise ValueError("telescoping check requires k >= 2")
-    spec = spec or default_spec(k)
+    spec = _cover_tail(spec or default_spec(k), 2.0 * k)
     tail = k * _sech_tail_mass(spec.w_cutoff) * 2.0  # |den| >= 1/2 on the shifted kernel
     first = _converge(
         lambda panels: _memo_level(k, [1], panels, spec, const=1.0, inner_shift=1.0),
@@ -409,7 +419,7 @@ def zeta_star_3_1_double(spec: QuadratureSpec | None = None) -> QuadratureResult
     kernel applies the same reduction, so negative_moment(2, 2) is a second implementation of
     this integral, not an independent quadrature of it.
     """
-    spec = spec or default_spec(2)
+    spec = _cover_tail(spec or default_spec(2), 8.0)
 
     def level(panels: int) -> dict[int, complex]:
         X, W = _sech_axis(spec.w_cutoff, panels, spec.nodes)
@@ -713,9 +723,9 @@ def barnes_zeta_sech(
         raise ValueError("requires m - len(a) >= 1")
     if w <= 0:
         raise ValueError("requires w > 0")
-    spec = spec or default_spec(k)
     power = m - k
     pref = math.factorial(m - k - 1) / math.factorial(m - 1)
+    spec = _cover_tail(spec or default_spec(k), k * w ** (-power) * pref)
 
     def level(panels: int) -> dict[int, complex]:
         x, wt = _sech_axis(spec.w_cutoff, panels, spec.nodes)

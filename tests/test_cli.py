@@ -205,6 +205,24 @@ def test_zeta_csv_columns(capsys):
     assert "tail_bound" in json.loads(out)["moment"]
 
 
+def test_zeta_tail_bound_is_within_half_the_tolerance(capsys):
+    # 1e-8 is the --tolerance default
+    code, out, _ = run_cli(capsys, "zeta", "--k", "3", "--m", "2", "--route", "both")
+    assert code == EXIT_OK
+    assert json.loads(out)["moment"]["tail_bound"] <= 1e-8 / 2
+
+
+@pytest.mark.parametrize("argv", [
+    "zeta --k 2 --m 30 --route both",
+    "zeta --k 3 --m 3 --tolerance 1e-10 --route both",
+])
+def test_zeta_fails_where_the_covering_cutoff_does_not_converge(capsys, argv):
+    # the cutoff that covers the tail needs more refinement than the levels allow
+    code, _, err = run_cli(capsys, *argv.split())
+    assert code == EXIT_CROSSCHECK_FAIL
+    assert "convergence failure" in err
+
+
 def test_num_poly_csv_and_plain(capsys):
     code, out, _ = run_cli(capsys, "num", "--n", "2", "--k", "1", "--poly", "--format", "csv")
     assert code == EXIT_OK
@@ -220,6 +238,19 @@ def test_table_plain(capsys):
     )
     assert code == EXIT_OK
     assert out == "B(0,1) = 1\nB(1,1) = 1/2\nB(2,1) = 1/6\n"
+
+
+@pytest.mark.parametrize("fmt, line", [("csv", "1,1,B,1,2"), ("plain", "B(1,1) = 1/2")])
+def test_table_builds_only_the_requested_format(capsys, monkeypatch, fmt, line):
+    from akzeta.polybernoulli import PolyBernoulliTable
+
+    def refuse(self):
+        raise AssertionError("the JSON rendering was built for another format")
+
+    monkeypatch.setattr(PolyBernoulliTable, "to_json", refuse)
+    code, out, _ = run_cli(capsys, "table", "--n-max", "4", "--k-max", "2", "--format", fmt)
+    assert code == EXIT_OK
+    assert line in out.splitlines()
 
 
 def test_mzv_csv_and_plain(capsys):
@@ -435,6 +466,8 @@ GOLDEN_CASES = [
     ("num_umbral_C_z.txt", "num --n 12 --k 3 --method umbral --variant C --z 3/7", EXIT_OK),
     ("table_csv.txt", "table --n-max 12 --k-max 4 --format csv", EXIT_OK),
     ("table_json.txt", "table --n-max 12 --k-max 4 --format json", EXIT_OK),
+    ("table_plain.txt", "table --n-max 12 --k-max 4 --format plain", EXIT_OK),
+    ("num_poly_csv.txt", "num --n 14 --k 4 --method umbral --poly --format csv", EXIT_OK),
     ("verify_zeta.json", "verify --suite zeta --format json", EXIT_OK),
     ("verify_json.json", "verify --format json", EXIT_OK),
     ("verify_corrupt.json", "verify --corrupt --format json", EXIT_VERIFY_FAIL),

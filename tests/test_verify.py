@@ -2,6 +2,7 @@
 reports are deterministic and schema-stable."""
 import dataclasses
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -395,6 +396,23 @@ def shifted(value, by):
     if isinstance(value, tuple):
         return tuple(shifted(r, by) for r in value)
     return dataclasses.replace(value, value=value.value + by)
+
+
+def test_scan_within_reports_the_first_failing_case_and_builds_no_later_one():
+    built = []
+
+    def cases(zetanum):
+        for i, got in enumerate((1.0, 1.5, 3.0, 4.0)):
+            built.append(i)
+            yield {"i": i}, got, 1.0, 0.5
+
+    chk = verify._scan_within("demo", {"p": 1}, 0.5, cases)
+    assert (chk.status, chk.witness, chk.lhs, chk.rhs) == ("fail", {"i": 2}, "3.0", "1.0")
+    assert (chk.params, chk.tolerance, built) == ({"p": 1}, 0.5, [0, 1, 2])
+    # a NaN is never within a bound
+    nan = verify._scan_within("demo", {}, 0.5, lambda zetanum: iter([({}, math.nan, 1.0, 0.5)]))
+    assert nan.status == "fail"
+    assert verify._scan_within("demo", {}, 0.5, lambda zetanum: iter([({}, 1.2, 1.0, 0.5)])).status == "pass"
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -172,6 +173,14 @@ def test_sech_tail_bound_is_positive():
     for m in (1, 2):
         bound = negative_moment(1, m).tail_bound
         assert 0.0 < bound <= 2 * math.exp(-2 * math.pi * W) * 2**m  # min |den| = 1/2
+
+
+@pytest.mark.parametrize("k, tol", [(1, 1e-12), (2, 1e-12), (3, 1e-8)])
+def test_moment_cutoff_covers_the_tail(k, tol):
+    # the cutoff is raised until the reported tail bound is at most tol/2
+    spec = replace(default_spec(k), tolerance=tol)
+    res = negative_moment_batch(k, [1, 2, 3], 0.0, spec)
+    assert all(r.tail_bound <= tol / 2 for r in res.values())
 
 
 def test_negative_moment_zeta_ladder():
