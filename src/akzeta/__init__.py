@@ -66,6 +66,7 @@ _ZETANUM_NAMES = (
     "polylog",
     "telescoping_check",
     "zeta_star_3_1_double",
+    "ZETA_ROUTES",
 )
 
 

@@ -3,9 +3,11 @@ zeta evaluation along independent routes, truncated multiple zeta sums, and
 the identity verification suite, all with machine-readable output.
 
 Exit codes: 0 success, 1 verification failure, 2 internal cross-check or
-convergence failure, 64 usage error.  Rationals are printed as decimal-string
-num/den pairs, never floats, so exactness survives pipelines.  There is no
-randomized algorithm anywhere; --seed-free exists purely to document that.
+convergence failure (`zeta` prints its result, then exits 2 when a route's
+error estimate exceeds --tolerance or two routes differ by more than the sum
+of their estimates), 64 usage error.  Rationals are printed as decimal-string
+num/den pairs, never floats, so exactness survives pipelines; --seed-free
+documents that every algorithm here is deterministic.
 
 Settings (--format and the quadrature controls) are declared once, as the
 shared parser's actions; a --config file of key=value lines may set them too,
@@ -198,32 +200,28 @@ def _cmd_table(args, spec) -> int:
 def _cmd_zeta(args, spec) -> int:
     from . import zetanum  # numpy loads only for the numeric commands
 
-    k, m = args.k, args.m
-    if k < 1 or m < 1:
-        raise ValueError("need k >= 1 and m >= 1")
+    k, m, tol = args.k, args.m, spec.tolerance
     if k > MAX_K or m > MAX_M:
         raise ValueError(f"need k <= {MAX_K} and m <= {MAX_M}")
-    # the CSV row is flat and leaves out the moment tail bound
-    obj: dict = {"k": k, "m": m}
-    row = dict(obj)
-    lines = [f"zeta_{k}({m}):"]
-    if args.route in ("mellin", "both"):
-        obj["mellin"] = row["mellin"] = mellin = zetanum.ak_zeta_mellin(k, m, spec.tolerance)
-        lines.append(f"  mellin route: {mellin:.12g}")
-    if args.route in ("moment", "both"):
-        mo = zetanum.ak_zeta_moment(k, m, spec)
-        obj["moment"] = mo.to_json()
-        for key in ("value", "imag_residue", "convergence_delta"):
-            row[f"moment_{key}"] = getattr(mo, key)
-        lines.append(
-            f"  moment route: {mo.value:.12g}  "
-            f"(imag residue {mo.imag_residue:.2e}, delta {mo.convergence_delta:.2e})"
-        )
-    if args.route == "both":
-        obj["discrepancy"] = row["discrepancy"] = gap = abs(mellin - mo.value)
-        lines.append(f"  discrepancy:  {gap:.2e}")
-    _emit(args.format, lambda: obj, lambda: [list(row), list(row.values())], lambda: "\n".join(lines))
-    return EXIT_OK
+    names = tuple(zetanum.ZETA_ROUTES) if args.route == "both" else (args.route,)
+    if not set(names) <= set(zetanum.ZETA_ROUTES):
+        raise ValueError(f"route must be one of {(*zetanum.ZETA_ROUTES, 'both')}")
+    results = {name: zetanum.ZETA_ROUTES[name](k, m, spec) for name in names}
+    # JSON nests each route's to_json(); CSV and plain text flatten it to <route>_<key>
+    obj: dict = {"k": k, "m": m, **{name: r.to_json() for name, r in results.items()}}
+    row = {"k": k, "m": m, **{f"{n}_{key}": v for n in results for key, v in obj[n].items()}}
+    bad = [f"{name} route: error estimate {r.error_estimate:.3e} > tolerance {tol:.3e}"
+           for name, r in results.items() if r.error_estimate > tol]
+    if len(results) == 2:
+        (a, ra), (b, rb) = results.items()
+        obj["discrepancy"] = row["discrepancy"] = gap = abs(ra.value - rb.value)
+        if gap > (bound := ra.error_estimate + rb.error_estimate):
+            bad.append(f"{a} and {b} routes: discrepancy {gap:.3e} > sum of error estimates {bound:.3e}")
+    _emit(args.format, lambda: obj, lambda: [list(row), list(row.values())],
+          lambda: "\n".join(f"{key} = {v:.12g}" for key, v in row.items()))
+    for line in bad:
+        print(f"akzeta: {line}", file=sys.stderr)
+    return EXIT_CROSSCHECK_FAIL if bad else EXIT_OK
 
 
 def _cmd_mzv(args, spec) -> int:
@@ -334,7 +332,8 @@ def build_parser() -> _Parser:
     zeta = sub.add_parser("zeta", parents=[common], help="Arakawa-Kaneko zeta at positive integers")
     zeta.add_argument("--k", type=int, required=True, help=f"order, at most {MAX_K}")
     zeta.add_argument("--m", type=int, required=True, help=f"argument, at most {MAX_M}")
-    zeta.add_argument("--route", choices=("mellin", "moment", "both"), default="both")
+    zeta.add_argument("--route", default="both",
+                      help="mellin, moment or both (default: every route, cross-checked)")
     zeta.set_defaults(func=_cmd_zeta)
 
     mzv = sub.add_parser("mzv", parents=[common], help="truncated multiple zeta (starred) value with tail bound")

@@ -6,7 +6,7 @@ every command, while only the numeric commands load `zetanum`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 __all__ = ["QuadratureSpec", "QuadratureResult", "ConvergenceError", "default_spec"]
 
@@ -56,23 +56,23 @@ def default_spec(k: int) -> QuadratureSpec:
 
 @dataclass
 class QuadratureResult:
-    """A quadrature estimate; the imaginary residue is reported, never dropped."""
+    """A quadrature estimate; the imaginary residue is reported, never dropped.
+    error_estimate is the refinement delta plus the tail and rounding bounds set."""
 
     value: float
     imag_residue: float
     convergence_delta: float
     levels_used: int
     tail_bound: float | None = None
+    rounding_bound: float | None = None
+
+    @property
+    def error_estimate(self) -> float:
+        return self.convergence_delta + (self.tail_bound or 0.0) + (self.rounding_bound or 0.0)
 
     def to_json(self) -> dict:
-        out = {
-            "value": self.value,
-            "imag_residue": self.imag_residue,
-            "convergence_delta": self.convergence_delta,
-        }
-        if self.tail_bound is not None:
-            out["tail_bound"] = self.tail_bound
-        return out
+        out = {key: v for key, v in asdict(self).items() if v is not None}
+        return {**out, "error_estimate": self.error_estimate}
 
 
 class ConvergenceError(RuntimeError):

@@ -61,6 +61,7 @@ __all__ = [
     "polylog",
     "ak_zeta_mellin",
     "ak_zeta_moment",
+    "ZETA_ROUTES",
     "barnes_zeta_mellin",
     "barnes_zeta_sech",
     "mz_truncated",
@@ -315,17 +316,21 @@ def _converge(
     raise ConvergenceError(delta, spec.levels)
 
 
-def _mellin_quad(integrand, T: float, tol: float, relative: bool = False) -> float:
+def _mellin_quad(integrand, T: float, tol: float, tail: float, relative=False) -> QuadratureResult:
     """int_0^T integrand(t) dt on 24-node Gauss-Legendre panels, doubling from
     max(8, T/2) panels for up to 4 levels until two agree within tol/2 (times
-    the value when relative is set)."""
+    the value when relative is set); `tail` bounds the rest.  The last level's
+    N points give N positive terms, so their rounded dot product errs by at
+    most N u/(1 - N u) times the value, u = 2^-53 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 3.1): N u value is the rounding bound."""
     spec = QuadratureSpec(panels=max(8, int(T / 2)), nodes=24, levels=4, tolerance=tol / 2)
 
     def level(panels: int) -> dict[int, float]:
         t, w = _panel_axis(0.0, T, panels, spec.nodes)
         return {0: float(np.dot(w, integrand(t)))}
 
-    return _converge(level, spec, relative=relative)[0].value
+    r = _converge(level, spec, {0: tail}, relative=relative)[0]
+    return replace(r, rounding_bound=(spec.panels << (r.levels_used - 1)) * spec.nodes * 2.0**-53 * r.value)
 
 
 def negative_moment_batch(
@@ -628,28 +633,29 @@ def _gamma_weight(m: int, t: np.ndarray, rate: float) -> np.ndarray:
 
 
 def ak_zeta_mellin(k: int, m: int, tol: float = 1e-8) -> float:
+    """zeta_k(m) by the Mellin route, as a float: the value of _zeta_mellin."""
+    return _zeta_mellin(k, m, tol).value
+
+
+def _zeta_mellin(k: int, m: int, tol: float) -> QuadratureResult:
     """zeta_k(m) = (1/(m-1)!) int_0^inf t^{m-1}/(e^t - 1) Li_k(1-e^{-t}) dt.
 
     k = 1 reduces in closed form: Li_1(1-e^{-t}) = t, so the integral is
-    m zeta(m+1).  For k >= 2 the integral is cut at T with the analytic bound
-    Li_k <= zeta(k) <= pi^2/6 on the discarded tail, and paneled
-    Gauss-Legendre is refined until two levels agree within tol/2.
-    Li_k(1-e^{-t}) is evaluated as Li_k(e^mu) with mu = log1p(-e^{-t}).
+    m zeta(m+1), with the tol/2 asked of hurwitz_zeta as its tail bound.  For
+    k >= 2 the integral is cut at T, where the tail bound pi^2/6 Q(m, T)
+    (Li_k <= zeta(k) <= pi^2/6) is at most tol/2, and _mellin_quad adds its
+    rounding bound.  Li_k(1-e^{-t}) is evaluated as Li_k(e^mu) with
+    mu = log1p(-e^{-t}).
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if k < 1 or m < 1:
+        raise ValueError("need k >= 1 and m >= 1")
     if k == 1:
-        return m * hurwitz_zeta(m + 1, 1.0, tol / (2 * m))
-    zk_bound = math.pi**2 / 6
+        return QuadratureResult(m * hurwitz_zeta(m + 1, 1.0, tol / (2 * m)), 0.0, 0.0, 0, tol / 2)
     T = 20.0
-    while zk_bound * _gamma_q(m, T) > tol / 2:
+    while (tail := math.pi**2 / 6 * _gamma_q(m, T)) > tol / 2:
         T *= 1.5
     return _mellin_quad(
-        lambda t: _gamma_weight(m, t, 1.0) / -np.expm1(-t) * _li_exp(k, np.log1p(-np.exp(-t))),
-        T,
-        tol,
+        lambda t: _gamma_weight(m, t, 1.0) / -np.expm1(-t) * _li_exp(k, np.log1p(-np.exp(-t))), T, tol, tail
     )
 
 
@@ -657,6 +663,10 @@ def ak_zeta_moment(k: int, m: int, spec: QuadratureSpec | None = None) -> Quadra
     """zeta_k(m) through the symbolic route: (-1)^m E[(C^{(k)})^{-m}]."""
     base = negative_moment(k, m, 0.0, spec)
     return replace(base, value=(-1) ** m * base.value)
+
+
+# name -> function of (k, m, spec) giving zeta_k(m) as a QuadratureResult
+ZETA_ROUTES = {"mellin": lambda k, m, spec: _zeta_mellin(k, m, spec.tolerance), "moment": ak_zeta_moment}
 
 
 def barnes_zeta_mellin(m: int, w: float, a: Sequence[float], tol: float = 1e-10) -> float:
@@ -688,7 +698,7 @@ def barnes_zeta_mellin(m: int, w: float, a: Sequence[float], tol: float = 1e-10)
     prod_bound = 1.0
     for ai in a:
         prod_bound /= -math.expm1(-ai * T)
-    while prod_bound * _gamma_q(m, w * T) > tol / 2:
+    while (tail := prod_bound * _gamma_q(m, w * T)) > tol / 2:
         T *= 1.5
 
     def integrand(t: np.ndarray) -> np.ndarray:
@@ -697,7 +707,7 @@ def barnes_zeta_mellin(m: int, w: float, a: Sequence[float], tol: float = 1e-10)
             out = out / (-np.expm1(-ai * t))
         return out
 
-    return _mellin_quad(integrand, T, tol, relative=True)
+    return _mellin_quad(integrand, T, tol, tail * first, relative=True).value
 
 
 def barnes_zeta_sech(

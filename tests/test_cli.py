@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -179,7 +180,7 @@ def test_zeta_both_routes(capsys):
     code, out, _ = run_cli(capsys, "zeta", "--k", "2", "--m", "1", "--route", "both")
     assert code == EXIT_OK
     obj = json.loads(out)
-    assert abs(obj["mellin"] - 1.20206) < 5e-6
+    assert abs(obj["mellin"]["value"] - 1.20206) < 5e-6
     assert abs(obj["moment"]["value"] - 1.20206) < 5e-6
     assert obj["discrepancy"] < 1e-6
     assert obj["moment"]["imag_residue"] < 1e-9
@@ -189,20 +190,28 @@ def test_zeta_k1_closed_reduction(capsys):
     code, out, _ = run_cli(capsys, "zeta", "--k", "1", "--m", "2", "--route", "mellin")
     assert code == EXIT_OK
     obj = json.loads(out)
-    assert abs(obj["mellin"] - 2 * 1.2020569031595942854) < 1e-8
+    assert abs(obj["mellin"]["value"] - 2 * 1.2020569031595942854) < 1e-8
 
 
 def test_zeta_csv_columns(capsys):
-    # the moment tail bound is reported in JSON only
+    # the CSV row is the JSON object flattened, each route's keys as <route>_<key>
     code, out, _ = run_cli(capsys, "zeta", "--k", "2", "--m", "1", "--format", "csv")
     assert code == EXIT_OK
     header, row = out.splitlines()
     assert header == (
-        "k,m,mellin,moment_value,moment_imag_residue,moment_convergence_delta,discrepancy"
+        "k,m,mellin_value,mellin_imag_residue,mellin_convergence_delta,mellin_levels_used,"
+        "mellin_tail_bound,mellin_rounding_bound,mellin_error_estimate,moment_value,"
+        "moment_imag_residue,moment_convergence_delta,moment_levels_used,moment_tail_bound,"
+        "moment_error_estimate,discrepancy"
     )
     assert row.startswith("2,1,1.202056")
     _, out, _ = run_cli(capsys, "zeta", "--k", "2", "--m", "1")
-    assert "tail_bound" in json.loads(out)["moment"]
+    obj = json.loads(out)
+    assert {f"{route}_{key}" for route in ("mellin", "moment") for key in obj[route]} | {
+        "k", "m", "discrepancy"} == set(header.split(","))
+    _, out, _ = run_cli(capsys, "zeta", "--k", "2", "--m", "1", "--format", "plain")
+    entries = zip(header.split(","), map(float, row.split(",")))
+    assert out.splitlines() == [f"{key} = {v:.12g}" for key, v in entries]
 
 
 def test_zeta_tail_bound_is_within_half_the_tolerance(capsys):
@@ -221,6 +230,56 @@ def test_zeta_fails_where_the_covering_cutoff_does_not_converge(capsys, argv):
     code, _, err = run_cli(capsys, *argv.split())
     assert code == EXIT_CROSSCHECK_FAIL
     assert "convergence failure" in err
+
+
+@pytest.mark.parametrize("argv, estimate, tol", [
+    ("zeta --k 3 --m 5", "1.445e-08", "1.000e-08"),
+    ("zeta --k 3 --m 8 --tolerance 1e-6", "1.327e-06", "1.000e-06"),
+])
+def test_zeta_exits_2_when_an_error_estimate_exceeds_the_tolerance(capsys, argv, estimate, tol):
+    # the moment route converges, but its delta plus tail bound exceeds the
+    # tolerance: the result is printed, then the failing route is named
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == EXIT_CROSSCHECK_FAIL
+    assert json.loads(out)["moment"]["error_estimate"] > float(tol)
+    assert err == f"akzeta: moment route: error estimate {estimate} > tolerance {tol}\n"
+
+
+def test_zeta_exits_2_when_routes_differ_by_more_than_their_estimates(capsys, monkeypatch):
+    from akzeta import zetanum
+
+    moment = zetanum.ZETA_ROUTES["moment"]
+
+    def shifted(k, m, spec):
+        r = moment(k, m, spec)
+        return replace(r, value=r.value + 1e-6)
+
+    monkeypatch.setitem(zetanum.ZETA_ROUTES, "moment", shifted)
+    code, out, err = run_cli(capsys, "zeta", "--k", "2", "--m", "2")
+    assert code == EXIT_CROSSCHECK_FAIL
+    assert json.loads(out)["discrepancy"] > 1e-6 - 1e-9
+    assert err.startswith("akzeta: mellin and moment routes: discrepancy 1.000e-06 > sum of error estimates")
+
+
+def test_mellin_estimate_covers_rounding_below_double_resolution(capsys):
+    # the point sum's rounding bound alone exceeds a 1e-16 tolerance
+    code, out, err = run_cli(capsys, "zeta", "--k", "2", "--m", "2", "--route", "mellin", "--tolerance", "1e-16")
+    assert code == EXIT_CROSSCHECK_FAIL
+    assert json.loads(out)["mellin"]["rounding_bound"] > 1e-16
+    assert "mellin route: error estimate" in err
+
+
+def test_zeta_route_names(capsys):
+    code, out, err = run_cli(capsys, "zeta", "--k", "2", "--m", "2", "--route", "bogus")
+    assert code == EXIT_USAGE
+    assert out == "" and "route must be one of ('mellin', 'moment', 'both')" in err
+    # `both` asks the moment route too, which refuses k >= 4
+    code, out, err = run_cli(capsys, "zeta", "--k", "4", "--m", "2")
+    assert code == EXIT_USAGE
+    assert out == "" and "moment quadrature is limited to k <= 3" in err
+    code, out, _ = run_cli(capsys, "zeta", "--k", "4", "--m", "2", "--route", "mellin")
+    assert code == EXIT_OK
+    assert set(json.loads(out)) == {"k", "m", "mellin"}
 
 
 def test_num_poly_csv_and_plain(capsys):

@@ -1,4 +1,5 @@
 """Numerical layer: special functions, quadrature realization, zeta routes."""
+import functools
 import math
 import sys
 import threading
@@ -555,9 +556,52 @@ def test_zeta_star_3_1_double_matches_triple():
 def test_quadrature_result_json():
     r = negative_moment(1, 1, 1.0)
     obj = r.to_json()
-    assert set(obj) == {"value", "imag_residue", "convergence_delta", "tail_bound"}
+    assert set(obj) == {
+        "value", "imag_residue", "convergence_delta", "levels_used", "tail_bound", "error_estimate"
+    }
+    assert obj["error_estimate"] == r.convergence_delta + r.tail_bound
     r2 = bernoulli_moment_quadrature(2)
-    assert set(r2.to_json()) == {"value", "imag_residue", "convergence_delta"}
+    assert set(r2.to_json()) == {
+        "value", "imag_residue", "convergence_delta", "levels_used", "error_estimate"
+    }
+    assert r2.to_json()["error_estimate"] == r2.convergence_delta
+
+
+@functools.cache
+def _zeta_reference(k: int, m: int) -> float:
+    """zeta_k(m) from mpmath: m zeta(m+1) at k = 1, else the Mellin integral
+    at 20 digits (its tail beyond t = 120 is below 1e-47)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(20):
+        if k == 1:
+            return float(m * mpmath.zeta(m + 1))
+        f = lambda t: t ** (m - 1) / mpmath.expm1(t) * mpmath.polylog(k, -mpmath.expm1(-t))
+        return float(mpmath.quad(f, [0, 1, 10, 40, 120]) / mpmath.factorial(m - 1))
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+@pytest.mark.parametrize("route", sorted(zetanum.ZETA_ROUTES))
+def test_every_zeta_route_meets_its_error_contract(route, tol):
+    # each route either bounds its error within the tolerance or raises
+    pytest.importorskip("mpmath")
+    for k in (1, 2, 3):
+        spec = replace(default_spec(k), tolerance=tol)
+        for m in (1, 2, 3):
+            try:
+                r = zetanum.ZETA_ROUTES[route](k, m, spec)
+            except ConvergenceError:
+                continue
+            err = abs(r.value - _zeta_reference(k, m))
+            assert err <= r.error_estimate <= tol, (k, m, err, r)
+
+
+def test_mellin_estimate_covers_the_rounding_of_its_sum():
+    # the refinement delta and the tail alone are 5.0e-17 here, and the value
+    # is 3.0e-16 from zeta*(3,1,1); the rounding bound covers it
+    pytest.importorskip("mpmath")
+    r = zetanum.ZETA_ROUTES["mellin"](2, 3, QuadratureSpec(tolerance=1e-10))
+    err = abs(r.value - _zeta_reference(2, 3))
+    assert r.convergence_delta + r.tail_bound < err <= r.error_estimate
 
 
 def test_default_spec_shapes():
