@@ -19,6 +19,9 @@ G_j(q) = q^{1-j}/(1-j) at end points q = A_c + Q_r, with c a node of the
 last axis.  One kernel (_g_sums) returns, for each j, the vector over c of
 sum_r wgt_r G_j(A_c + Q_r), walking the rows in chunks in O(len(A))
 memory; each caller contracts it with its own column weights.
+At k = 3 one end point depends on (w_1, w_2) only through s = w_1 + w_2,
+so the square is summed on an s axis with convolution weights, O(n) rows
+for n nodes per axis (_moment_level_k3): a level makes O(n^2) evaluations.
 Only the k = 3, m = 1 term goes through a complex dilogarithm instead.
 The same kernel sums the other multi-axis sech^2 integrals, Barnes zeta
 (barnes_zeta_sech) and the weight-(3,1) double integral
@@ -88,9 +91,11 @@ def _panel_axis(a: float, b: float, panels: int, nodes: int) -> tuple[np.ndarray
 
 
 def _sech_axis(cutoff: float, panels: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for (pi/2) sech^2(pi w) dw on [-cutoff, cutoff]."""
+    """Nodes and weights for (pi/2) sech^2(pi w) dw on [-cutoff, cutoff].
+    cosh^2 overflows to inf beyond |w| ~ 113, where the weight is 0 anyway."""
     x, w = _panel_axis(-cutoff, cutoff, panels, nodes)
-    return x, w * (np.pi / 2) / np.cosh(np.pi * x) ** 2
+    with np.errstate(over="ignore"):
+        return x, w * (np.pi / 2) / np.cosh(np.pi * x) ** 2
 
 
 def _sech_tail_mass(cutoff: float) -> float:
@@ -164,42 +169,66 @@ def _moment_level(
         )
     V = C + inner_shift
     if k == 3:
-        return _moment_level_k3(ms, A, V, WX)
+        return _moment_level_k3(ms, A, V, WX, spec, panels, inner_shift)
     wgt = np.append(WX / V, -complex(np.dot(WX, 1.0 / V)))
     S = _g_sums(A, np.append(V, 0.0), wgt, ms)
     return {m: complex(np.dot(WX, S[m])) for m in ms}
 
 
 def _moment_level_k3(
-    ms: Sequence[int], A: np.ndarray, V: np.ndarray, W: np.ndarray
+    ms: Sequence[int], A: np.ndarray, V: np.ndarray, W: np.ndarray,
+    spec: QuadratureSpec, panels: int, shift: float,
 ) -> dict[int, complex]:
-    """The k = 3 level: sum over (w_1, w_2, w_3) of W_1 W_2 W_3 times the
-    double integral over u_1, u_2 of (a + u_2 (V_2 + u_1 V_1))^{-m}, with
-    a = A[w_3].  After the u_2 step, the u_1 integral runs over
-    p = V_2 + u_1 V_1 from V_2 to V_1 + V_2, with dp = V_1 du_1:
+    """The k = 3 level: the sum over w_3 with weights W of the integral
+    over (w_1, w_2) in [-W, W]^2 against rho(w_1) rho(w_2), and over u_1, u_2
+    in [0, 1], of (a + u_2 (V_2 + u_1 V_1))^{-m}, with a = A[w_3] and
+    rho(w) = (pi/2) sech^2(pi w).  After the u_2 step, the u_1 integral runs
+    over p = V_2 + u_1 V_1 from V_2 to V_1 + V_2, with dp = V_1 du_1:
 
       (1/V_1) [T_m(a, V_1 + V_2) - T_m(a, V_2)],  where
       T_1(a, q) = -Li_2(-q/a)  and, with n = m - 1,
-      T_m(a, q) = (1/n) sum_{j=1}^{n} a^{-(n-j+1)} G_j(a + q),
+      T_m(a, q) = (1/n) sum_{j=1}^{n} a^{-(n-j+1)} (G_j(a + q) - G_j(a)),
 
-    from (a^{-n} - (a+p)^{-n})/p = sum_j a^{-(n-j+1)} (a+p)^{-j}.  Re(s(a+p))
-    keeps its sign along the segment, so neither log(s q) nor
-    Li_2(-q/a) = -int_0^q log(1 + p/a)/p dp crosses a branch cut.  The
-    V_2-endpoint term does not depend on w_1, so it is a (w_2, w_3) sum with
-    weight -W_2 sum_1 W_1/V_1; the (V_1 + V_2)-endpoint term depends on
-    w_1 + w_2 only, so it is summed over unordered pairs {w_1, w_2} with
-    weight W_1 W_2 (1/V_1 + 1/V_2) (W_1^2/V_1 on the diagonal).  Both end
-    points form one list of rows Q.  For m >= 2 one G-sum kernel call gives
-    S_j for every j < max m, and the m-th value contracts each S_j with the
-    column weights W a^{-(m-j)}/(m-1), summed over j < m.
+    from (a^{-n} - (a+p)^{-n})/p = sum_j a^{-(n-j+1)} (a+p)^{-j}; both are
+    the integral of the u_2 step from p = 0 to q.  Re(s(a+p)) keeps its
+    sign on these segments, so neither log(s q) nor
+    Li_2(-q/a) = -int_0^q log(1 + p/a)/p dp crosses a branch cut.
+
+    The V_2 term does not depend on w_1: it is a sum over the n nodes of
+    the w_2 axis, weight -W_2 sum_1 W_1/V_1.  The V_1 + V_2 term depends on
+    s = w_1 + w_2 only, through Q = i s - 1 + 2 shift, so the (w_1, w_2)
+    square becomes an s axis on [-2W, 2W], with twice the panels of a w axis
+    (so s = 0, where the w_1 range turns, is a panel edge), and the weight
+
+      h(s) = int rho(w_1) rho(s - w_1) / V_1 dw_1
+             over [max(-W, s - W), min(W, s + W)], with twice the panels too.
+
+    Both end points form one list of O(n) rows Q, so the level makes O(n^2)
+    evaluations.  For m = 1 the dilogarithm sums them (T_1(a, 0) = 0); for
+    m >= 2 one G-sum kernel call, with a row Q = 0 whose weight makes the
+    row weights sum to zero (the G_j(a) terms), gives S_j for every j < max
+    m, and the m-th value contracts each S_j with the column weights
+    W a^{-(m-j)}/(m-1), summed over j < m.
     """
     n = len(V)
-    rv = 1.0 / V
-    Q = np.concatenate([V[i] + V[i:] for i in range(n)] + [V])
-    r = complex(np.dot(W, rv))
-    wgt = np.concatenate([W[i] * W[i:] * (rv[i] + rv[i:]) for i in range(n)] + [-r * W])
-    diagonal = np.concatenate(([0], np.cumsum(np.arange(n, 1, -1))))  # row starts
-    wgt[diagonal] *= 0.5
+    cutoff, nodes = spec.w_cutoff, spec.nodes
+    s, ws = _panel_axis(-2.0 * cutoff, 2.0 * cutoff, 2 * panels, nodes)
+    t, wt = _panel_axis(0.0, 1.0, 2 * panels, nodes)
+    span = 2.0 * cutoff - np.abs(s)
+    start = np.maximum(s, 0.0) - cutoff
+    b = shift - 0.5  # V_1 = i w_1 + b, so rho rho / V_1 = rho rho (b - i w_1) / (w_1^2 + b^2)
+    h = np.empty(len(s), dtype=complex)
+    rows = max(1, _CHUNK // len(t))
+    for lo in range(0, len(s), rows):
+        w1 = start[lo : lo + rows, None] + span[lo : lo + rows, None] * t
+        with np.errstate(over="ignore"):  # rho is 0 where cosh overflows
+            g = np.cosh(np.pi * w1) * np.cosh(np.pi * (s[lo : lo + rows, None] - w1))
+            g = (np.pi / 2) ** 2 / (g * g * (w1 * w1 + b * b))
+        h[lo : lo + rows] = np.einsum("ra,a->r", g, b * wt) - 1j * np.einsum("ra,ra,a->r", g, w1, wt)
+    h *= ws * span
+    r = complex(np.dot(W, 1.0 / V))
+    Q = np.concatenate([1j * s + (2.0 * shift - 1.0), V])
+    wgt = np.concatenate([h, -r * W])
     out = {}
     if ms[0] == 1:
         # _li2 holds three more arrays of its argument's size, so it runs on
@@ -211,7 +240,7 @@ def _moment_level_k3(
             parts.append(_fsum_complex(wgt[lo : lo + step] * np.einsum("ra,a->r", li, W)))
         out[1] = -_fsum_complex(parts)
     if ms[-1] > 1:
-        S = _g_sums(A, Q, wgt, range(1, ms[-1]))
+        S = _g_sums(A, np.append(Q, 0.0), np.append(wgt, -_fsum_complex(wgt)), range(1, ms[-1]))
         ra = 1.0 / A
         for m in ms:
             if m > 1:
@@ -444,6 +473,18 @@ def hurwitz_zeta(s: float, a: float, tol: float = 1e-12) -> float:
     Direct sum to N plus the Euler-Maclaurin tail correction; N is grown until
     the first omitted correction term is below tol.
     """
+    head, tail, _ = _hurwitz_parts(s, a, tol)
+    return head + tail
+
+
+def _hurwitz_parts(s: float, a: float, tol: float) -> tuple[float, float, float]:
+    """hurwitz_zeta's direct sum `head` and Euler-Maclaurin `tail`, and a
+    bound on the rounding of head + tail in units u = 2^-53, a pow counting
+    2 ulp (4 u): a head term (a+n)^{-s} errs by (s + 4) u and the fsum by u,
+    so the head by (s + 5) u head; the j-th tail term errs by at most
+    (s + 9 + 8(j-1)) u <= (s + 49) u and the tail's 7 additions by 7 u,
+    each times `size`, the sum of the terms' magnitudes; head + tail rounds
+    once more."""
     if s <= 1:
         raise ValueError("hurwitz_zeta requires s > 1")
     if a <= 0:
@@ -453,12 +494,14 @@ def hurwitz_zeta(s: float, a: float, tol: float = 1e-12) -> float:
     for _ in range(40):
         x = a + N
         tail = x ** (1.0 - s) / (s - 1.0) + 0.5 * x ** (-s)
+        size = tail
         rising = s  # s (s+1) ... (s+2j-2)
         powx = x ** (-s - 1.0)
         err = math.inf
         for j in range(1, 7):
             term = B[2 * j] / math.factorial(2 * j) * rising * powx
             tail += term
+            size += abs(term)
             rising *= (s + 2 * j - 1) * (s + 2 * j)
             powx /= x * x
             err = abs(B[2 * j + 2] / math.factorial(2 * j + 2) * rising * powx)
@@ -466,7 +509,7 @@ def hurwitz_zeta(s: float, a: float, tol: float = 1e-12) -> float:
                 break
         if err < tol / 4:
             head = math.fsum((a + n) ** (-s) for n in range(N))
-            return head + tail
+            return head, tail, 2.0**-53 * ((s + 5) * head + (s + 56) * size + abs(head + tail))
         N *= 2
     raise ArithmeticError("hurwitz_zeta failed to meet tolerance")
 
@@ -641,7 +684,9 @@ def _zeta_mellin(k: int, m: int, tol: float) -> QuadratureResult:
     """zeta_k(m) = (1/(m-1)!) int_0^inf t^{m-1}/(e^t - 1) Li_k(1-e^{-t}) dt.
 
     k = 1 reduces in closed form: Li_1(1-e^{-t}) = t, so the integral is
-    m zeta(m+1), with the tol/2 asked of hurwitz_zeta as its tail bound.  For
+    m zeta(m+1), with the tol/2 asked of hurwitz_zeta as its tail bound and
+    m times the rounding bound of its head and tail, plus u for the product,
+    as its rounding bound.  For
     k >= 2 the integral is cut at T, where the tail bound pi^2/6 Q(m, T)
     (Li_k <= zeta(k) <= pi^2/6) is at most tol/2, and _mellin_quad adds its
     rounding bound.  Li_k(1-e^{-t}) is evaluated as Li_k(e^mu) with
@@ -650,7 +695,9 @@ def _zeta_mellin(k: int, m: int, tol: float) -> QuadratureResult:
     if k < 1 or m < 1:
         raise ValueError("need k >= 1 and m >= 1")
     if k == 1:
-        return QuadratureResult(m * hurwitz_zeta(m + 1, 1.0, tol / (2 * m)), 0.0, 0.0, 0, tol / 2)
+        head, tail, rounding = _hurwitz_parts(m + 1, 1.0, tol / (2 * m))
+        value = m * (head + tail)
+        return QuadratureResult(value, 0.0, 0.0, 0, tol / 2, m * rounding + 2.0**-53 * value)
     T = 20.0
     while (tail := math.pi**2 / 6 * _gamma_q(m, T)) > tol / 2:
         T *= 1.5
@@ -765,8 +812,13 @@ def mz_truncated(exponents: Sequence[int], N: int, starred: bool = False) -> tup
           <= N^{1-s}/(s-1) * sum_i C(j,i) H^{j-i} i!/(s-1)^i
           <= N^{1-s}/(s-1) * (H + 2)^j        (s >= 2),
 
-    so the returned bound is N^{1-s_1}/(s_1 - 1) * (H_N + 2)^{depth-1}.
-    The true value lies within value +- bound.
+    so the tail bound is N^{1-s_1}/(s_1 - 1) * (H_N + 2)^{depth-1}.  Every
+    term reaches the value through depth powers (2 ulp, so 4 u, each,
+    u = 2^-53), depth - 1 products, and depth - 1 running sums and one final
+    sum of at most N additions each: K <= depth (N + 5) units u in all, on
+    positive numbers, so the rounding bound is K u/(1 - K u) times the value
+    (Higham, Accuracy and Stability of Numerical Algorithms, 3.1).  The
+    returned bound is their sum: the true value lies within value +- bound.
     """
     exps = tuple(exponents)
     if not exps:
@@ -794,4 +846,5 @@ def mz_truncated(exponents: Sequence[int], N: int, starred: bool = False) -> tup
     s1 = exps[0]
     h_n = float(np.sum(1.0 / np.arange(1, N + 1)))
     bound = N ** (1.0 - s1) / (s1 - 1.0) * (h_n + 2.0) ** (len(exps) - 1)
-    return value, bound
+    ku = len(exps) * (N + 5) * 2.0**-53
+    return value, bound + ku / (1.0 - ku) * value

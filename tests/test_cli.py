@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -233,7 +234,7 @@ def test_zeta_fails_where_the_covering_cutoff_does_not_converge(capsys, argv):
 
 
 @pytest.mark.parametrize("argv, estimate, tol", [
-    ("zeta --k 3 --m 5", "1.445e-08", "1.000e-08"),
+    ("zeta --k 3 --m 5", "1.463e-08", "1.000e-08"),
     ("zeta --k 3 --m 8 --tolerance 1e-6", "1.327e-06", "1.000e-06"),
 ])
 def test_zeta_exits_2_when_an_error_estimate_exceeds_the_tolerance(capsys, argv, estimate, tol):
@@ -261,12 +262,25 @@ def test_zeta_exits_2_when_routes_differ_by_more_than_their_estimates(capsys, mo
     assert err.startswith("akzeta: mellin and moment routes: discrepancy 1.000e-06 > sum of error estimates")
 
 
-def test_mellin_estimate_covers_rounding_below_double_resolution(capsys):
-    # the point sum's rounding bound alone exceeds a 1e-16 tolerance
-    code, out, err = run_cli(capsys, "zeta", "--k", "2", "--m", "2", "--route", "mellin", "--tolerance", "1e-16")
+@pytest.mark.parametrize("k, m", [(2, 2), (1, 6)])
+def test_mellin_estimate_covers_rounding_below_double_resolution(capsys, k, m):
+    # the rounding bound alone, of the point sum at k = 2 and of the Hurwitz
+    # sum at k = 1, exceeds a 1e-16 tolerance
+    code, out, err = run_cli(
+        capsys, "zeta", "--k", str(k), "--m", str(m), "--route", "mellin", "--tolerance", "1e-16"
+    )
     assert code == EXIT_CROSSCHECK_FAIL
     assert json.loads(out)["mellin"]["rounding_bound"] > 1e-16
     assert "mellin route: error estimate" in err
+
+
+def test_zeta_at_a_large_cutoff_warns_of_no_overflow(capsys):
+    # the sech^2 weights beyond |w| ~ 113 are 0, without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, "zeta", "--k", "2", "--m", "2", "--w-cutoff", "1000")
+    assert code == EXIT_CROSSCHECK_FAIL
+    assert err.startswith("akzeta: convergence failure") and "overflow" not in err
 
 
 def test_zeta_route_names(capsys):

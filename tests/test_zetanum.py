@@ -31,7 +31,7 @@ from akzeta.zetanum import (
 )
 from akzeta import zetanum
 from akzeta.quadspec import MAX_NODES
-from akzeta.zetanum import _li2, _li_exp, _moment_level, _sech_axis
+from akzeta.zetanum import _li2, _li_exp, _moment_level, _panel_axis, _sech_axis
 
 ZETA2 = math.pi**2 / 6
 ZETA3 = 1.2020569031595942854
@@ -176,6 +176,26 @@ def test_sech_tail_bound_is_positive():
         assert 0.0 < bound <= 2 * math.exp(-2 * math.pi * W) * 2**m  # min |den| = 1/2
 
 
+def test_sech_weights_do_not_overflow_at_large_cutoffs():
+    # cosh(pi w)^2 overflows beyond |w| ~ 113, where the weight is 0; no
+    # overflow warning is raised, and where cosh^2 is finite the weights are
+    # the formula's
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, w = _sech_axis(1000.0, 2, 8)
+        for k in (1, 2, 3):
+            spec = replace(default_spec(k), w_cutoff=1000.0)
+            level = _moment_level(k, [1, 2], 2, spec, 0.0, 0.0)
+            assert all(np.isfinite(v) for v in level.values()), (k, level)
+    xs, ws = _panel_axis(-1000.0, 1000.0, 2, 8)
+    with np.errstate(over="ignore"):
+        c2 = np.cosh(np.pi * xs) ** 2
+    finite = np.isfinite(c2)
+    assert finite.any() and not finite.all()
+    assert np.array_equal(w[finite], ws[finite] * (np.pi / 2) / c2[finite])
+    assert (w[~finite] == 0.0).all()
+
+
 @pytest.mark.parametrize("k, tol", [(1, 1e-12), (2, 1e-12), (3, 1e-8)])
 def test_moment_cutoff_covers_the_tail(k, tol):
     # the cutoff is raised until the reported tail bound is at most tol/2
@@ -225,13 +245,34 @@ def _unit_rule(nodes):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+def _composite_rule(a, b, panels, nodes):
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    h = (b - a) / panels
+    xs = np.concatenate([a + h * (i + 0.5 * (x + 1.0)) for i in range(panels)])
+    return xs, np.tile(0.5 * h * w, panels)
+
+
+def _rho(w):
+    return np.pi / 2 / np.cosh(np.pi * w) ** 2
+
+
+def _k3_end_point_sum(a, Q, wgt, WA, UL, WUL, m):
+    # sum over rows Q (weights wgt) and columns a (weights WA) of the u_2
+    # step's integral from p = 0 to p = Q, int_0^1 int_0^1 Q (a + u_2 u_1 Q)^{-m},
+    # on 40-node rules in u_1 and u_2
+    Q, wgt = Q.ravel(), wgt.ravel()
+    total = 0
+    for u1, wu1 in zip(UL, WUL):
+        den = a[None, :, None] + (u1 * UL)[None, None, :] * Q[:, None, None]
+        total += wu1 * np.einsum("rac,r,a,c->", den**-m, wgt * Q, WA, WUL)
+    return total
+
+
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("const, shift", [(0.0, 0.0), (2.5, 0.0), (-0.7, 0.0), (1.0, 1.0)])
 def test_moment_kernel_matches_tensor_sum(k, const, shift):
-    # brute-force tensor sum over all 2k-1 axes with the kernel's w-nodes and
-    # a 40-node Gauss-Legendre rule on each unit axis, which the kernel
-    # integrates in closed form; at k = 3 the u_1 axis is summed one node at
-    # a time to keep the tensor small
+    # brute-force sums with the kernel's nodes and a 40-node Gauss-Legendre
+    # rule on each unit axis, which the kernel integrates in closed form
     spec = QuadratureSpec(panels=2, nodes=6, levels=2, w_cutoff=4.0)
     X, WX = _sech_axis(spec.w_cutoff, spec.panels, spec.nodes)
     C = 1j * X - 0.5
@@ -240,18 +281,66 @@ def test_moment_kernel_matches_tensor_sum(k, const, shift):
     got = _moment_level(k, [1, 2, 3], spec.panels, spec, const, shift)
     # each order alone: the kernel then makes only the G_j that order needs
     alone = {m: _moment_level(k, [m], spec.panels, spec, const, shift)[m] for m in (1, 2, 3)}
+    if k == 3:  # the (w_1, w_2) square on the s = w_1 + w_2 axis, w_2 = s - w_1
+        W = spec.w_cutoff
+        S, WS = _composite_rule(-2 * W, 2 * W, 2 * spec.panels, spec.nodes)
+        w1, ws1 = np.array([
+            _composite_rule(max(-W, s - W), min(W, s + W), 2 * spec.panels, spec.nodes) for s in S
+        ]).transpose(1, 0, 2)
+        V1 = 1j * w1 - 0.5 + shift
+        V2 = 1j * (S[:, None] - w1) - 0.5 + shift
+        omega = WS[:, None] * ws1 * _rho(w1) * _rho(S[:, None] - w1) / V1
     for m in (1, 2, 3):
         if k == 2:  # axes (w_1, w_2, u_1): const + C_2 + u_1 V_1
             den = const + C[None, :, None] + UL[None, None, :] * V[:, None, None]
             ref = np.einsum("abc,a,b,c->", den**-m, WX, WX, WUL)
-        else:  # axes (w_1, w_2, w_3, u_1, u_2): const + C_3 + u_2 (V_2 + u_1 V_1)
-            ref = 0
-            for u1, wu1 in zip(UL, WUL):
-                p = V[None, :, None, None] + u1 * V[:, None, None, None]
-                den = const + C[None, None, :, None] + UL[None, None, None, :] * p
-                ref += wu1 * np.einsum("abcd,a,b,c,d->", den**-m, WX, WX, WX, WUL)
+        else:
+            # const + C_3 + u_2 (V_2 + u_1 V_1) integrated over u_1 is
+            # (F(V_1 + V_2) - F(V_2))/V_1, F(q) the u_2 step's integral from
+            # p = 0 to q: the first term on the (s, w_1) nodes, the second on
+            # the (w_1, w_2) tensor nodes
+            ref = _k3_end_point_sum(const + C, V1 + V2, omega, WX, UL, WUL, m)
+            ref -= _k3_end_point_sum(
+                const + C, np.broadcast_to(V, (len(V), len(V))),
+                np.outer(WX / V, WX), WX, UL, WUL, m,
+            )
         assert abs(got[m] - ref) < 1e-12, (m, got[m], ref)
         assert abs(alone[m] - ref) < 1e-12, (m, alone[m], ref)
+
+
+def _pair_sum_level_k3(ms, A, V, W):
+    # the k = 3 level as it was summed before the s = w_1 + w_2 axis: the
+    # V_1 + V_2 end points over the unordered pairs {w_1, w_2} of the tensor
+    # nodes, with weight W_1 W_2 (1/V_1 + 1/V_2) (W_1^2/V_1 on the diagonal)
+    n = len(V)
+    rv = 1.0 / V
+    Q = np.concatenate([V[i] + V[i:] for i in range(n)] + [V])
+    r = complex(np.dot(W, rv))
+    wgt = np.concatenate([W[i] * W[i:] * (rv[i] + rv[i:]) for i in range(n)] + [-r * W])
+    wgt[np.concatenate(([0], np.cumsum(np.arange(n, 1, -1))))] *= 0.5
+    out = {}
+    if ms[0] == 1:
+        li = np.concatenate([_li2(-Q[lo : lo + 50, None] / A) @ W for lo in range(0, len(Q), 50)])
+        out[1] = -complex(np.dot(wgt, li))
+    S = zetanum._g_sums(A, Q, wgt, range(1, ms[-1]))
+    for m in ms:
+        if m > 1:
+            col = sum(A ** (j - m) * S[j] for j in range(1, m))
+            out[m] = complex(np.dot(W, col)) / (m - 1)
+    return out
+
+
+@pytest.mark.parametrize("const, shift", [(0.0, 0.0), (2.5, 0.0), (-0.7, 0.0), (1.0, 1.0)])
+def test_moment_level_k3_matches_the_pair_sum(const, shift):
+    # the s-axis rule and the pair sum are two quadratures of the same
+    # truncated square [-W, W]^2; at 8 panels both have converged
+    spec = default_spec(3)
+    X, WX = _sech_axis(spec.w_cutoff, 8, spec.nodes)
+    C = 1j * X - 0.5
+    ref = _pair_sum_level_k3([1, 2, 3], const + C, C + shift, WX)
+    got = _moment_level(3, [1, 2, 3], 8, spec, const, shift)
+    for m in (1, 2, 3):
+        assert abs(got[m] - ref[m]) < 1e-13, (m, got[m], ref[m])
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -523,6 +612,9 @@ def test_mz_truncated_values():
     assert abs(val - ZETA2) <= bound
     val, bound = mz_truncated((2, 1, 1), 100000, False)
     assert abs(val - ZETA4) <= bound
+    # the tail bound alone is 4.1e-24 here, below the rounding of the sums
+    val, bound = mz_truncated((5, 3), 10**6)
+    assert abs(val - 0.03770767298484754401) <= bound < 1e-10
 
 
 def test_mz_bound_is_conservative():
@@ -602,6 +694,17 @@ def test_mellin_estimate_covers_the_rounding_of_its_sum():
     r = zetanum.ZETA_ROUTES["mellin"](2, 3, QuadratureSpec(tolerance=1e-10))
     err = abs(r.value - _zeta_reference(2, 3))
     assert r.convergence_delta + r.tail_bound < err <= r.error_estimate
+
+
+def test_mellin_k1_estimate_covers_its_rounding():
+    # the closed form m zeta(m+1) is summed in double precision: below
+    # 1e-15 the tail bound alone (5e-17 here) does not cover its error
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for m in range(2, 9):
+            r = zetanum._zeta_mellin(1, m, 1e-16)
+            err = abs(mpmath.mpf(r.value) - m * mpmath.zeta(m + 1))
+            assert err <= r.error_estimate < 1e-13, (m, float(err), r)
 
 
 def test_default_spec_shapes():
