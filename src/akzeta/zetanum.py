@@ -179,9 +179,10 @@ def _moment_level_k3(
     ms: Sequence[int], A: np.ndarray, V: np.ndarray, W: np.ndarray,
     spec: QuadratureSpec, panels: int, shift: float,
 ) -> dict[int, complex]:
-    """The k = 3 level: the sum over w_3 with weights W of the integral
-    over (w_1, w_2) in [-W, W]^2 against rho(w_1) rho(w_2), and over u_1, u_2
-    in [0, 1], of (a + u_2 (V_2 + u_1 V_1))^{-m}, with a = A[w_3] and
+    """The k = 3 level: the sum over the w_3 nodes, weighted by W, of the
+    integral over (w_1, w_2) in [-c, c]^2 (c = spec.w_cutoff) against
+    rho(w_1) rho(w_2), and over u_1, u_2 in [0, 1], of
+    (a + u_2 (V_2 + u_1 V_1))^{-m}, with a = A[w_3] and
     rho(w) = (pi/2) sech^2(pi w).  After the u_2 step, the u_1 integral runs
     over p = V_2 + u_1 V_1 from V_2 to V_1 + V_2, with dp = V_1 du_1:
 
@@ -190,18 +191,18 @@ def _moment_level_k3(
       T_m(a, q) = (1/n) sum_{j=1}^{n} a^{-(n-j+1)} (G_j(a + q) - G_j(a)),
 
     from (a^{-n} - (a+p)^{-n})/p = sum_j a^{-(n-j+1)} (a+p)^{-j}; both are
-    the integral of the u_2 step from p = 0 to q.  Re(s(a+p)) keeps its
-    sign on these segments, so neither log(s q) nor
+    the integral of the u_2 step from p = 0 to q.  Re(a + p) keeps its sign
+    on these segments, so neither G_1 nor
     Li_2(-q/a) = -int_0^q log(1 + p/a)/p dp crosses a branch cut.
 
     The V_2 term does not depend on w_1: it is a sum over the n nodes of
     the w_2 axis, weight -W_2 sum_1 W_1/V_1.  The V_1 + V_2 term depends on
     s = w_1 + w_2 only, through Q = i s - 1 + 2 shift, so the (w_1, w_2)
-    square becomes an s axis on [-2W, 2W], with twice the panels of a w axis
+    square becomes an s axis on [-2c, 2c], with twice the panels of a w axis
     (so s = 0, where the w_1 range turns, is a panel edge), and the weight
 
       h(s) = int rho(w_1) rho(s - w_1) / V_1 dw_1
-             over [max(-W, s - W), min(W, s + W)], with twice the panels too.
+             over [max(-c, s - c), min(c, s + c)], with twice the panels too.
 
     Both end points form one list of O(n) rows Q, so the level makes O(n^2)
     evaluations.  For m = 1 the dilogarithm sums them (T_1(a, 0) = 0); for
@@ -216,7 +217,9 @@ def _moment_level_k3(
     t, wt = _panel_axis(0.0, 1.0, 2 * panels, nodes)
     span = 2.0 * cutoff - np.abs(s)
     start = np.maximum(s, 0.0) - cutoff
-    b = shift - 0.5  # V_1 = i w_1 + b, so rho rho / V_1 = rho rho (b - i w_1) / (w_1^2 + b^2)
+    # V_1 = i w_1 + b, and rho rho / V_1 = rho rho (b - i w_1)/(w_1^2 + b^2) in real
+    # arithmetic, where an overflowed cosh gives 0 (a complex division gives nan)
+    b = shift - 0.5
     h = np.empty(len(s), dtype=complex)
     rows = max(1, _CHUNK // len(t))
     for lo in range(0, len(s), rows):
