@@ -30,6 +30,10 @@ the package.
 The series route's Li_k(1-e^{-t})/(1-e^{-t}) is composed once per (n_max, k)
 in an lru_cache of 64 immutable results (_li_composed), thread-safe and
 bit-identical to a fresh composition, which B, C and repeated tables share.
+A table's polynomials are lifted once per distinct reduced numerators, the
+key of a second lru_cache of 64 tuples (_lifts), thread-safe too: equal tables
+(series and Stirling B, a C->B round trip, repeated requests) share the
+immutable polynomials, entries lists them, and value(n) lifts one alone.
 """
 from __future__ import annotations
 
@@ -106,8 +110,9 @@ class PolyBernoulliTable:
 
     @cached_property
     def entries(self) -> list[ZPolynomial]:
-        """The polynomials, entry_n(z) = sum_m C(n,m) b_m z^{n-m}, built once."""
-        return [self.value(n) for n in range(self.n_max + 1)]
+        """The polynomials, entry_n(z) = sum_m C(n,m) b_m z^{n-m}, built once
+        per distinct numerators (_lifts)."""
+        return list(_lifts(self.numerators))
 
     def value(self, n: int) -> ZPolynomial:
         """Entry n alone, lifted from the numerators; 0 <= n <= n_max."""
@@ -126,6 +131,12 @@ class PolyBernoulliTable:
             "route": self.route,
             "entries": [p.to_json() for p in self.entries],
         }
+
+
+@lru_cache(maxsize=64)
+def _lifts(numerators: tuple[tuple[int, ...], int]) -> tuple[ZPolynomial, ...]:
+    """Every Appell lift of one reduced numerators pair: equal tables share them."""
+    return tuple(appell_polynomial(numerators, n) for n in range(len(numerators[0])))
 
 
 def _check_route_args(n_max: int, k: int, variant: str) -> None:

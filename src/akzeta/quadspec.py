@@ -21,7 +21,8 @@ class QuadratureSpec:
 
     panels/nodes set the starting composite Gauss-Legendre rule per w-axis
     (per t-axis for the Mellin routes); each refinement level doubles the
-    panel count, up to `levels` levels; nodes is at most MAX_NODES.
+    panel count, up to `levels` levels (the finest has panels << (levels - 1)),
+    and stops once two levels agree; nodes is at most MAX_NODES.
     u_nodes is unused: every unit-interval axis of a negative moment is
     integrated in closed form.  The field and its validation stay only
     because perfbench/workloads.py reads default_spec(k).u_nodes.
@@ -44,11 +45,14 @@ class QuadratureSpec:
 
 
 def default_spec(k: int) -> QuadratureSpec:
-    """Dimension-aware defaults: the tensor grid must shrink as its k axes grow."""
+    """Dimension-aware defaults: the tensor grid must shrink as its k axes grow.
+    k = 2 starts coarse (2 panels, 5 levels) yet reaches the finest grid of a
+    start at 8 panels with 3 levels, 32 panels of 32 nodes; at m <= 3 two
+    levels agree already at 64 and 128 nodes per axis."""
     if k <= 1:
         return QuadratureSpec(panels=8, nodes=32, levels=3, tolerance=1e-9, w_cutoff=7.0)
     if k == 2:
-        return QuadratureSpec(panels=8, nodes=32, levels=3, tolerance=1e-8, w_cutoff=5.0)
+        return QuadratureSpec(panels=2, nodes=32, levels=5, tolerance=1e-8, w_cutoff=5.0)
     return QuadratureSpec(
         panels=2, nodes=20, levels=3, tolerance=1e-6, w_cutoff=3.2, u_nodes=16
     )

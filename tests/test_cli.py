@@ -246,6 +246,22 @@ def test_zeta_exits_2_when_an_error_estimate_exceeds_the_tolerance(capsys, argv,
     assert err == f"akzeta: moment route: error estimate {estimate} > tolerance {tol}\n"
 
 
+# the replaced default schedules, (panels, levels): only k = 2 changed its start
+REPLACED_SCHEDULE = {1: ("8", "3"), 2: ("8", "3"), 3: ("2", "3")}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_zeta_exit_codes_match_the_replaced_schedule(capsys, k):
+    # exit codes only: the level memo shares grids between the calls, so their
+    # times say nothing
+    panels, levels = REPLACED_SCHEDULE[k]
+    for m in [*range(1, 13), 20, 30, 40]:
+        for extra in ([], ["--tolerance", "1e-10"], ["--route", "moment"]):
+            argv = ["zeta", "--k", str(k), "--m", str(m), *extra]
+            code = run_cli(capsys, *argv)[0]
+            assert code == run_cli(capsys, *argv, "--panels", panels, "--levels", levels)[0], argv
+
+
 def test_zeta_exits_2_when_routes_differ_by_more_than_their_estimates(capsys, monkeypatch):
     from akzeta import zetanum
 

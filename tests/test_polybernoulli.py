@@ -480,6 +480,36 @@ def test_table_is_frozen():
     assert t == poly_bernoulli_series(6, 2, "B") and t.entries is lifted
 
 
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_equal_tables_share_one_set_of_lifts(k):
+    # series B, Stirling B and the C->B round trip hold equal numerators, so
+    # their entries are the same polynomial objects, lifted once
+    import akzeta.polybernoulli as pb
+
+    pb._lifts.cache_clear()
+    series, series_c = poly_bernoulli_series(40, k, "B"), poly_bernoulli_series(40, k, "C")
+    shared = (
+        (series, stirling_table(40, k)),
+        (series, bc_convert(series_c, "C->B")),
+        (series_c, bc_convert(stirling_table(40, k), "B->C")),
+    )
+    for ref, t in shared:
+        assert t.numerators == ref.numerators
+        assert type(t.entries) is list and t.entries is not ref.entries
+        assert all(a is b for a, b in zip(t.entries, ref.entries, strict=True))
+    assert pb._lifts.cache_info().misses == 2  # the B and the C numerators
+    for n, p in enumerate(series.entries):
+        fresh = appell_polynomial(series.numerators, n)
+        assert (p.terms, p.den) == (fresh.terms, fresh.den)
+        assert series.value(n) == p
+
+
+def test_lift_cache_is_bounded():
+    import akzeta.polybernoulli as pb
+
+    assert pb._lifts.cache_info().maxsize == 64
+
+
 @pytest.mark.parametrize("variant", ["B", "C"])
 @pytest.mark.parametrize("route", list(ROUTES))
 def test_route_interface(route, variant):

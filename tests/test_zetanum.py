@@ -709,8 +709,39 @@ def test_mellin_k1_estimate_covers_its_rounding():
 
 def test_default_spec_shapes():
     assert default_spec(1).w_cutoff > default_spec(3).w_cutoff
-    assert default_spec(2).panels == 8 and default_spec(2).nodes == 32
-    assert default_spec(2).levels == 3
+    # k = 2 starts coarse, and its last level is still the finest grid of the
+    # replaced 8-panel, 3-level schedule: 32 panels of 32 nodes
+    k2 = default_spec(2)
+    assert (k2.panels, k2.nodes, k2.levels) == (2, 32, 5)
+    assert k2.panels << (k2.levels - 1) == 32
+
+
+def test_coarse_k2_start_agrees_with_the_replaced_schedule():
+    # wherever the replaced schedule (8 panels, 3 levels) converges or raises,
+    # the default does too, and its error estimate bounds its distance from a
+    # 64-panel level on the same (covered) cutoff
+    replaced = replace(default_spec(2), panels=8, levels=3)
+    cases, grids = [], {}
+    for z in (0.0, -0.7, 1.6, 2.5, -3.0):
+        for m in range(1, 21):
+            got = []
+            for spec in (default_spec(2), replaced):
+                try:
+                    got.append(negative_moment(2, m, z, spec))
+                except ConvergenceError:
+                    got.append(None)
+            cases.append((z, m, *got))
+            min_abs_re = min(abs(z - 1.0), abs(z - 0.5))  # as negative_moment_batch covers its tail
+            covered = zetanum._cover_tail(default_spec(2), 2 * min_abs_re ** -m)
+            grids.setdefault((z, covered), []).append(m)
+    ref = {}
+    for (z, covered), ms in grids.items():
+        level = _moment_level(2, ms, 64, covered, z, 0.0)
+        ref.update({(z, m): level[m].real for m in ms})
+    for z, m, new, old in cases:
+        assert (new is None) == (old is None), (z, m)
+        if new is not None:
+            assert abs(new.value - ref[z, m]) <= new.error_estimate, (z, m)
 
 
 def test_bit_reproducible():
@@ -789,6 +820,41 @@ def test_level_memo_serves_threads_identical_results():
     assert not any(t.is_alive() for t in threads)
     for ms, res in zip(sets, got):
         assert res == ref[tuple(ms)], ms
+
+
+def test_lifts_and_levels_serve_threads_the_sequential_results():
+    # four threads read the entries of equal tables and fill the k = 2 level
+    # memo at once, from cleared caches, and get what one thread gets alone
+    from akzeta import polybernoulli as pb
+
+    def work():
+        tables = (pb.poly_bernoulli_series(30, 3), pb.stirling_table(30, 3))
+        return [t.entries for t in tables], negative_moment_batch(2, [1, 2, 3])
+
+    pb._lifts.cache_clear()
+    zetanum._level_memo.cache_clear()
+    ref = work()
+    pb._lifts.cache_clear()
+    zetanum._level_memo.cache_clear()
+    start = threading.Barrier(4)
+    got = [None] * 4
+
+    def run(i):
+        start.wait(timeout=30)
+        got[i] = work()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [ref] * 4
 
 
 def test_nodes_are_capped():
