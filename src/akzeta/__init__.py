@@ -2,7 +2,7 @@
 calculus, with numerical evaluation of the Arakawa-Kaneko zeta function.
 
 Layers:
-  exact          rationals, polynomials, integer EGF composition,
+  exact          rationals, polynomials, the Appell lift,
                  Bernoulli / Stirling / binomial generators
   umbral         sparse symbol algebra and the moment-evaluation functional
   polybernoulli  three independent routes to B_n^{(k)}(z) and C_n^{(k)}(z),

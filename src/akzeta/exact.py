@@ -1,21 +1,17 @@
-"""Exact arithmetic layer: rationals, polynomials, the integer composition
-kernel of the series route, the Appell lift, and the combinatorial generators
-(Bernoulli numbers, Stirling rows, binomials) everything else is built from.
+"""Exact arithmetic layer: rationals, polynomials, the Appell lift, and the
+combinatorial generators (Bernoulli numbers, Stirling rows, binomials)
+everything else is built from.
 
 Polynomials in z and the umbral module's symbol expressions share one
 layout, the _Numerators base class defined here: a dict from int keys
 (z-degrees, or packed monomials) to integer numerators over one positive
 denominator, kept canonical, with the ring operations implemented once.
 
-Power series are held the same way, in the layout of FLINT's fmpq_poly
+Number sequences are held the same way, in the layout of FLINT's fmpq_poly
 (integer numerators over one common denominator) applied to the
-exponential generating function: a series sum c_n t^n is the integers x_n
-with n! c_n = x_n / d for one d > 0, passed around as the pair (x, d).
-Products of EGFs are binomial convolutions, so they stay integral, and
-1 - e^{-t} has numerators 0, +-1 over d = 1; only the outer coefficients
-1/(j+1)^k of a composition need scaling, by lcm(1..n+1)^k.  egf_compose is
-the one operation the series route needs, and appell_polynomial lifts
-numbers given as the same (x, d) pair.
+exponential generating function: b_n = x_n / d for one d > 0, passed around
+as the pair (x, d).  integer_numerators builds the pair from rationals, and
+appell_polynomial lifts it to the polynomials sum_m C(n,m) b_m z^{n-m}.
 
 All values are immutable after construction and every operation is a pure
 function; the Bernoulli and Stirling caches grow under a lock, so
@@ -24,7 +20,6 @@ everything here is safe to share across threads.
 from __future__ import annotations
 
 import math
-import operator
 import threading
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -38,7 +33,6 @@ __all__ = [
     "binomial",
     "stirling2",
     "stirling_row",
-    "egf_compose",
     "rational_to_json",
     "integer_numerators",
 ]
@@ -86,12 +80,12 @@ def _next_stirling_row(rows: list[list[int]]) -> list[int]:
 
 
 def _next_bernoulli(vals: list[Fraction]) -> Fraction:
-    # sum_{j<n} C(n+1, j) B_j + (n+1) B_n = 0
+    # sum_{j<n} C(n+1, j) B_j + (n+1) B_n = 0, summed as integers over the
+    # lcm of the held denominators: one Fraction, one gcd, per row
     n = len(vals)
-    s = Fraction(0)
-    for j in range(n):
-        s += math.comb(n + 1, j) * vals[j]
-    return -s / (n + 1)
+    den = math.lcm(*(b.denominator for b in vals))
+    s = sum(math.comb(n + 1, j) * b.numerator * (den // b.denominator) for j, b in enumerate(vals))
+    return Fraction(-s, (n + 1) * den)
 
 
 def stirling_row(n: int) -> tuple[int, ...]:
@@ -325,36 +319,6 @@ def integer_numerators(values: Sequence) -> tuple[list[int], int]:
     qs = [Fraction(c) for c in values]
     d = math.lcm(*(q.denominator for q in qs))
     return [q.numerator * (d // q.denominator) for q in qs], d
-
-
-def egf_compose(outer: Sequence, inner: tuple[Sequence[int], int]) -> tuple[list[int], int]:
-    """The truncated composition outer(inner) as EGF numerators (x, D), D > 0.
-
-    outer holds rationals, the ordinary coefficients of t^0, t^1, ...; inner
-    is (g, d), its EGF numerators n! [t^n] inner = g_n / d over d > 0, and
-    needs g_0 = 0.  The result runs through t^n for n + 1 the shorter length.
-
-    Horner's rule: with outer's c_n = P_n / L, the n!-scaled coefficients of
-    every Horner partial sum are integers over L d^j, so each step is one
-    integer binomial convolution.
-    """
-    g, d = inner
-    if g[0]:
-        raise ValueError("composition requires inner constant term zero")
-    n = min(len(outer), len(g)) - 1
-    p, scale = integer_numerators(outer[: n + 1])
-    # the n!-scaled product acc * g at t^s is sum_{i<s} C(s,i) acc_i g_{s-i}
-    weights = [[math.comb(s, i) * g[s - i] for i in range(s)] for s in range(n + 1)]
-    # acc = sum_{l>=j} a_l g^{l-j}; inner's valuation >= 1 makes every later
-    # Horner step a multiplication by t or more, so t^0..t^{n-j} suffice
-    acc = [p[n]]
-    dpow = 1
-    for j in range(n - 1, -1, -1):
-        dpow *= d
-        acc = [p[j] * dpow] + [
-            sum(map(operator.mul, weights[s], acc)) for s in range(1, n - j + 1)
-        ]
-    return acc, scale * dpow
 
 
 def appell_polynomial(numbers: tuple[Sequence[int], int], n: int) -> ZPolynomial:

@@ -5,15 +5,17 @@ integral-transform representations through Bernoulli-Barnes polynomials on
 the unit cube and on the ordered simplex.
 
 The three routes share one signature (n_max, k, variant), one argument check
-and one result, and ROUTES names them.  The series route composes integer
-EGF numerators; the symbolic route evaluates the nested symbol
-S_k = 1 + C_k through its moment sequences, on integer numerators; the
-Stirling route sums integers over one denominator lcm(1..n_max+1)^k.  Each
-computes one family and reaches the other through bc_convert, the binomial
-transform: the two generating functions differ by the factor e^{-t}, as
-S_k = 1 + C_k says.  Each hands the integer numerators it computed, over
-their denominator, to a frozen PolyBernoulliTable, which reduces them once;
-the polynomials are their Appell lifts (exact.appell_polynomial).
+and one result, and ROUTES names them.  The series route composes Li_k(x)/x
+with x = 1-e^{-t} by Horner's rule on integer polynomials in y = e^{-t}, and
+reads the EGF numerators off through n! [t^n] e^{-it} = (-i)^n; the symbolic
+route evaluates the nested symbol S_k = 1 + C_k through its moment
+sequences, on integer numerators; the Stirling route sums integers over one
+denominator lcm(1..n_max+1)^k.  Each computes one family and reaches the
+other through bc_convert, the binomial transform: the two generating
+functions differ by the factor e^{-t}, as S_k = 1 + C_k says.  Each hands
+the integer numerators it computed, over their denominator, to a frozen
+PolyBernoulliTable, which reduces them once; the polynomials are their
+Appell lifts (exact.appell_polynomial).
 
 The transforms expand their integrands in the sparse symbol algebra of the
 umbral module, whose expect_power evaluates each symbol during the
@@ -27,13 +29,14 @@ rational parameters.
 Route agreement across all of these is the central correctness invariant of
 the package.
 
-The series route's Li_k(1-e^{-t})/(1-e^{-t}) is composed once per (n_max, k)
-in an lru_cache of 64 immutable results (_li_composed), thread-safe and
-bit-identical to a fresh composition, which B, C and repeated tables share.
-A table's polynomials are lifted once per distinct reduced numerators, the
-key of a second lru_cache of 64 tuples (_lifts), thread-safe too: equal tables
-(series and Stirling B, a C->B round trip, repeated requests) share the
-immutable polynomials, entries lists them, and value(n) lifts one alone.
+The series route's Li_k(1-e^{-t})/(1-e^{-t}) is composed once per (n_max, k),
+in O(n_max^2) integer operations, into an lru_cache of 64 immutable results
+(_li_composed), thread-safe and bit-identical to a fresh composition, which
+B, C and repeated tables share.  A table's polynomials are lifted once per
+distinct reduced numerators, the key of a second lru_cache of 64 tuples
+(_lifts), thread-safe too: equal tables (series and Stirling B, a C->B round
+trip, repeated requests) share the immutable polynomials, entries lists
+them, and value(n) lifts one alone.
 """
 from __future__ import annotations
 
@@ -48,7 +51,6 @@ from .exact import (
     ZPolynomial,
     appell_polynomial,
     bernoulli_numbers,
-    egf_compose,
     integer_numerators,
     stirling_row,
 )
@@ -162,11 +164,23 @@ def poly_bernoulli_series(n_max: int, k: int, variant: str = "B") -> PolyBernoul
 @lru_cache(maxsize=64)
 def _li_composed(n_max: int, k: int) -> tuple[tuple[int, ...], int]:
     """Li_k(x)/x = sum_j x^j/(j+1)^k at x = 1-e^{-t}, through t^n_max, as EGF
-    numerators (exact.egf_compose); those of 1-e^{-t} are 0, (-1)^(j+1)."""
-    w = [0] + [(-1) ** (j + 1) for j in range(1, n_max + 1)]
-    outer = [Fraction(1, (j + 1) ** k) for j in range(n_max + 1)]
-    x, d = egf_compose(outer, (w, 1))
-    return tuple(x), d
+    numerators over lk = lcm(1..n_max+1)^k.  x = O(t), so the terms j > n_max
+    cannot reach t^n_max, and the sum stops there.
+
+    Horner's rule in the basis y = e^{-t}: each partial sum is a polynomial
+    sum_i q_i y^i with integer q_i over lk, and multiplying it by x = 1 - y is
+    a two-term update.  n! [t^s] e^{-it} = (-i)^s then reads the numerators
+    off as x_s = sum_i q_i (-i)^s: O(n_max^2) integer operations in all.
+    """
+    lk = math.lcm(*range(1, n_max + 2)) ** k
+    q = [lk // (n_max + 1) ** k]
+    for j in range(n_max - 1, -1, -1):
+        q = [lk // (j + 1) ** k + q[0]] + [b - a for a, b in zip(q, q[1:])] + [-q[-1]]
+    x = []
+    for _ in range(n_max + 1):
+        x.append(sum(q))
+        q = [-i * v for i, v in enumerate(q)]
+    return tuple(x), lk
 
 
 def _umbral_table(n_max: int, k: int, variant: str = "B") -> PolyBernoulliTable:

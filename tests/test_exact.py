@@ -1,24 +1,26 @@
 """Exact layer: independent oracles for the generators, ring laws for
-polynomials, and the integer EGF composition against Fraction references."""
+polynomials, and the integer EGF composition against Fraction references.
+That composition, egf_compose, was the series route's kernel; it is kept
+here as the oracle of polybernoulli._li_composed."""
 import itertools
 import math
 import operator
 import sys
 import threading
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from akzeta import exact
+from akzeta import exact, polybernoulli
 from akzeta.exact import (
     ZPolynomial,
     bernoulli_numbers,
     bernoulli_polynomial,
     bernoulli_number,
     binomial,
-    egf_compose,
     integer_numerators,
     rational_to_json,
     stirling2,
@@ -55,6 +57,50 @@ def series_compose_reference(outer, inner, order):
         acc = series_mul_reference(acc, inner, order)
         acc[0] += outer[j]
     return acc
+
+
+# Horner over integer binomial convolutions, O(n^3): the reference for the
+# series route's e^{-it} Horner
+def egf_compose(outer: Sequence, inner: tuple[Sequence[int], int]) -> tuple[list[int], int]:
+    """The truncated composition outer(inner) as EGF numerators (x, D), D > 0.
+
+    outer holds rationals, the ordinary coefficients of t^0, t^1, ...; inner
+    is (g, d), its EGF numerators n! [t^n] inner = g_n / d over d > 0, and
+    needs g_0 = 0.  The result runs through t^n for n + 1 the shorter length.
+
+    Horner's rule: with outer's c_n = P_n / L, the n!-scaled coefficients of
+    every Horner partial sum are integers over L d^j, so each step is one
+    integer binomial convolution.
+    """
+    g, d = inner
+    if g[0]:
+        raise ValueError("composition requires inner constant term zero")
+    n = min(len(outer), len(g)) - 1
+    p, scale = integer_numerators(outer[: n + 1])
+    # the n!-scaled product acc * g at t^s is sum_{i<s} C(s,i) acc_i g_{s-i}
+    weights = [[math.comb(s, i) * g[s - i] for i in range(s)] for s in range(n + 1)]
+    # acc = sum_{l>=j} a_l g^{l-j}; inner's valuation >= 1 makes every later
+    # Horner step a multiplication by t or more, so t^0..t^{n-j} suffice
+    acc = [p[n]]
+    dpow = 1
+    for j in range(n - 1, -1, -1):
+        dpow *= d
+        acc = [p[j] * dpow] + [
+            sum(map(operator.mul, weights[s], acc)) for s in range(1, n - j + 1)
+        ]
+    return acc, scale * dpow
+
+
+def bernoulli_recurrence_oracle(n_max):
+    """B_0..B_n_max by sum_{j<n} C(n+1, j) B_j + (n+1) B_n = 0, one Fraction
+    addition per term: the cache's rows before they were summed over one lcm."""
+    vals = [Fraction(1)]
+    for n in range(1, n_max + 1):
+        s = Fraction(0)
+        for j in range(n):
+            s += math.comb(n + 1, j) * vals[j]
+        vals.append(-s / (n + 1))
+    return vals
 
 
 def bernoulli_oracle(n_max):
@@ -192,6 +238,10 @@ def test_bernoulli_trivial_and_derived():
     assert bernoulli_numbers(2) == [Fraction(1), Fraction(-1, 2), Fraction(1, 6)]
     assert bernoulli_numbers(12)[-1] == Fraction(-691, 2730)
     assert bernoulli_numbers(30) == bernoulli_oracle(30)
+
+
+def test_bernoulli_rows_match_fraction_recurrence():
+    assert bernoulli_numbers(200) == bernoulli_recurrence_oracle(200)
 
 
 def test_bernoulli_odd_vanish():
@@ -438,6 +488,22 @@ def test_polylog_composition_matches_stirling_closed_form():
             Fraction(0),
         ) * (-1) ** n
         assert Fraction(q[n], d) == closed
+
+
+def li_composed_oracle(n, k):
+    """Li_k(x)/x at x = 1-e^{-t} by egf_compose, as _li_composed returns it."""
+    w = [0] + [(-1) ** (j + 1) for j in range(1, n + 1)]
+    x, d = egf_compose([Fraction(1, (j + 1) ** k) for j in range(n + 1)], (w, 1))
+    return tuple(x), d
+
+
+def test_li_composed_matches_egf_compose_oracle():
+    # the e^{-it} Horner against Horner over convolutions, as the (x, d) pair
+    kernel = polybernoulli._li_composed.__wrapped__
+    cases = [(n, k) for n in range(61) for k in range(1, 9)]
+    for n, k in cases + [(0, 17), (0, 30), (100, 30)]:
+        assert kernel(n, k) == li_composed_oracle(n, k), (n, k)
+    assert polybernoulli._li_composed(40, 6) == li_composed_oracle(40, 6)
 
 
 def test_bernoulli_gf_series():

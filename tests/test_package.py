@@ -1,6 +1,6 @@
 """Package surface: every name a module exports resolves, every global a
-module reads is defined, every name a module imports is used, and every
-private name is read."""
+module reads is defined, every name a module imports is used, every
+private name is read, and the source stays within its line cap."""
 import ast
 import builtins
 import importlib
@@ -109,3 +109,9 @@ def test_numeric_names_resolve_lazily_to_zetanum():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:2] == ["False", "[]"]
+
+
+def test_source_within_line_cap():
+    # the package may not grow past its line cap (ROADMAP's design aim)
+    lines = sum(len(p.read_text().splitlines()) for p in Path(akzeta.__file__).parent.glob("*.py"))
+    assert lines <= 3217
