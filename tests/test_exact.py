@@ -1,7 +1,6 @@
 """Exact layer: independent oracles for the generators, ring laws for
-polynomials, and the integer EGF composition against Fraction references.
-That composition, egf_compose, was the series route's kernel; it is kept
-here as the oracle of polybernoulli._li_composed."""
+polynomials, and the integer EGF composition egf_compose against Fraction
+references; egf_compose is in turn the oracle of polybernoulli._li_composed."""
 import itertools
 import math
 import operator
@@ -93,7 +92,7 @@ def egf_compose(outer: Sequence, inner: tuple[Sequence[int], int]) -> tuple[list
 
 def bernoulli_recurrence_oracle(n_max):
     """B_0..B_n_max by sum_{j<n} C(n+1, j) B_j + (n+1) B_n = 0, one Fraction
-    addition per term: the cache's rows before they were summed over one lcm."""
+    addition per term: the reference for the cache's rows summed over one lcm."""
     vals = [Fraction(1)]
     for n in range(1, n_max + 1):
         s = Fraction(0)
