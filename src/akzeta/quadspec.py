@@ -6,6 +6,7 @@ every command, while only the numeric commands load `zetanum`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 __all__ = ["QuadratureSpec", "QuadratureResult", "ConvergenceError", "default_spec"]
@@ -40,8 +41,8 @@ class QuadratureSpec:
             raise ValueError(f"panels, nodes and u_nodes must be >= 1, nodes <= {MAX_NODES}")
         if self.levels < 2:
             raise ValueError("need at least 2 levels to declare convergence")
-        if not (0 < self.tolerance < 1) or self.w_cutoff <= 0:
-            raise ValueError("tolerance must be in (0,1) and w_cutoff positive")
+        if not (0 < self.tolerance < 1 and 0 < self.w_cutoff < math.inf):
+            raise ValueError("tolerance must be in (0,1) and w_cutoff positive and finite")
 
 
 def default_spec(k: int) -> QuadratureSpec:

@@ -6,19 +6,20 @@ Hurwitz-zeta / polygamma evaluation, the Mellin-integral route to the
 Arakawa-Kaneko zeta function zeta_k(s), Barnes zeta cross-checks, and
 truncated multiple-zeta sums with conservative tail bounds.
 
-Quadrature scheme: each sech^2 axis is truncated to [-W, W]
-(the weight (pi/2) sech^2(pi w) carries mass 2/(1 + e^{2 pi W}) < 2 e^{-2 pi W}
-outside, which is reported as an analytic tail bound; W is w_cutoff, raised
-where needed so that the bound is at most half the tolerance) and integrated by
-composite Gauss-Legendre panels; refinement doubles the panel count per
-w-axis, and convergence is declared when successive refinement levels agree
-within the target tolerance.  The unit-interval axes of a negative moment
-are integrated in closed form, so only the k sech^2 axes are summed, and
-the closed forms are sums of the antiderivatives G_1(q) = log(s q) and
-G_j(q) = q^{1-j}/(1-j) at end points q = A_c + Q_r, with c a node of the
-last axis.  One kernel (_g_sums) returns, for each j, the vector over c of
-sum_r wgt_r G_j(A_c + Q_r), walking the rows in chunks in O(len(A))
-memory; each caller contracts it with its own column weights.
+Quadrature scheme: each sech^2 axis is truncated to [-W, W] and integrated by
+composite Gauss-Legendre panels; refinement doubles the panel count per w-axis,
+and convergence is declared when successive refinement levels agree within the
+target tolerance.  _sech_quadrature is the one place of the cutoff rule: given
+the axis count times a bound on the integrand's modulus, it raises W above
+w_cutoff so that the bound times the weight's mass outside [-W, W] is at most
+half the tolerance, and reports that product as the tail bound.  The
+unit-interval axes of a negative moment are integrated in closed form, so only
+the k sech^2 axes are summed, and the closed forms are sums of the
+antiderivatives G_1(q) = log(s q) and G_j(q) = q^{1-j}/(1-j) at end points
+q = A_c + Q_r, with c a node of the last axis.  One kernel (_g_sums) returns,
+for each j, the vector over c of sum_r wgt_r G_j(A_c + Q_r), walking the rows
+in chunks in O(len(A)) memory; each caller contracts it with its own column
+weights.
 At k = 3 one end point depends on (w_1, w_2) only through s = w_1 + w_2,
 so the square is summed on an s axis with convolution weights, O(n) rows
 for n nodes per axis (_moment_level_k3): a level makes O(n^2) evaluations.
@@ -96,22 +97,6 @@ def _sech_axis(cutoff: float, panels: int, nodes: int) -> tuple[np.ndarray, np.n
     x, w = _panel_axis(-cutoff, cutoff, panels, nodes)
     with np.errstate(over="ignore"):
         return x, w * (np.pi / 2) / np.cosh(np.pi * x) ** 2
-
-
-def _sech_tail_mass(cutoff: float) -> float:
-    """Mass of the sech^2 law outside [-cutoff, cutoff], 1 - tanh(pi W) =
-    2/(1 + e^{2 pi W}), written with e^{-2 pi W} so that it neither rounds
-    to 0 nor overflows for large W."""
-    e = math.exp(-2.0 * math.pi * cutoff)
-    return 2.0 * e / (1.0 + e)
-
-
-def _cover_tail(spec: QuadratureSpec, scale: float) -> QuadratureSpec:
-    """spec with its cutoff raised, if need be, so that the tail bound
-    scale * mass(W) is at most spec.tolerance / 2: as mass(W) < 2 e^{-2 pi W},
-    W = ln(4 scale / tolerance) / (2 pi) suffices, and spec.w_cutoff is a floor."""
-    cutoff = math.log(4.0 * scale / spec.tolerance) / (2.0 * math.pi)
-    return replace(spec, w_cutoff=cutoff) if cutoff > spec.w_cutoff else spec
 
 
 def _fsum_complex(parts: Sequence[complex] | np.ndarray) -> complex:
@@ -348,6 +333,21 @@ def _converge(
     raise ConvergenceError(delta, spec.levels)
 
 
+def _sech_quadrature(level, spec: QuadratureSpec, bounds: dict) -> dict:
+    """Refine level(panels, spec) through _converge, W = spec.w_cutoff raised
+    to ln(4 max(bounds) / tolerance) / (2 pi) where that is larger.  bounds[key]
+    is the axis count times a modulus bound of key's integrand, so its tail bound
+    is bounds[key] mass(W), with mass(W) = 2/(1 + e^{2 pi W}) < 2 e^{-2 pi W} the
+    sech^2 law's mass outside [-W, W] (written with e^{-2 pi W}: it neither
+    overflows nor rounds to 0): at most tolerance / 2 up to log and exp rounding."""
+    cutoff = math.log(4.0 * max(bounds.values()) / spec.tolerance) / (2.0 * math.pi)
+    if cutoff > spec.w_cutoff:
+        spec = replace(spec, w_cutoff=cutoff)
+    e = math.exp(-2.0 * math.pi * spec.w_cutoff)
+    mass = 2.0 * e / (1.0 + e)
+    return _converge(lambda panels: level(panels, spec), spec, {key: b * mass for key, b in bounds.items()})
+
+
 def _mellin_quad(integrand, T: float, tol: float, tail: float, relative=False) -> QuadratureResult:
     """int_0^T integrand(t) dt on 24-node Gauss-Legendre panels, doubling from
     max(8, T/2) panels for up to 4 levels until two agree within tol/2 (times
@@ -372,7 +372,7 @@ def negative_moment_batch(
 
     The kernel is sum_l (i w_l - 1/2) prod_{j=l}^{k-1} u_j; by the symbolic
     representation of the Arakawa-Kaneko zeta, zeta_k(m) = (-1)^m times the
-    m-th result at z = 0.
+    m-th result at z = 0.  Bound: k r^{-m}, r = min |Re denominator|.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -386,12 +386,10 @@ def negative_moment_batch(
             f"(interval [{lo}, {hi}]); the integrand is singular or near-singular"
         )
     min_abs_re = min(abs(lo), abs(hi))
-    spec = _cover_tail(spec, k * max(min_abs_re ** (-m) for m in ms))
-    tail = k * _sech_tail_mass(spec.w_cutoff)
-    return _converge(
-        lambda panels: _memo_level(k, ms, panels, spec, const=z, inner_shift=0.0),
+    return _sech_quadrature(
+        lambda panels, spec: _memo_level(k, ms, panels, spec, const=z, inner_shift=0.0),
         spec,
-        {m: tail * min_abs_re ** (-m) for m in ms},
+        {m: k * min_abs_re ** (-m) for m in ms},
     )
 
 
@@ -432,15 +430,14 @@ def telescoping_check(
     sum with every inner symbol shifted by one (a realization of
     zeta(2, {1}^{k-1})).  Second: -E[1/C^{(k)}], that is ak_zeta_moment(k, 1).  Both must agree with
     zeta(k+1); their coincidence is the duality identity.
+    Bound of the first: 2k, as its denominator is at least 1/2 in modulus.
     """
     if k < 2:
         raise ValueError("telescoping check requires k >= 2")
-    spec = _cover_tail(spec or default_spec(k), 2.0 * k)
-    tail = k * _sech_tail_mass(spec.w_cutoff) * 2.0  # |den| >= 1/2 on the shifted kernel
-    first = _converge(
-        lambda panels: _memo_level(k, [1], panels, spec, const=1.0, inner_shift=1.0),
-        spec,
-        {1: tail},
+    first = _sech_quadrature(
+        lambda panels, spec: _memo_level(k, [1], panels, spec, const=1.0, inner_shift=1.0),
+        spec or default_spec(k),
+        {1: 2.0 * k},
     )[1]
     return first, ak_zeta_moment(k, 1, spec)
 
@@ -455,15 +452,15 @@ def zeta_star_3_1_double(spec: QuadratureSpec | None = None) -> QuadratureResult
     columns A = C_c, whose sums S_2 it contracts with -W_c/C_c.  The moment
     kernel applies the same reduction, so negative_moment(2, 2) is a second implementation of
     this integral, not an independent quadrature of it.
+    Bound: 2 axes times 4, as the denominator's real part is in [-1, -1/2].
     """
-    spec = _cover_tail(spec or default_spec(2), 8.0)
 
-    def level(panels: int) -> dict[int, complex]:
+    def level(panels: int, spec: QuadratureSpec) -> dict[int, complex]:
         X, W = _sech_axis(spec.w_cutoff, panels, spec.nodes)
         C = 1j * X - 0.5
         return {0: complex(np.dot(-W / C, _g_sums(C, C, W, [2])[2]))}
 
-    return _converge(level, spec, {0: 2 * _sech_tail_mass(spec.w_cutoff) * 4.0})[0]
+    return _sech_quadrature(level, spec or default_spec(2), {0: 8.0})[0]
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +470,9 @@ def zeta_star_3_1_double(spec: QuadratureSpec | None = None) -> QuadratureResult
 def hurwitz_zeta(s: float, a: float, tol: float = 1e-12) -> float:
     """Hurwitz zeta sum_{n>=0} (a+n)^{-s} for s > 1, a > 0.
 
-    Direct sum to N plus the Euler-Maclaurin tail correction; N is grown until
-    the first omitted correction term is below tol.
+    Direct sum to N plus the Euler-Maclaurin tail correction; N doubles from 16
+    until the first omitted correction term is below tol, or past 2^20 raises
+    ConvergenceError.
     """
     head, tail, _ = _hurwitz_parts(s, a, tol)
     return head + tail
@@ -494,7 +492,7 @@ def _hurwitz_parts(s: float, a: float, tol: float) -> tuple[float, float, float]
         raise ValueError("hurwitz_zeta requires a > 0")
     B = [float(b) for b in bernoulli_numbers(14)]
     N = 16
-    for _ in range(40):
+    for _ in range(17):
         x = a + N
         tail = x ** (1.0 - s) / (s - 1.0) + 0.5 * x ** (-s)
         size = tail
@@ -514,11 +512,12 @@ def _hurwitz_parts(s: float, a: float, tol: float) -> tuple[float, float, float]
             head = math.fsum((a + n) ** (-s) for n in range(N))
             return head, tail, 2.0**-53 * ((s + 5) * head + (s + 56) * size + abs(head + tail))
         N *= 2
-    raise ArithmeticError("hurwitz_zeta failed to meet tolerance")
+    raise ConvergenceError(err, 17)
 
 
 def polygamma(m: int, x: float, tol: float = 1e-12) -> float:
-    """Polygamma psi^{(m)}(x) = (-1)^{m+1} m! zeta(m+1, x) for m >= 1, x > 0."""
+    """Polygamma psi^{(m)}(x) = (-1)^{m+1} m! zeta(m+1, x) for m >= 1, x > 0;
+    raises ConvergenceError where hurwitz_zeta does."""
     if m < 1:
         raise ValueError("polygamma order must be >= 1")
     if x <= 0:
@@ -774,7 +773,7 @@ def barnes_zeta_sech(
     G-sum kernel (_g_sums): its rows Q are the sums -i sum_{n<k} a_n u_n over
     the first k - 1 axes, weighted by prod W_n/a_n, and its columns
     A = w - i a_k u_k are the last axis, whose sums S_j it contracts with
-    -(m-k) W_k/a_k.
+    -(m-k) W_k/a_k.  Bound: k w^{-(m-k)} Gamma(m-k)/Gamma(m), |w - i sum u_n| >= w.
     """
     k = len(a)
     if k == 0:
@@ -785,9 +784,8 @@ def barnes_zeta_sech(
         raise ValueError("requires w > 0")
     power = m - k
     pref = math.factorial(m - k - 1) / math.factorial(m - 1)
-    spec = _cover_tail(spec or default_spec(k), k * w ** (-power) * pref)
 
-    def level(panels: int) -> dict[int, complex]:
+    def level(panels: int, spec: QuadratureSpec) -> dict[int, complex]:
         x, wt = _sech_axis(spec.w_cutoff, panels, spec.nodes)
         Q, wgt = np.zeros(1, dtype=complex), np.ones(1)
         for an in a[:-1]:
@@ -796,8 +794,7 @@ def barnes_zeta_sech(
         S = _g_sums(w - 1j * a[-1] * x, Q, wgt, [power + 1])[power + 1]
         return {0: pref * complex(np.dot(-power / a[-1] * wt, S))}
 
-    tail = k * _sech_tail_mass(spec.w_cutoff) * w ** (-power) * pref
-    return _converge(level, spec, {0: tail})[0]
+    return _sech_quadrature(level, spec or default_spec(k), {0: k * w ** (-power) * pref})[0]
 
 
 # ---------------------------------------------------------------------------

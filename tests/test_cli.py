@@ -137,6 +137,24 @@ def test_quadrature_settings_are_checked_for_every_command(capsys, tmp_path):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_w_cutoff_is_a_usage_error(capsys, value):
+    # a NaN or infinite cutoff would put every sech^2 node at NaN
+    for argv in (("zeta", "--k", "2", "--m", "1"), ("num", "--n", "1", "--k", "2")):
+        code, out, err = run_cli(capsys, *argv, "--w-cutoff", value)
+        assert code == EXIT_USAGE, argv
+        assert out == "" and "w_cutoff" in err
+
+
+def test_hurwitz_tolerance_beyond_reach_is_a_convergence_failure(capsys):
+    # no Hurwitz head up to 2^20 terms meets 1e-300: exit 2, not a traceback
+    code, out, err = run_cli(
+        capsys, "zeta", "--k", "1", "--m", "2", "--route", "mellin", "--tolerance", "1e-300"
+    )
+    assert code == EXIT_CROSSCHECK_FAIL
+    assert out == "" and err.startswith("akzeta: convergence failure")
+
+
 def test_table_csv_k1_matches_bernoulli_at_one(capsys):
     code, out, _ = run_cli(
         capsys, "table", "--n-max", "3", "--k-max", "1", "--format", "csv"

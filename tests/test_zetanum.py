@@ -3,6 +3,7 @@ import functools
 import math
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -60,6 +61,16 @@ def test_hurwitz_zeta_values():
         hurwitz_zeta(0.5, 1)
     with pytest.raises(ValueError):
         hurwitz_zeta(2, -1)
+
+
+def test_hurwitz_doubling_stops_at_its_cap():
+    # 1e-150 would need a head of 4.3e9 terms: past N = 2^20 the sum gives up
+    # at once instead of summing for hours; 1e-80 at s = 2 fits below the cap
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError):
+        hurwitz_zeta(3, 1.0, 1e-150)
+    assert time.perf_counter() - start < 1.0
+    assert abs(hurwitz_zeta(2, 1.0, 1e-80) - ZETA2) < 1e-15
 
 
 def test_polygamma_values():
@@ -196,12 +207,46 @@ def test_sech_weights_do_not_overflow_at_large_cutoffs():
     assert (w[~finite] == 0.0).all()
 
 
-@pytest.mark.parametrize("k, tol", [(1, 1e-12), (2, 1e-12), (3, 1e-8)])
-def test_moment_cutoff_covers_the_tail(k, tol):
-    # the cutoff is raised until the reported tail bound is at most tol/2
+def _moments(k):
+    return lambda spec: negative_moment_batch(k, [1, 2, 3], 0.0, spec).values()
+
+
+@pytest.mark.parametrize("k, tol, integral", [
+    pytest.param(1, 1e-12, _moments(1), id="1-1e-12"),
+    pytest.param(2, 1e-12, _moments(2), id="2-1e-12"),
+    pytest.param(3, 1e-8, _moments(3), id="3-1e-08"),
+    # at 1e-14 these cutoffs rise above the floor of 5: to 5.57, 5.68 and 5.18
+    pytest.param(2, 1e-14, lambda spec: telescoping_check(2, spec), id="telescoping"),
+    pytest.param(2, 1e-14, lambda spec: [zeta_star_3_1_double(spec)], id="zeta_star_3_1"),
+    pytest.param(2, 1e-14, lambda spec: [barnes_zeta_sech(4, 1.0, [1.0, 1.0], spec)], id="barnes"),
+])
+def test_moment_cutoff_covers_the_tail(k, tol, integral):
+    # the cutoff is raised until every reported tail bound is at most tol/2
     spec = replace(default_spec(k), tolerance=tol)
-    res = negative_moment_batch(k, [1, 2, 3], 0.0, spec)
-    assert all(r.tail_bound <= tol / 2 for r in res.values())
+    assert all(r.tail_bound <= tol / 2 for r in integral(spec))
+
+
+def test_sech_quadrature_covers_the_largest_bound():
+    # a fake level that records the spec it is given and converges at once
+    def mass(W):
+        return 2 / (1 + math.exp(2 * math.pi * W))
+
+    for tol, floor_enough in ((1e-8, True), (1e-14, False)):
+        seen = []
+
+        def level(panels, spec):
+            seen.append(spec)
+            return {"a": 1.0 + 0j, "b": 2.0 + 0j}
+
+        spec = QuadratureSpec(tolerance=tol, w_cutoff=6.0)
+        bounds = {"a": 1.0, "b": 1e3}
+        res = zetanum._sech_quadrature(level, spec, bounds)
+        W = 6.0 if floor_enough else math.log(4 * 1e3 / tol) / (2 * math.pi)
+        assert (W > 6.0) != floor_enough
+        assert [s.w_cutoff for s in seen] == pytest.approx([W, W], rel=1e-15)
+        assert [replace(s, w_cutoff=6.0) for s in seen] == [spec, spec]
+        for key, b in bounds.items():
+            assert res[key].tail_bound == pytest.approx(b * mass(W), rel=1e-12)
 
 
 def test_negative_moment_zeta_ladder():
@@ -731,8 +776,12 @@ def test_coarse_k2_start_agrees_with_the_replaced_schedule():
                 except ConvergenceError:
                     got.append(None)
             cases.append((z, m, *got))
-            min_abs_re = min(abs(z - 1.0), abs(z - 0.5))  # as negative_moment_batch covers its tail
-            covered = zetanum._cover_tail(default_spec(2), 2 * min_abs_re ** -m)
+            # the documented cutoff max(w_cutoff, ln(4 scale/tol)/(2 pi)), with
+            # the scale 2 r^-m of negative_moment_batch
+            scale = 2 * min(abs(z - 1.0), abs(z - 0.5)) ** -m
+            floor = default_spec(2)
+            cutoff = max(floor.w_cutoff, math.log(4 * scale / floor.tolerance) / (2 * math.pi))
+            covered = replace(floor, w_cutoff=cutoff)
             grids.setdefault((z, covered), []).append(m)
     ref = {}
     for (z, covered), ms in grids.items():
