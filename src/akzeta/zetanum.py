@@ -491,8 +491,7 @@ def _hurwitz_parts(s: float, a: float, tol: float) -> tuple[float, float, float]
     if a <= 0:
         raise ValueError("hurwitz_zeta requires a > 0")
     B = [float(b) for b in bernoulli_numbers(14)]
-    N = 16
-    for _ in range(17):
+    for N in (16 << d for d in range(17)):  # N = 16, 32, ..., 2^20
         x = a + N
         tail = x ** (1.0 - s) / (s - 1.0) + 0.5 * x ** (-s)
         size = tail
@@ -511,7 +510,6 @@ def _hurwitz_parts(s: float, a: float, tol: float) -> tuple[float, float, float]
         if err < tol / 4:
             head = math.fsum((a + n) ** (-s) for n in range(N))
             return head, tail, 2.0**-53 * ((s + 5) * head + (s + 56) * size + abs(head + tail))
-        N *= 2
     raise ConvergenceError(err, 17)
 
 
